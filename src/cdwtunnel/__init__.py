@@ -7,9 +7,8 @@ wavefunctionals, analytic tunneling matrix elements with an independent
 quadrature oracle, the soliton-pair and Zener current laws, and fitting of
 one against the other.
 
-The numerical kernels run from a compiled extension when available and
-fall back to pure Python (see ``cdwtunnel.BACKEND``; override with the
-``CDWTUNNEL_BACKEND`` environment variable).
+The numerical kernels are plain Python functions of floats
+(``cdwtunnel.BACKEND`` names them ``"pure"``).
 """
 
 from ._backend import BACKEND, QuadratureError

@@ -1,28 +1,6 @@
-"""Backend selection: compiled kernels when available, pure Python otherwise.
+"""The kernel module the front-end modules call, and the name it reports."""
 
-The choice is made once at import time.  ``CDWTUNNEL_BACKEND`` overrides it:
-  auto (default)  use the compiled extension if it imports, else pure Python
-  compiled        require the compiled extension (ImportError if missing)
-  pure            force the pure-Python kernels
-"""
-
-import os
-
-_requested = os.environ.get("CDWTUNNEL_BACKEND", "auto").strip().lower()
-
-if _requested in ("auto", ""):
-    try:
-        from . import _fastkernels as kernels
-    except ImportError:
-        from . import _purekernels as kernels
-elif _requested in ("compiled", "c", "ext", "fast"):
-    from . import _fastkernels as kernels
-elif _requested in ("pure", "py", "python"):
-    from . import _purekernels as kernels
-else:
-    raise ImportError(
-        "unknown CDWTUNNEL_BACKEND %r (use auto, compiled or pure)" % _requested
-    )
+from . import _purekernels as kernels
 
 BACKEND = kernels.BACKEND_NAME
 QuadratureError = kernels.QuadratureError

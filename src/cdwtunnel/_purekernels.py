@@ -1,8 +1,7 @@
 """Pure-Python scalar kernels.
 
-This module is the reference implementation of the numerical core; the
-Cython module ``_fastkernels`` mirrors it function for function.  Which one
-a process uses is decided once, at import time, in ``_backend``.
+This module is the one implementation of the numerical core; the
+front-end modules reach it through ``_backend``.
 
 Everything here is a plain function of floats with no shared state, so the
 kernels are safe to call from any number of threads.

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage/config error, 2 runtime/numeric error,
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -57,7 +58,17 @@ def _json_text(payload):
 
 
 def _write(path, text):
-    Path(path).write_text(text, encoding="utf-8")
+    """Write ``text`` to ``path`` in one shot: a temp sibling, then a rename."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    f = open(tmp, "x", encoding="utf-8")
+    try:
+        with f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _load_config(path):
@@ -86,10 +97,32 @@ def _merged(args, config, key, default=None):
     return default
 
 
+def _number(args, config, key, default=None, kind=float):
+    """Merged numeric option as ``kind`` (float or int), or None if unset.
+
+    Flags arrive typed from argparse; config values must be JSON numbers
+    (not bools), and integral for an int option.
+    """
+    value = _merged(args, config, key, default)
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise CliUsageError(f"{key} must be a number, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise CliUsageError(f"{key} must be an integer, got {value!r}")
+    return kind(value)
+
+
+def _listed(args, config, key):
+    """A repeatable option: the flag's list, else the config list or single value."""
+    value = getattr(args, key) or config.get(key) or []
+    return value if isinstance(value, list) else [value]
+
+
 def _grid(args, config, lo_default, hi_default, n_default, kind_default):
-    lo = float(_merged(args, config, "grid_lo", lo_default))
-    hi = float(_merged(args, config, "grid_hi", hi_default))
-    n = int(_merged(args, config, "grid_n", n_default))
+    lo = _number(args, config, "grid_lo", lo_default)
+    hi = _number(args, config, "grid_hi", hi_default)
+    n = _number(args, config, "grid_n", n_default, int)
     kind = str(_merged(args, config, "grid_kind", kind_default))
     if kind not in ("linear", "log"):
         raise CliUsageError("grid kind must be linear or log")
@@ -118,9 +151,9 @@ def _transport_params(args, config):
         "omega",
         "e_charge",
     ):
-        value = _merged(args, config, name)
+        value = _number(args, config, name)
         if value is not None:
-            kwargs[name] = float(value)
+            kwargs[name] = value
     try:
         return transport.TransportParams(**kwargs)
     except ValueError as exc:
@@ -217,15 +250,15 @@ def _cmd_fit(args):
             f"cannot free {sorted(unknown)}; allowed: {list(fitting.FREE_PARAM_ORDER)}"
         )
     start = tp
-    start_ct1 = _merged(args, config, "start_c_tilde1")
-    start_cv = _merged(args, config, "start_c_v")
+    start_ct1 = _number(args, config, "start_c_tilde1")
+    start_cv = _number(args, config, "start_c_v")
     if start_ct1 is not None or start_cv is not None:
         start = fitting.transport_with(
             tp,
             ("c_tilde1", "c_v"),
             (
-                float(start_ct1 if start_ct1 is not None else tp.c_tilde1),
-                float(start_cv if start_cv is not None else tp.c_v),
+                start_ct1 if start_ct1 is not None else tp.c_tilde1,
+                start_cv if start_cv is not None else tp.c_v,
             ),
         )
 
@@ -260,34 +293,36 @@ def _cmd_profile(args):
     out = _require_out(args, config)
     try:
         kp = wavefunctional.KinkPairProfile(
-            x_a=float(_merged(args, config, "x_a", -5.0)),
-            x_b=float(_merged(args, config, "x_b", 5.0)),
-            b=float(_merged(args, config, "steepness", 1.0)),
+            x_a=_number(args, config, "x_a", -5.0),
+            x_b=_number(args, config, "x_b", 5.0),
+            b=_number(args, config, "steepness", 1.0),
         )
     except ValueError as exc:
         raise CliUsageError(str(exc)) from exc
-    half_width = float(_merged(args, config, "half_width", 15.0))
-    n = int(_merged(args, config, "n", 801))
-    prof = wavefunctional.sample_profile(kp, half_width, n)
-    _write(out, _csv_text(["x", "phi"], zip(prof.xs, prof.phis)))
-
-    k_n = _merged(args, config, "k_n")
+    half_width = _number(args, config, "half_width", 15.0)
+    n = _number(args, config, "n", 801, int)
+    k_n = _number(args, config, "k_n", None, int)
     if k_n is not None:
-        k_lo = float(_merged(args, config, "k_lo", 0.01))
-        k_hi = float(_merged(args, config, "k_hi", 20.0))
-        k_n = int(k_n)
+        k_lo = _number(args, config, "k_lo", 0.01)
+        k_hi = _number(args, config, "k_hi", 20.0)
         if k_n < 2 or not k_lo < k_hi:
             raise CliUsageError("k grid needs n >= 2 and lo < hi")
+
+    # everything is computed before the first file is written
+    prof = wavefunctional.sample_profile(kp, half_width, n)
+    files = {out: _csv_text(["x", "phi"], zip(prof.xs, prof.phis))}
+    if k_n is not None:
         ks = np.linspace(k_lo, k_hi, k_n)
         amps = [wavefunctional.thin_wall_ft(float(k), kp.l) for k in ks]
-        _write(out.with_name(out.stem + ".kspace.csv"), _csv_text(["k", "phi_k"], zip(ks, amps)))
-
+        files[out.with_name(out.stem + ".kspace.csv")] = _csv_text(["k", "phi_k"], zip(ks, amps))
     sidecar = {
         "pair": {"x_a": kp.x_a, "x_b": kp.x_b, "steepness": kp.b, "l": kp.l},
         "grid": {"half_width": half_width, "n": n},
         "topological_charge": _quantize(potential.topological_charge(prof)),
     }
-    _write(out.with_name(out.stem + ".meta.json"), _json_text(sidecar))
+    files[out.with_name(out.stem + ".meta.json")] = _json_text(sidecar)
+    for path, text in files.items():
+        _write(path, text)
     return EXIT_OK
 
 
@@ -298,10 +333,10 @@ def _cmd_matrix_element(args):
     if over not in ("l", "e"):
         raise CliUsageError("matrix-element grids run over 'l' or 'e'")
     tp = _transport_params(args, config)
-    x_bar = float(_merged(args, config, "x_bar", 1.0))
-    n1 = float(_merged(args, config, "n1", 1.0 - wavefunctional.DEFAULT_EPS_PLUS))
-    m_star = float(_merged(args, config, "m_star", 1.0))
-    eps_plus = float(_merged(args, config, "eps_plus", wavefunctional.DEFAULT_EPS_PLUS))
+    x_bar = _number(args, config, "x_bar", 1.0)
+    n1 = _number(args, config, "n1", 1.0 - wavefunctional.DEFAULT_EPS_PLUS)
+    m_star = _number(args, config, "m_star", 1.0)
+    eps_plus = _number(args, config, "eps_plus", wavefunctional.DEFAULT_EPS_PLUS)
     grid = _grid(args, config, 2.0, 12.0, 25, "linear")
 
     header = (["e", "l"] if over == "e" else ["l"]) + ["t_analytic", "t_simplified", "t_oracle"]
@@ -331,9 +366,7 @@ def _cmd_matrix_element(args):
 
 def _cmd_verify(args):
     config = _load_config(args.config)
-    names = args.check or config.get("check") or None
-    if names is not None and not isinstance(names, list):
-        names = [names]
+    names = _listed(args, config, "check") or None
     if names:
         unknown = [n for n in names if n not in verify.CHECKS]
         if unknown:
@@ -341,7 +374,7 @@ def _cmd_verify(args):
                 f"unknown check(s) {unknown}; valid names: {', '.join(verify.CHECKS)}"
             )
     tolerances = {}
-    for spec in args.tol or config.get("tol") or []:
+    for spec in _listed(args, config, "tol"):
         name, _, value = str(spec).partition("=")
         if name not in verify.CHECKS:
             raise CliUsageError(

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from cdwtunnel import cli
 from cdwtunnel.cli import main
 
 
@@ -96,6 +97,17 @@ def test_curve_deterministic_bytes(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_failed_write_leaves_no_file(tmp_path, monkeypatch, capsys):
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    code = main(["curve", "--grid-n", "5", "--out", str(tmp_path / "c.csv")])
+    assert code == 2
+    assert "disk full" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_csv_round_trip_is_exact_for_emitted_format(tmp_path):
     out = tmp_path / "c.csv"
     main(["curve", "--model", "sge", "--grid-n", "40", "--out", str(out)])
@@ -173,6 +185,7 @@ def test_profile_sidecar_charge(tmp_path):
     assert sidecar["pair"]["l"] == 10.0
     lines = read_lines(out)
     assert lines[0] == "x,phi"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["prof.csv", "prof.meta.json"]
 
 
 def test_profile_kspace_zero_at_harmonic(tmp_path):
@@ -187,6 +200,32 @@ def test_profile_kspace_zero_at_harmonic(tmp_path):
     k0, amp0 = (float(c) for c in klines[1].split(","))
     assert k0 == pytest.approx(math.pi)
     assert abs(amp0) <= 1e-15
+
+
+def test_profile_bad_k_grid_writes_nothing(tmp_path, capsys):
+    code = main(["profile", "--k-n", "1", "--out", str(tmp_path / "p.csv")])
+    assert code == 1
+    assert "k grid" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, config, field",
+    [
+        ("fit", {"grid_n": "abc"}, "grid_n"),
+        ("profile", {"n": "x"}, "n"),
+        ("curve", {"grid_n": 2.7}, "grid_n"),
+        ("curve", {"e_t": "1"}, "e_t"),
+        ("matrix-element", {"x_bar": True}, "x_bar"),
+    ],
+)
+def test_non_numeric_config_is_usage_error(tmp_path, capsys, command, config, field):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {field} must be")
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
 
 def test_profile_minimal_grid(tmp_path):
@@ -233,6 +272,15 @@ def test_verify_tolerance_override_forces_fail(capsys):
     out = capsys.readouterr().out
     assert code == 3
     assert "FAIL thin-wall-ft" in out
+
+
+def test_verify_config_tol_may_be_one_string(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"check": "normalization", "tol": "normalization=1"}))
+    code = main(["verify", "--config", str(cfg)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith("PASS normalization") and " tol=1.000e+00 " in out
 
 
 def test_verify_unknown_check_lists_names(capsys):

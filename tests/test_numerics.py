@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import cdwtunnel
 from cdwtunnel.numerics import (
     QuadratureError,
     erf,
@@ -75,6 +76,10 @@ def test_quadrature_rejects_bad_arguments():
 
 
 def test_quadrature_reports_depth_exhaustion():
+    # perfbench records cdwtunnel.BACKEND and wraps the kernel module's quadrature
+    assert cdwtunnel.BACKEND == "pure"
+    assert cdwtunnel._backend.kernels is cdwtunnel._purekernels
+    assert cdwtunnel.QuadratureError is cdwtunnel._backend.kernels.QuadratureError
     with pytest.raises(QuadratureError):
         integrate_adaptive(lambda x: math.sin(1e6 * x), 0.0, 3.0, 1e-14, max_depth=6)
 
