@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import cdwtunnel
 from cdwtunnel import cli
 from cdwtunnel.cli import main
 
@@ -105,6 +106,24 @@ def test_failed_write_leaves_no_file(tmp_path, monkeypatch, capsys):
     code = main(["curve", "--grid-n", "5", "--out", str(tmp_path / "c.csv")])
     assert code == 2
     assert "disk full" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_later_rename_removes_earlier_files(tmp_path, monkeypatch, capsys):
+    real_replace = cli.os.replace
+    calls = []
+
+    def fail_second(src, dst):
+        calls.append(dst)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", fail_second)
+    code = main(["profile", "--k-n", "5", "--out", str(tmp_path / "p.csv")])
+    assert code == 2
+    assert "disk full" in capsys.readouterr().err
+    assert len(calls) == 2
     assert list(tmp_path.iterdir()) == []
 
 
@@ -217,14 +236,51 @@ def test_profile_bad_k_grid_writes_nothing(tmp_path, capsys):
         ("curve", {"grid_n": 2.7}, "grid_n"),
         ("curve", {"e_t": "1"}, "e_t"),
         ("matrix-element", {"x_bar": True}, "x_bar"),
+        ("curve", {"out": 5}, "out"),
+        ("fit", {"data": 5}, "data"),
+        ("fit", {"free": ["c_v"]}, "free"),
     ],
 )
 def test_non_numeric_config_is_usage_error(tmp_path, capsys, command, config, field):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(config))
-    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out.csv")])
+    out = [] if "out" in config else ["--out", str(tmp_path / "out.csv")]
+    code = main([command, "--config", str(cfg), *out])
     assert code == 1
-    assert capsys.readouterr().err.startswith(f"error: {field} must be")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
+@pytest.mark.parametrize("config", [{"check": [["x"]]}, {"check": {"a": 1}}, {"tol": 5}])
+def test_wrong_typed_verify_config_is_usage_error(tmp_path, capsys, config):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["verify", "--config", str(cfg)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {next(iter(config))} must be") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["curve", "profile", "matrix-element"])
+def test_null_config_values_mean_unset(tmp_path, command):
+    outputs = []
+    for config in ({}, {opt.name: None for opt in cli.COMMANDS[command][2]}):
+        d = tmp_path / str(len(outputs))
+        d.mkdir()
+        (d / "run.json").write_text(json.dumps(config))
+        assert main([command, "--config", str(d / "run.json"), "--out", str(d / "out.csv")]) == 0
+        outputs.append({p.name: p.read_bytes() for p in d.iterdir() if p.name != "run.json"})
+    assert outputs[0] == outputs[1]
+
+
+def test_unknown_config_key_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"gridn": 7, "model": "sge"}))
+    code = main(["curve", "--config", str(cfg), "--out", str(tmp_path / "out.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown config key(s) ['gridn']") and "grid_n" in err
     assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
 
@@ -307,4 +363,4 @@ def test_console_entry_point_runs():
         [sys.executable, "-m", "cdwtunnel.cli", "--version"], capture_output=True, text=True
     )
     assert proc.returncode == 0
-    assert "cdwtunnel" in proc.stdout
+    assert f"cdwtunnel {cdwtunnel.__version__}" in proc.stdout
