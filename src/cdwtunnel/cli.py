@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage/config error, 2 runtime/numeric error,
 """
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -169,11 +170,18 @@ def _grid(o, lo, hi):
     return np.linspace(lo, hi, o.grid_n)
 
 
-def _transport_params(o):
+@contextlib.contextmanager
+def _usage_errors():
+    """Report a ValueError from validating option values as a usage error."""
     try:
-        return transport.TransportParams(**{opt.name: getattr(o, opt.name) for opt in _TRANSPORT})
+        yield
     except ValueError as exc:
         raise CliUsageError(str(exc)) from exc
+
+
+def _transport_params(o):
+    with _usage_errors():
+        return transport.TransportParams(**{opt.name: getattr(o, opt.name) for opt in _TRANSPORT})
 
 
 def _require_out(o):
@@ -254,14 +262,15 @@ def _cmd_fit(o):
         )
     start = tp
     if o.start_c_tilde1 is not None or o.start_c_v is not None:
-        start = fitting.transport_with(
-            tp,
-            ("c_tilde1", "c_v"),
-            (
-                o.start_c_tilde1 if o.start_c_tilde1 is not None else tp.c_tilde1,
-                o.start_c_v if o.start_c_v is not None else tp.c_v,
-            ),
-        )
+        with _usage_errors():
+            start = fitting.transport_with(
+                tp,
+                ("c_tilde1", "c_v"),
+                (
+                    o.start_c_tilde1 if o.start_c_tilde1 is not None else tp.c_tilde1,
+                    o.start_c_v if o.start_c_v is not None else tp.c_v,
+                ),
+            )
 
     if o.data is not None:
         es, targets = _parse_data_csv(o.data)
@@ -289,15 +298,12 @@ def _cmd_fit(o):
 
 def _cmd_profile(o):
     out = _require_out(o)
-    try:
-        kp = wavefunctional.KinkPairProfile(x_a=o.x_a, x_b=o.x_b, b=o.steepness)
-    except ValueError as exc:
-        raise CliUsageError(str(exc)) from exc
     if o.k_n is not None and (o.k_n < 2 or not o.k_lo < o.k_hi):
         raise CliUsageError("k grid needs n >= 2 and lo < hi")
-
     # everything is computed before the first file is written
-    prof = wavefunctional.sample_profile(kp, o.half_width, o.n)
+    with _usage_errors():
+        kp = wavefunctional.KinkPairProfile(x_a=o.x_a, x_b=o.x_b, b=o.steepness)
+        prof = wavefunctional.sample_profile(kp, o.half_width, o.n)
     files = {out: _csv_text(["x", "phi"], zip(prof.xs, prof.phis))}
     if o.k_n is not None:
         ks = np.linspace(o.k_lo, o.k_hi, o.k_n)
@@ -317,6 +323,9 @@ def _cmd_matrix_element(o):
     out = _require_out(o)
     tp = _transport_params(o)
     grid = _grid(o, 2.0, 12.0)
+    with _usage_errors():
+        # x_bar, n1 and m_star are checked once, before any row is computed
+        tunneling.MatrixElementInputs(x_bar=o.x_bar, l=1.0, alpha=1.0, n1=o.n1, m_star=o.m_star)
 
     header = (["e", "l"] if o.over == "e" else ["l"]) + ["t_analytic", "t_simplified", "t_oracle"]
     rows = []

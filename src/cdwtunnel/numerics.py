@@ -33,10 +33,18 @@ def erf(x):
 def integrate_adaptive(f, a, b, tol, max_depth=48):
     """Integral of ``f`` over [a, b] with absolute error <= ``tol``.
 
-    Adaptive Simpson with interval bisection and Richardson extrapolation.
+    Adaptive Gauss-Kronrod (G10K21, QUADPACK's qk21) with interval
+    bisection: each round evaluates ``f`` once on a numpy array of the 21
+    nodes of every unconverged interval, and accepts an interval when
+    |K21 - G10| is within its tolerance share, which halves with each
+    bisection.  ``f`` may take arrays (``np.exp``-style) or floats only; a
+    callback that raises TypeError or ValueError on the node array, or
+    returns another shape, is called once per node.
+
     Raises QuadratureError when an interval still misses its tolerance
-    share after ``max_depth`` bisections, and ValueError for a > b or a
-    non-positive tolerance.
+    share after ``max_depth`` bisections (or too many intervals stay
+    unconverged at once), and ValueError for a > b or a non-positive
+    tolerance.
     """
     return kernels.integrate_adaptive(f, float(a), float(b), float(tol), max_depth)
 

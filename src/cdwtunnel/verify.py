@@ -50,7 +50,7 @@ def check_erf_quadrature(tol=1e-12):
     worst = 0.0
     pref = 2.0 / math.sqrt(math.pi)
     for x in np.linspace(0.25, 6.0, 24):
-        quad = numerics.integrate_adaptive(lambda t: math.exp(-t * t), 0.0, float(x), 1e-14)
+        quad = numerics.integrate_adaptive(lambda t: np.exp(-t * t), 0.0, float(x), 1e-14)
         worst = max(worst, abs(numerics.erf(x) - pref * quad))
     return _result("erf-quadrature", worst, tol, "max |erf - quadrature| on x in [0.25, 6]")
 
@@ -64,7 +64,7 @@ def check_normalization(tol=1e-8):
             u_max = float(l) / math.sqrt(TWO_PI)
             a = float(alpha)
             val = numerics.integrate_adaptive(
-                lambda u: c * c * math.exp(-2.0 * a * u * u), 0.0, u_max, 1e-11
+                lambda u: c * c * np.exp(-2.0 * a * u * u), 0.0, u_max, 1e-11
             )
             worst = max(worst, abs(val - 1.0))
     return _result("normalization", worst, tol, "max |integral - 1| on (alpha, L) log grid")

@@ -252,6 +252,24 @@ def test_non_numeric_config_is_usage_error(tmp_path, capsys, command, config, fi
     assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["profile", "--n", "1"], "need at least 2 samples"),
+        (["profile", "--half-width", "0"], "half_width must be positive"),
+        (["fit", "--start-c-v", "0"], "c_v must be positive"),
+        (["matrix-element", "--m-star", "0"], "m_star must be positive"),
+    ],
+    ids=["profile-n", "profile-half-width", "fit-start-c-v", "matrix-element-m-star"],
+)
+def test_out_of_range_option_is_usage_error(tmp_path, capsys, args, message):
+    code = main([*args, "--out", str(tmp_path / "out.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("config", [{"check": [["x"]]}, {"check": {"a": 1}}, {"tol": 5}])
 def test_wrong_typed_verify_config_is_usage_error(tmp_path, capsys, config):
     cfg = tmp_path / "run.json"

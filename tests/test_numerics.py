@@ -80,8 +80,64 @@ def test_quadrature_reports_depth_exhaustion():
     assert cdwtunnel.BACKEND == "pure"
     assert cdwtunnel._backend.kernels is cdwtunnel._purekernels
     assert cdwtunnel.QuadratureError is cdwtunnel._backend.kernels.QuadratureError
-    with pytest.raises(QuadratureError):
+    # the message names the first failing interval
+    with pytest.raises(QuadratureError, match=r"on \[0, 0\.046875\] "):
         integrate_adaptive(lambda x: math.sin(1e6 * x), 0.0, 3.0, 1e-14, max_depth=6)
+    with pytest.raises(QuadratureError, match=r"on \[0, 3\] "):
+        integrate_adaptive(lambda x: np.sin(1e6 * x), 0.0, 3.0, 1e-14, max_depth=0)
+
+
+def test_quadrature_bounds_the_active_interval_count():
+    # far more oscillation than 48 bisections could resolve: the engine
+    # stops on its interval budget instead of doubling memory every round
+    with pytest.raises(QuadratureError, match="active interval limit"):
+        integrate_adaptive(lambda x: np.sin(1e12 * x), 0.0, 3.0, 1e-14)
+
+
+def test_quadrature_array_and_scalar_integrands_agree():
+    for a, b in [(0.0, 0.5), (0.0, 3.0), (-2.0, 6.0)]:
+        vec = integrate_adaptive(lambda t: np.exp(-t * t) * np.cos(3.0 * t), a, b, 1e-13)
+        sca = integrate_adaptive(lambda t: math.exp(-t * t) * math.cos(3.0 * t), a, b, 1e-13)
+        assert vec == pytest.approx(sca, rel=1e-15, abs=0.0)
+
+
+def test_quadrature_branching_scalar_callback():
+    # `if` on an array raises ValueError, so the engine calls it per node
+    def ramp(x):
+        if x < 0.3:
+            return x
+        return 0.3
+
+    assert integrate_adaptive(ramp, 0.0, 1.0, 1e-12) == pytest.approx(0.255, abs=1e-12)
+
+
+def test_quadrature_finds_narrow_peak_near_an_end():
+    # Gaussian of width 1e-2, eight widths inside the lower end of [0, 10]:
+    # the five starting Simpson nodes 0, 2.5, 5, 7.5, 10 see at most 1e-14 of
+    # it, while the Kronrod nodes cluster toward the ends (the first sits
+    # 0.022 from a).  The matrix-element oracle's peak sits at its lower
+    # limit in the same way.  A peak this narrow between interior nodes can
+    # still be missed by either rule.
+    w, c = 1e-2, 0.08
+    peak = lambda x: np.exp(-0.5 * ((x - c) / w) ** 2)
+    assert max(peak(x) for x in (0.0, 2.5, 5.0, 7.5, 10.0)) < 1e-13
+    want = w * math.sqrt(math.pi / 2.0) * (1.0 + math.erf(c / (w * math.sqrt(2.0))))
+    assert abs(integrate_adaptive(peak, 0.0, 10.0, 1e-12) - want) <= 1e-12
+
+
+def test_quadrature_matches_scipy_quad():
+    integrate = pytest.importorskip("scipy.integrate")
+    cases = [
+        (lambda t: np.exp(-t * t), 0.0, 6.0, 1e-12),
+        (lambda t: np.cos(17.0 * t), -0.5, 0.5, 1e-12),
+        (lambda t: 1.0 / (1.0 + 25.0 * t * t), -1.0, 1.0, 1e-12),
+        # the endpoint singularity of sqrt exhausts the halving tolerance
+        # share within 48 bisections at 1e-12, so it runs at 1e-10
+        (lambda t: np.sqrt(t), 0.0, 2.0, 1e-10),
+    ]
+    for f, a, b, tol in cases:
+        want, err = integrate.quad(f, a, b, epsabs=1e-13, epsrel=0.0, limit=200)
+        assert abs(integrate_adaptive(f, a, b, tol) - want) <= tol + err
 
 
 def test_quadrature_tol_ladder_monotone():

@@ -11,7 +11,7 @@ from cdwtunnel.tunneling import (
     t_if_single_mode_oracle,
 )
 from cdwtunnel.verify import decay_slope
-from cdwtunnel.wavefunctional import WavefunctionalSpec
+from cdwtunnel.wavefunctional import WavefunctionalSpec, transport_pair_specs
 
 TWO_PI = 2.0 * math.pi
 # mpmath: (1/2) cosh(3/2) e^(-4)
@@ -133,6 +133,34 @@ def test_oracle_matches_closed_form_overlap():
     got = t_if_single_mode_oracle(spec_i, spec_f, tol=1e-13)
     want = alpha * sep * spec_i.norm_c * spec_f.norm_c * math.exp(-alpha * sep**2 / 2.0)
     assert got == pytest.approx(want, rel=1e-9)
+
+
+def _wronskian_current(spec_i, spec_f, span=12.0):
+    """The oracle's integral in closed form: the integrand psi_i psi_f'' -
+    psi_f psi_i'' is d/du of W = psi_i psi_f' - psi_f psi_i', so |T| is
+    |W(hi) - W(u0)| / (2 m*) on the oracle's default window, m* = 1."""
+    u0 = 0.5 * (spec_i.center + spec_f.center)
+    hi = max(spec_i.center, spec_f.center) + span / math.sqrt(2.0 * min(spec_i.alpha, spec_f.alpha))
+
+    def w(u):
+        psi_i = spec_i.norm_c * math.exp(-spec_i.alpha * (u - spec_i.center) ** 2)
+        psi_f = spec_f.norm_c * math.exp(-spec_f.alpha * (u - spec_f.center) ** 2)
+        slope_gap = 2.0 * spec_i.alpha * (u - spec_i.center) - 2.0 * spec_f.alpha * (u - spec_f.center)
+        return psi_i * psi_f * slope_gap
+
+    return abs(w(hi) - w(u0)) / 2.0
+
+
+@pytest.mark.parametrize("l", [0.2, 0.5, 1.0, 1.2, 2.0, 5.0])
+def test_oracle_matches_wronskian_on_transport_pairs(l):
+    # below L = 1.5 the overlap peak is narrow and sits at the barrier point,
+    # where the integrand itself vanishes
+    specs = transport_pair_specs(l)
+    got = t_if_single_mode_oracle(*specs)
+    want = _wronskian_current(*specs)
+    assert abs(got - want) <= 1e-11
+    if want > 1e-8:
+        assert abs(got - want) <= 1e-9 * want
 
 
 def test_oracle_decay_slope_fixed_widths():
