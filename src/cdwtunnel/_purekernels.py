@@ -1,13 +1,20 @@
-"""Pure-Python kernels: scalar closed forms and a vectorized quadrature engine.
+"""Pure-Python kernels: scalar closed forms, whole-grid current laws and a
+vectorized quadrature engine.
 
 This module is the one implementation of the numerical core; the
 front-end modules reach it through ``_backend``.
 
-The closed forms are plain functions of floats.  ``integrate_adaptive`` is
-an interval-batched adaptive Gauss-Kronrod (G10K21, QUADPACK's qk21) rule
-that evaluates its integrand on numpy arrays of nodes; the two quadrature
-oracles pass it numpy integrands.  Nothing here keeps shared state, so the
-kernels are safe to call from any number of threads.
+The closed forms are plain functions of floats.  The pair current (both
+conventions), its (c_tilde1, c_v) Jacobian and the Zener law also come as
+``*_array`` kernels that evaluate a whole field grid in one call; curve
+series and fits use those.  They do every +, -, *, / and sqrt in numpy,
+which rounds exactly as Python floats do, and map ``math.cosh``/``sinh``/
+``exp`` over the elements, so each value is bitwise equal to the scalar
+kernel's.  ``integrate_adaptive`` is an interval-batched adaptive
+Gauss-Kronrod (G10K21, QUADPACK's qk21) rule that evaluates its integrand
+on numpy arrays of nodes; the two quadrature oracles pass it numpy
+integrands.  Nothing here keeps shared state, so the kernels are safe to
+call from any number of threads.
 """
 
 import math
@@ -22,6 +29,7 @@ _SQRT_TWO_OVER_PI = math.sqrt(2.0 / math.pi)
 # Switch from direct cosh*exp to the exp-of-sum form; at |arg| >= 35 the
 # dropped (1 + e^(-2|arg|)) factor is below double-precision resolution.
 _COSH_DIRECT_LIMIT = 35.0
+_LN2 = math.log(2.0)
 
 
 class QuadratureError(RuntimeError):
@@ -296,10 +304,39 @@ def _cosh_times_exp(arg, expo):
     a = abs(arg)
     if a <= _COSH_DIRECT_LIMIT:
         return math.cosh(arg) * math.exp(expo)
-    t = a + expo - math.log(2.0)
+    t = a + expo - _LN2
     if t > 709.0:
         return math.inf
     return math.exp(t)
+
+
+def _elementwise(fn):
+    """The math-module function ``fn`` applied to each element of a float array.
+
+    numpy's own cosh/exp may differ from ``math``'s in the last bit; mapping
+    the ``math`` function keeps the array kernels bitwise equal to the scalar ones.
+    """
+    return lambda x: np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
+
+
+_COSH = _elementwise(math.cosh)
+_SINH = _elementwise(math.sinh)
+_EXP = _elementwise(math.exp)
+
+
+def _cosh_times_exp_array(arg, expo):
+    """``_cosh_times_exp`` on arrays, element for element."""
+    a = np.abs(arg)
+    out = np.empty_like(a)
+    near = a <= _COSH_DIRECT_LIMIT
+    out[near] = _COSH(arg[near]) * _EXP(expo[near])
+    far = ~near
+    t = a[far] + expo[far] - _LN2
+    finite = ~(t > 709.0)
+    vals = np.full_like(t, math.inf)
+    vals[finite] = _EXP(t[finite])
+    out[far] = vals
+    return out
 
 
 def t_if_analytic(x_bar, l, alpha, n1, c1n, c2n, m_star):
@@ -330,15 +367,15 @@ def t_if_simplified(x_bar, l, alpha, c1n, c2n, m_star):
 # current laws
 # ---------------------------------------------------------------------------
 
-def _sge_arg_expo(e, e_t, c_v, substituted):
+def _sge_arg_expo(e, e_t, c_v, substituted, sqrt=math.sqrt):
     chi = e_t * c_v / e
     if substituted:
         # literal back-substitution of the pair geometry: the 1/2 next to
         # the observer point stays in the exponent and second cosh term
-        arg = math.sqrt(2.0 / chi) - math.sqrt(0.5 * chi)
+        arg = sqrt(2.0 / chi) - sqrt(0.5 * chi)
         expo = -0.5 * chi
     else:
-        arg = math.sqrt(2.0 / chi) - math.sqrt(chi)
+        arg = sqrt(2.0 / chi) - sqrt(chi)
         expo = -chi
     return arg, expo
 
@@ -354,6 +391,13 @@ def current_sge(e, e_t, c_v, c_tilde1, substituted):
     return c_tilde1 * _cosh_times_exp(arg, expo)
 
 
+def current_sge_array(es, e_t, c_v, c_tilde1, substituted):
+    """``current_sge`` over the float array of fields ``es``, bitwise equal per element."""
+    with np.errstate(all="ignore"):
+        arg, expo = _sge_arg_expo(es, e_t, c_v, substituted, np.sqrt)
+        return c_tilde1 * _cosh_times_exp_array(arg, expo)
+
+
 def current_sge_log(e, e_t, c_v, c_tilde1, substituted):
     """ln of current_sge, usable far outside double-precision range."""
     arg, expo = _sge_arg_expo(e, e_t, c_v, substituted)
@@ -362,8 +406,45 @@ def current_sge_log(e, e_t, c_v, c_tilde1, substituted):
     return math.log(c_tilde1) + a + math.log1p(math.exp(-2.0 * a)) - math.log(2.0) + expo
 
 
+def _sge_jacobian(e, c_tilde1, c_v, e_t, sqrt, cosh, sinh, exp):
+    chi = c_v * e_t / e
+    a = sqrt(2.0 / chi)
+    b = sqrt(chi)
+    arg = a - b
+    cosh_arg = cosh(arg)
+    decay = exp(-chi)
+    # dI/dchi = C~1 e^-chi [sinh(arg)(-(a+b)/(2 chi)) - cosh(arg)], dchi/dc_v = chi/c_v
+    dchi = c_tilde1 * decay * (-sinh(arg) * (a + b) / (2.0 * chi) - cosh_arg)
+    return cosh_arg * decay, dchi * chi / c_v
+
+
+def sge_jacobian(e, c_tilde1, c_v, e_t):
+    """(dI/dc_tilde1, dI/dc_v) of the printed pair current at field e.
+
+    Uses bare cosh/sinh, so it raises OverflowError where |arg| exceeds
+    about 710, unlike the overflow-safe current itself.
+    """
+    return _sge_jacobian(e, c_tilde1, c_v, e_t, math.sqrt, math.cosh, math.sinh, math.exp)
+
+
+def sge_jacobian_array(es, c_tilde1, c_v, e_t):
+    """``sge_jacobian`` over the float array ``es``: two arrays, bitwise equal per element."""
+    with np.errstate(all="ignore"):
+        return _sge_jacobian(es, c_tilde1, c_v, e_t, np.sqrt, _COSH, _SINH, _EXP)
+
+
 def current_zener(e, e_t, g_p):
     """Phenomenological depinning law G_p (E - E_T) e^(-E_T/E) above threshold."""
     if e <= e_t:
         return 0.0
     return g_p * (e - e_t) * math.exp(-e_t / e)
+
+
+def current_zener_array(es, e_t, g_p):
+    """``current_zener`` over the float array ``es``, bitwise equal per element."""
+    out = np.zeros_like(es)
+    above = ~(es <= e_t)
+    ea = es[above]
+    with np.errstate(all="ignore"):
+        out[above] = g_p * (ea - e_t) * _EXP(-e_t / ea)
+    return out

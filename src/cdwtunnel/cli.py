@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -113,6 +114,17 @@ def _load_config(path):
     return cfg
 
 
+def _finite_float(text):
+    """argparse type of every ``float`` option: a float that is not inf or nan."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _typed(opt, value):
     """A raw JSON config ``value`` as ``opt.kind``, checked against ``opt.choices``."""
     if opt.kind in (float, int):
@@ -121,6 +133,8 @@ def _typed(opt, value):
         if opt.kind is int and isinstance(value, float) and not value.is_integer():
             raise CliUsageError(f"{opt.name} must be an integer, got {value!r}")
         value = opt.kind(value)
+        if not math.isfinite(value):
+            raise CliUsageError(f"{opt.name} must be a finite number, got {value!r}")
     elif opt.kind is list:
         value = [value] if isinstance(value, str) else value
         if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
@@ -446,7 +460,8 @@ def build_parser():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override its entries")
         for opt in opts:
-            kwargs = {"action": "append"} if opt.kind is list else {"type": opt.kind}
+            kind = _finite_float if opt.kind is float else opt.kind
+            kwargs = {"action": "append"} if opt.kind is list else {"type": kind}
             flag = "--" + opt.name.replace("_", "-")
             p.add_argument(flag, choices=opt.choices, help=opt.help, **kwargs)
         p.set_defaults(func=func, opts=opts)

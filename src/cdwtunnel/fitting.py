@@ -4,6 +4,12 @@ The threshold E_T is shared between the two laws, never fitted; only the
 amplitude c_tilde1 and the geometry factor c_v are free.  Comparison
 metrics are normalized by the second series, so they are deliberately
 asymmetric in their arguments.
+
+Fits evaluate whole grids: the model and Jacobian handed to
+``least_squares_fit`` each compute every field point in one call of the
+``*_array`` kernels, from the trial values of the free parameters alone.
+No ``TransportParams`` is built per point or per trial; the fields are
+checked once, before the fit starts.
 """
 
 import math
@@ -11,8 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._backend import kernels
 from .numerics import FitResult, least_squares_fit
-from .transport import TransportParams, current_sge, current_zener
+
+# ``current_sge`` is not called here: it is imported so that the name
+# ``fitting.current_sge``, which perfbench's tracer wraps to count per-point
+# model evaluations, keeps existing.
+from .transport import TransportParams, current_sge
 
 __all__ = [
     "ComparisonMetrics",
@@ -105,14 +116,7 @@ def transport_with(base, free, values):
 
 def sge_model_jacobian(e, c_tilde1, c_v, e_t):
     """(dI/dc_tilde1, dI/dc_v) of the printed pair current at field e."""
-    chi = c_v * e_t / e
-    a = math.sqrt(2.0 / chi)
-    b = math.sqrt(chi)
-    arg = a - b
-    base = math.cosh(arg) * math.exp(-chi)
-    # dI/dchi = C~1 e^-chi [sinh(arg)(-(a+b)/(2 chi)) - cosh(arg)], dchi/dc_v = chi/c_v
-    dchi = c_tilde1 * math.exp(-chi) * (-math.sinh(arg) * (a + b) / (2.0 * chi) - math.cosh(arg))
-    return base, dchi * chi / c_v
+    return kernels.sge_jacobian(e, c_tilde1, c_v, e_t)
 
 
 def _validate_grid(e_grid, e_t):
@@ -126,12 +130,13 @@ def _validate_grid(e_grid, e_t):
     return es
 
 
-def fit_sge_to_points(es, targets, free, start, use_analytic_jacobian=True):
+def fit_sge_to_points(es, targets, free, start):
     """Fit the printed pair current to (E, I) samples, freeing only ``free``.
 
     Free parameters are taken in FREE_PARAM_ORDER; everything else is held
-    at ``start``.  An empty ``free`` set performs no iterations and just
-    reports the residual of the start parameters.
+    at ``start``.  Every field must be positive.  An empty ``free`` set
+    performs no iterations and just reports the residual of the start
+    parameters.
     """
     es = np.asarray(es, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -139,28 +144,34 @@ def fit_sge_to_points(es, targets, free, start, use_analytic_jacobian=True):
     unknown = set(free) - set(FREE_PARAM_ORDER)
     if unknown:
         raise ValueError(f"cannot free {sorted(unknown)}; allowed: {FREE_PARAM_ORDER}")
+    if not np.all(es > 0.0):
+        raise ValueError("field E must be positive")
+
+    def current(xs, c_tilde1, c_v):
+        return kernels.current_sge_array(xs, start.e_t, c_v, c_tilde1, False)
 
     if not names:
-        resid = targets - np.array([current_sge(float(e), start) for e in es])
+        resid = targets - current(es, start.c_tilde1, start.c_v)
         rms = float(np.sqrt(np.mean(resid**2)))
         return FitResult(params=np.array([]), residual_rms=rms, iterations=0, converged=True)
 
-    def model(e, params):
-        if any(not math.isfinite(v) or v <= 0.0 for v in params):
-            return math.inf
-        tp = transport_with(start, names, params)
-        return current_sge(float(e), tp)
+    def unpack(params):
+        values = dict(zip(names, map(float, params)))
+        return values.get("c_tilde1", start.c_tilde1), values.get("c_v", start.c_v)
 
-    jac = None
-    if use_analytic_jacobian:
-        def jac(e, params):
-            tp = transport_with(start, names, params)
-            d_ct1, d_cv = sge_model_jacobian(float(e), tp.c_tilde1, tp.c_v, tp.e_t)
-            row = {"c_tilde1": d_ct1, "c_v": d_cv}
-            return np.array([row[n] for n in names])
+    def model(xs, params):
+        if not all(math.isfinite(v) and v > 0.0 for v in params):
+            return np.full(xs.size, math.inf)
+        return current(xs, *unpack(params))
+
+    def jacobian(xs, params):
+        c_tilde1, c_v = unpack(params)
+        d_ct1, d_cv = kernels.sge_jacobian_array(xs, c_tilde1, c_v, start.e_t)
+        columns = {"c_tilde1": d_ct1, "c_v": d_cv}
+        return np.column_stack([columns[n] for n in names])
 
     params0 = np.array([getattr(start, n) for n in names], dtype=float)
-    return least_squares_fit(model, params0, list(zip(es, targets)), jacobian=jac)
+    return least_squares_fit(model, params0, np.column_stack((es, targets)), jacobian=jacobian)
 
 
 def fit_sge_to_zener(tp_zener, e_grid, free=frozenset(FREE_PARAM_ORDER), start=None):
@@ -175,5 +186,5 @@ def fit_sge_to_zener(tp_zener, e_grid, free=frozenset(FREE_PARAM_ORDER), start=N
         start = tp_zener
     if start.e_t != tp_zener.e_t:
         start = transport_with(tp_zener, ("c_tilde1", "c_v"), (start.c_tilde1, start.c_v))
-    targets = np.array([current_zener(float(e), tp_zener) for e in es])
+    targets = kernels.current_zener_array(es, tp_zener.e_t, tp_zener.g_p)
     return fit_sge_to_points(es, targets, free, start)

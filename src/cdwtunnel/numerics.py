@@ -67,41 +67,55 @@ def finite_diff_gradient(f, x, h=1e-6):
     return grad
 
 
+_STOP_REASONS = ("converged", "max_iter", "damping_collapse")
+
+
 @dataclass
 class FitResult:
-    """Outcome of a damped Gauss-Newton fit."""
+    """Outcome of a damped Gauss-Newton fit.
+
+    ``stop`` says why the fit ended: ``"converged"``, ``"max_iter"`` (the
+    iteration budget ran out) or ``"damping_collapse"`` (the damping grew
+    past 1e15 without an accepted step).  ``converged`` is true exactly
+    when ``stop`` is ``"converged"``.
+    """
 
     params: np.ndarray
     residual_rms: float
     iterations: int
     converged: bool
     cost: float = field(default=np.nan, repr=False)
+    stop: str = "converged"
 
     def __post_init__(self):
         self.params = np.asarray(self.params, dtype=float)
+        if self.stop not in _STOP_REASONS:
+            raise ValueError(f"stop must be one of {_STOP_REASONS}")
+        if self.converged != (self.stop == "converged"):
+            raise ValueError("converged must hold exactly when stop is 'converged'")
         if self.converged and not (np.isfinite(self.residual_rms) and self.residual_rms >= 0.0):
             raise ValueError("converged fit must carry a finite non-negative residual")
 
 
-def _residuals(model, params, xs, ys):
-    r = np.empty(len(xs))
-    for i, x in enumerate(xs):
-        r[i] = ys[i] - model(x, params)
-    return r
+def _evaluate(fn, what, xs, params, shape):
+    """``fn(xs, params)`` as a float array, which must have ``shape``."""
+    out = np.asarray(fn(xs, params), dtype=float)
+    if out.shape != shape:
+        raise ValueError(f"{what} returned shape {out.shape} for {xs.size} points; expected {shape}")
+    return out
 
 
 def _numeric_jacobian(model, params, xs):
-    n = len(xs)
-    p = len(params)
-    jac = np.empty((n, p))
-    for j in range(p):
+    shape = (xs.size,)
+    jac = np.empty((xs.size, params.size))
+    for j in range(params.size):
         h = 1e-6 * max(1.0, abs(params[j]))
         pp = params.copy()
         pm = params.copy()
         pp[j] += h
         pm[j] -= h
-        for i, x in enumerate(xs):
-            jac[i, j] = (model(x, pp) - model(x, pm)) / (2.0 * h)
+        diff = _evaluate(model, "model", xs, pp, shape) - _evaluate(model, "model", xs, pm, shape)
+        jac[:, j] = diff / (2.0 * h)
     return jac
 
 
@@ -114,31 +128,39 @@ def least_squares_fit(
     tol_resid=1e-10,
     max_iter=200,
 ):
-    """Damped Gauss-Newton least squares for scalar models y = model(x, params).
+    """Damped Gauss-Newton least squares for models y = model(x, params).
 
-    ``data`` is a sequence of (x, y) pairs.  The Jacobian is numeric central
-    differences (h = 1e-6 max(1, |p|)) unless ``jacobian(x, params)`` is
-    supplied.  Damping is multiplied by 10 on a rejected step and divided by
-    10 on an accepted one; singular normal equations only raise the damping.
-    Deterministic for fixed inputs.
+    ``data`` is a sequence of (x, y) pairs, or an (n, 2) array.  The model
+    and the Jacobian evaluate the whole data set in one call: with ``xs``
+    the float array of the n abscissae, ``model(xs, params)`` returns the n
+    model values and ``jacobian(xs, params)`` the (n, p) matrix of their
+    derivatives; any other shape raises ValueError.  Without ``jacobian``
+    it is numeric central differences (h = 1e-6 max(1, |p|)), two model
+    calls per parameter.  Damping is multiplied by 10 on a rejected step
+    and divided by 10 on an accepted one; singular normal equations only
+    raise the damping.  Deterministic for fixed inputs.
 
     Converged means the relative step size and the relative residual change
     both fell below their thresholds.  Non-convergence is reported through
-    the flag with the best parameters seen, never as an exception.
+    the flag and ``stop`` (``"max_iter"`` or ``"damping_collapse"``) with
+    the best parameters seen, never as an exception.
     """
     params = np.asarray(params0, dtype=float).copy()
     if params.ndim != 1 or params.size == 0:
         raise ValueError("params0 must be a non-empty vector")
     if not np.all(np.isfinite(params)):
         raise ValueError("params0 must be finite")
-    pairs = list(data)
-    if not pairs:
+    points = np.asarray(data, dtype=float)
+    if points.size == 0:
         raise ValueError("data must be non-empty")
-    xs = [x for x, _ in pairs]
-    ys = np.array([y for _, y in pairs], dtype=float)
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValueError("data must be a sequence of (x, y) pairs")
+    xs = points[:, 0].copy()
+    ys = points[:, 1].copy()
+    n = ys.size
 
     def cost_of(p):
-        r = _residuals(model, p, xs, ys)
+        r = ys - _evaluate(model, "model", xs, p, (n,))
         if not np.all(np.isfinite(r)):
             return None, np.inf
         return r, float(r @ r)
@@ -148,11 +170,11 @@ def least_squares_fit(
         raise ValueError("model is not evaluable at the initial parameters")
 
     lam = 1e-3
-    converged = False
+    stop = "max_iter"
     iterations = 0
     while iterations < max_iter:
         if jacobian is not None:
-            jac = np.array([jacobian(x, params) for x in xs], dtype=float)
+            jac = _evaluate(jacobian, "jacobian", xs, params, (n, params.size))
         else:
             jac = _numeric_jacobian(model, params, xs)
         grad = jac.T @ resid
@@ -181,14 +203,22 @@ def least_squares_fit(
                 lam = max(lam / 10.0, 1e-14)
                 accepted = True
                 if rel_step < tol_step and rel_drop < tol_resid:
-                    converged = True
+                    stop = "converged"
             else:
                 lam *= 10.0
                 if lam > 1e15:
                     # damping has collapsed the step to nothing useful
+                    stop = "damping_collapse"
                     break
-        if converged or not accepted:
+        if stop != "max_iter" or not accepted:
             break
 
-    rms = float(np.sqrt(cost / len(ys)))
-    return FitResult(params=params, residual_rms=rms, iterations=iterations, converged=converged, cost=cost)
+    rms = float(np.sqrt(cost / n))
+    return FitResult(
+        params=params,
+        residual_rms=rms,
+        iterations=iterations,
+        converged=stop == "converged",
+        cost=cost,
+        stop=stop,
+    )

@@ -160,7 +160,11 @@ def sge_from_matrix_element_form(e, tp):
 
 
 def curve_series(model, tp, e_grid, convention="printed"):
-    """Evaluate the selected current law pointwise on a strictly increasing grid."""
+    """Evaluate the selected current law on a strictly increasing grid.
+
+    The whole grid goes through one array kernel; every value equals the
+    scalar ``current_sge``/``current_zener`` at that field.
+    """
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}")
     es = np.asarray(e_grid, dtype=float)
@@ -169,7 +173,9 @@ def curve_series(model, tp, e_grid, convention="printed"):
     if not (np.all(es > 0.0) and np.all(np.diff(es) > 0.0)):
         raise ValueError("e_grid must be positive and strictly increasing")
     if model == "sge":
-        vals = [current_sge(float(e), tp, convention) for e in es]
+        if convention not in CONVENTIONS:
+            raise ValueError(f"convention must be one of {CONVENTIONS}")
+        vals = kernels.current_sge_array(es, tp.e_t, tp.c_v, tp.c_tilde1, convention == "substituted")
     else:
-        vals = [current_zener(float(e), tp) for e in es]
+        vals = kernels.current_zener_array(es, tp.e_t, tp.g_p)
     return CurveSeries(es, vals, label=model)

@@ -239,6 +239,8 @@ def test_profile_bad_k_grid_writes_nothing(tmp_path, capsys):
         ("curve", {"out": 5}, "out"),
         ("fit", {"data": 5}, "data"),
         ("fit", {"free": ["c_v"]}, "free"),
+        ("matrix-element", {"grid_hi": float("nan")}, "grid_hi"),
+        ("fit", {"e_t": float("inf")}, "e_t"),
     ],
 )
 def test_non_numeric_config_is_usage_error(tmp_path, capsys, command, config, field):
@@ -259,8 +261,21 @@ def test_non_numeric_config_is_usage_error(tmp_path, capsys, command, config, fi
         (["profile", "--half-width", "0"], "half_width must be positive"),
         (["fit", "--start-c-v", "0"], "c_v must be positive"),
         (["matrix-element", "--m-star", "0"], "m_star must be positive"),
+        (["matrix-element", "--grid-hi", "inf"], "argument --grid-hi: must be a finite number"),
+        (["matrix-element", "--eps-plus", "inf"], "argument --eps-plus: must be a finite number"),
+        (["profile", "--half-width", "inf"], "argument --half-width: must be a finite number"),
+        (["curve", "--e-t", "nan"], "argument --e-t: must be a finite number"),
     ],
-    ids=["profile-n", "profile-half-width", "fit-start-c-v", "matrix-element-m-star"],
+    ids=[
+        "profile-n",
+        "profile-half-width",
+        "fit-start-c-v",
+        "matrix-element-m-star",
+        "matrix-element-grid-hi-inf",
+        "matrix-element-eps-plus-inf",
+        "profile-half-width-inf",
+        "curve-e-t-nan",
+    ],
 )
 def test_out_of_range_option_is_usage_error(tmp_path, capsys, args, message):
     code = main([*args, "--out", str(tmp_path / "out.csv")])

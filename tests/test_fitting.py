@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
+from cdwtunnel import _purekernels as kernels
 from cdwtunnel.fitting import (
     FIG2B_REFERENCE_RMS_REL,
     FIG2B_WINDOW,
+    FREE_PARAM_ORDER,
     compare_series,
     fit_sge_to_points,
     fit_sge_to_zener,
     sge_model_jacobian,
     transport_with,
 )
-from cdwtunnel.numerics import finite_diff_gradient
-from cdwtunnel.transport import CurveSeries, TransportParams, current_sge, curve_series
+from cdwtunnel.numerics import finite_diff_gradient, least_squares_fit
+from cdwtunnel.transport import CurveSeries, TransportParams, current_sge, current_zener, curve_series
 
 
 def _sge_series(tp, es):
@@ -184,3 +186,70 @@ def test_round_trip_many_random_draws():
         assert fit.converged
         assert abs(fit.params[0] - truth.c_tilde1) / truth.c_tilde1 <= 1e-5
         assert abs(fit.params[1] - truth.c_v) / truth.c_v <= 1e-5
+
+
+def test_array_jacobian_equals_scalar_jacobian():
+    rng = np.random.default_rng(31)
+    grids = [np.sort(rng.uniform(0.05, 50.0, 300)) for _ in range(4)]
+    grids.append(np.geomspace(2e-5, 1e4, 500))  # 35 < |arg| < 710 on both sides
+    far = set()
+    for es in grids:
+        for _ in range(3):
+            ct1, cv, e_t = (float(v) for v in rng.uniform(0.3, 3.0, 3))
+            chi = cv * e_t / es
+            arg = np.sqrt(2.0 / chi) - np.sqrt(chi)
+            far |= {int(np.sign(a)) for a in arg[np.abs(arg) > 35.0]}
+            d_ct1, d_cv = kernels.sge_jacobian_array(es, ct1, cv, e_t)
+            rows = [sge_model_jacobian(float(e), ct1, cv, e_t) for e in es]
+            assert np.array_equal(d_ct1, [r[0] for r in rows])
+            assert np.array_equal(d_cv, [r[1] for r in rows])
+    assert far == {-1, 1}
+    # where the bare cosh overflows, both raise
+    with pytest.raises(OverflowError):
+        sge_model_jacobian(1e-6, 1.0, 1.0, 1.0)
+    with pytest.raises(OverflowError):
+        kernels.sge_jacobian_array(np.array([1.0, 1e-6]), 1.0, 1.0, 1.0)
+
+
+def _point_by_point_fit(es, targets, free, start):
+    """The fit as a least_squares_fit run whose model and Jacobian go point by point."""
+    names = [n for n in FREE_PARAM_ORDER if n in free]
+
+    def model(xs, p):
+        if not np.all(np.isfinite(p) & (p > 0.0)):
+            return np.full(xs.size, np.inf)
+        tp = transport_with(start, names, p)
+        return np.array([current_sge(float(x), tp) for x in xs])
+
+    def jacobian(xs, p):
+        tp = transport_with(start, names, p)
+        rows = [dict(zip(FREE_PARAM_ORDER, sge_model_jacobian(float(x), tp.c_tilde1, tp.c_v, tp.e_t))) for x in xs]
+        return np.array([[row[n] for n in names] for row in rows])
+
+    params0 = np.array([getattr(start, n) for n in names])
+    return least_squares_fit(model, params0, list(zip(es, targets)), jacobian=jacobian)
+
+
+def test_whole_grid_fit_equals_point_by_point_fit():
+    rng = np.random.default_rng(37)
+    zener = TransportParams()
+    cases = []
+    for free in ({"c_tilde1", "c_v"}, {"c_v"}, {"c_tilde1"}):
+        for _ in range(3):
+            es = np.linspace(rng.uniform(1.1, 2.0), rng.uniform(3.0, 10.0), int(rng.integers(20, 120)))
+            truth = TransportParams(c_tilde1=float(rng.uniform(0.2, 5.0)), c_v=float(rng.uniform(0.5, 2.0)))
+            start = transport_with(truth, ("c_tilde1", "c_v"), (truth.c_tilde1 * 1.15, truth.c_v * 0.85))
+            cases.append((es, [current_sge(float(e), truth) for e in es], free, start))
+            cases.append((es, [current_zener(float(e), zener) for e in es], free, zener))
+    for es, targets, free, start in cases:
+        fit = fit_sge_to_points(es, targets, free, start)
+        ref = _point_by_point_fit(es, targets, free, start)
+        assert np.array_equal(fit.params, ref.params)
+        assert fit.residual_rms == ref.residual_rms
+        assert fit.iterations == ref.iterations
+        assert fit.stop == ref.stop
+
+
+def test_fit_rejects_non_positive_fields():
+    with pytest.raises(ValueError, match="positive"):
+        fit_sge_to_points(np.array([0.0, 1.0, 2.0]), np.ones(3), {"c_v"}, TransportParams())

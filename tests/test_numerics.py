@@ -187,7 +187,7 @@ def test_gradient_rejects_bad_step():
 
 
 def _exp_model(x, p):
-    return p[0] * math.exp(-p[1] * x)
+    return p[0] * np.exp(-p[1] * x)
 
 
 def test_fit_recovers_exact_data():
@@ -196,12 +196,13 @@ def test_fit_recovers_exact_data():
     data = [(x, _exp_model(x, truth)) for x in xs]
     fit = least_squares_fit(_exp_model, truth * np.array([1.15, 0.85]), data)
     assert fit.converged
+    assert fit.stop == "converged"
     np.testing.assert_allclose(fit.params, truth, rtol=1e-6)
 
 
 def test_fit_constant_model():
     data = [(x, 3.25) for x in range(5)]
-    fit = least_squares_fit(lambda x, p: p[0], np.array([0.0]), data)
+    fit = least_squares_fit(lambda x, p: np.full(x.size, p[0]), np.array([0.0]), data)
     assert fit.converged
     assert fit.params[0] == pytest.approx(3.25, abs=1e-12)
     assert fit.residual_rms <= 1e-12
@@ -221,7 +222,35 @@ def test_fit_reports_nonconvergence_without_raising():
     data = [(x, _exp_model(x, truth)) for x in np.linspace(0, 3, 12)]
     fit = least_squares_fit(_exp_model, np.array([40.0, 9.0]), data, max_iter=2)
     assert not fit.converged
+    assert fit.stop == "max_iter"
     assert np.all(np.isfinite(fit.params))
+
+
+def test_fit_reports_damping_collapse():
+    # the model is finite only at the start, so every trial step is rejected
+    def model(x, p):
+        return x * p[0] if p[0] == 1.0 else np.full(x.size, np.inf)
+
+    data = [(x, 2.0 * x) for x in np.linspace(0.0, 1.0, 9)]
+    fit = least_squares_fit(model, np.array([1.0]), data, jacobian=lambda x, p: x[:, None])
+    assert not fit.converged
+    assert fit.stop == "damping_collapse"
+    assert fit.iterations < 200
+    assert fit.params[0] == 1.0
+
+
+def test_fit_rejects_wrong_shapes():
+    data = [(x, 2.0 * x) for x in np.linspace(0.0, 1.0, 9)]
+    with pytest.raises(ValueError, match="model returned shape"):
+        least_squares_fit(lambda x, p: p[0] * x[:-1], np.array([1.0]), data)
+    with pytest.raises(ValueError, match="model returned shape"):
+        least_squares_fit(lambda x, p: p[0] * x[:, None], np.array([1.0]), data)
+    with pytest.raises(ValueError, match="jacobian returned shape"):
+        least_squares_fit(lambda x, p: p[0] * x, np.array([1.0]), data, jacobian=lambda x, p: x)
+    with pytest.raises(ValueError, match="jacobian returned shape"):
+        least_squares_fit(
+            lambda x, p: p[0] * x, np.array([1.0]), data, jacobian=lambda x, p: np.ones((x.size, 2))
+        )
 
 
 def test_fit_survives_degenerate_jacobian():
@@ -245,7 +274,7 @@ def test_fit_is_deterministic():
 
 def test_fit_analytic_jacobian_matches_numeric_gradient():
     def jac(x, p):
-        return np.array([math.exp(-p[1] * x), -p[0] * x * math.exp(-p[1] * x)])
+        return np.stack([np.exp(-p[1] * x), -p[0] * x * np.exp(-p[1] * x)], axis=-1)
 
     rng = np.random.default_rng(11)
     for _ in range(10):
@@ -277,22 +306,24 @@ def test_fit_round_trips_both_current_laws():
 
     def sge_model(e, p):
         if p[0] <= 0 or p[1] <= 0:
-            return math.inf
-        return current_sge(e, TransportParams(c_tilde1=p[0], c_v=p[1]))
+            return np.full(e.size, math.inf)
+        tp = TransportParams(c_tilde1=p[0], c_v=p[1])
+        return np.array([current_sge(x, tp) for x in e])
 
     truth = np.array([1.4, 0.9])
-    data = [(float(e), sge_model(float(e), truth)) for e in es]
+    data = list(zip(es, sge_model(es, truth)))
     fit = least_squares_fit(sge_model, truth * np.array([1.2, 0.8]), data)
     assert fit.converged
     np.testing.assert_allclose(fit.params, truth, rtol=1e-6)
 
     def zener_model(e, p):
         if p[0] <= 0 or p[1] <= 0:
-            return math.inf
-        return current_zener(e, TransportParams(g_p=p[0], e_t=p[1]))
+            return np.full(e.size, math.inf)
+        tp = TransportParams(g_p=p[0], e_t=p[1])
+        return np.array([current_zener(x, tp) for x in e])
 
     truth = np.array([2.0, 1.0])
-    data = [(float(e), zener_model(float(e), truth)) for e in es]
+    data = list(zip(es, zener_model(es, truth)))
     fit = least_squares_fit(zener_model, truth * np.array([0.8, 1.2]), data)
     assert fit.converged
     np.testing.assert_allclose(fit.params, truth, rtol=1e-6)

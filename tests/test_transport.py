@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cdwtunnel import _purekernels as kernels
 from cdwtunnel.transport import (
     CurveSeries,
     TransportParams,
@@ -188,3 +189,60 @@ def test_transport_params_validation():
     with pytest.raises(ValueError):
         TransportParams(eps_g=-0.1)
     assert TransportParams(eps_g=0.0).eps_g == 0.0
+
+
+def _sge_arg(es, e_t, c_v):
+    chi = e_t * c_v / es
+    return np.sqrt(2.0 / chi) - np.sqrt(chi)
+
+
+@pytest.mark.parametrize("convention", ["printed", "substituted"])
+def test_array_pair_current_equals_scalar_kernel(convention):
+    """Every element of the whole-grid kernel is the scalar kernel's value, bit for bit."""
+    rng = np.random.default_rng(23)
+    substituted = convention == "substituted"
+    grids = [np.sort(rng.uniform(0.05, 50.0, 300)) for _ in range(4)]
+    # |arg| > 35 on both sides, and fields far enough out that the current overflows
+    grids.append(np.geomspace(1e-5, 1e9, 600))
+    seen_far = seen_inf = False
+    for es in grids:
+        for _ in range(3):
+            e_t, c_v = rng.uniform(0.3, 3.0, 2)
+            c_tilde1 = float(rng.choice([rng.uniform(0.1, 5.0), 1e300]))
+            got = kernels.current_sge_array(es, e_t, c_v, c_tilde1, substituted)
+            want = [kernels.current_sge(float(e), e_t, c_v, c_tilde1, substituted) for e in es]
+            assert got.dtype == np.float64 and got.shape == es.shape
+            assert np.array_equal(got, want)
+            seen_far |= bool(np.any(np.abs(_sge_arg(es, e_t, c_v)) > 35.0))
+            seen_inf |= bool(np.any(np.isinf(got)))
+    assert seen_far and seen_inf
+
+
+def test_array_zener_current_equals_scalar_kernel():
+    rng = np.random.default_rng(29)
+    for _ in range(10):
+        e_t, g_p = rng.uniform(0.3, 3.0, 2)
+        es = np.sort(np.concatenate([rng.uniform(0.01, 4.0 * e_t, 200), [e_t, 0.5 * e_t]]))
+        got = kernels.current_zener_array(es, e_t, g_p)
+        want = [kernels.current_zener(float(e), e_t, g_p) for e in es]
+        assert np.array_equal(got, want)
+        assert np.all(got[es <= e_t] == 0.0) and np.all(got[es > e_t] > 0.0)
+    huge = kernels.current_zener_array(np.array([1e300]), 1.0, 1e300)
+    assert np.isinf(huge[0]) and huge[0] == kernels.current_zener(1e300, 1.0, 1e300)
+
+
+@pytest.mark.parametrize("model, convention", [("sge", "printed"), ("sge", "substituted"), ("zener", "printed")])
+def test_curve_series_equals_pointwise_laws(model, convention):
+    tp = TransportParams(e_t=1.3, c_v=0.8, c_tilde1=2.5, g_p=0.7)
+    es = np.geomspace(0.05, 5e4, 400)
+    series = curve_series(model, tp, es, convention)
+    if model == "sge":
+        want = [current_sge(float(e), tp, convention) for e in es]
+    else:
+        want = [current_zener(float(e), tp) for e in es]
+    assert np.array_equal(series.currents, want)
+
+
+def test_curve_series_rejects_unknown_convention():
+    with pytest.raises(ValueError, match="convention"):
+        curve_series("sge", TransportParams(), [1.0, 2.0], "literal")
