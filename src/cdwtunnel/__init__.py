@@ -7,13 +7,21 @@ wavefunctionals, analytic tunneling matrix elements with an independent
 quadrature oracle, the soliton-pair and Zener current laws, and fitting of
 one against the other.
 
-The numerical kernels are plain Python functions of floats
-(``cdwtunnel.BACKEND`` names them ``"pure"``).
+Each formula is one function in the module that owns its physics; the
+array forms of the current laws, which fits and curve series use, are
+bitwise equal to the scalar ones.  Everything is plain Python on numpy
+(``cdwtunnel.BACKEND`` is ``"pure"``).
 """
 
-from ._backend import BACKEND, QuadratureError
 from .fitting import ComparisonMetrics, compare_series, fit_sge_to_points, fit_sge_to_zener
-from .numerics import FitResult, erf, finite_diff_gradient, integrate_adaptive, least_squares_fit
+from .numerics import (
+    FitResult,
+    QuadratureError,
+    erf,
+    finite_diff_gradient,
+    integrate_adaptive,
+    least_squares_fit,
+)
 from .potential import (
     BoundReport,
     FieldProfile,
@@ -56,6 +64,7 @@ from .wavefunctional import (
 )
 
 __version__ = "0.1.0"
+BACKEND = "pure"
 
 __all__ = [
     "BACKEND",

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__, fitting, potential, transport, tunneling, verify, wavefunctional
-from ._backend import QuadratureError
+from .numerics import QuadratureError
 
 __all__ = ["main"]
 
@@ -375,9 +375,12 @@ def _cmd_verify(o):
                 f"unknown check '{name}' in --tol; valid names: {', '.join(verify.CHECKS)}"
             )
         try:
-            tolerances[name] = float(value)
+            tol = float(value)
         except ValueError as exc:
             raise CliUsageError(f"bad tolerance for '{name}': {value!r}") from exc
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise CliUsageError(f"tolerance for '{name}' must be finite and >= 0, got {value!r}")
+        tolerances[name] = tol
 
     results = verify.run_checks(o.check or None, tolerances)
     width = max(len(r.name) for r in results)
@@ -447,7 +450,7 @@ COMMANDS = {
     ]),
     "verify": (_cmd_verify, "run the verification suite", [
         Opt("check", list, (), tuple(verify.CHECKS), "restrict to this check (repeatable)"),
-        Opt("tol", list, (), help="override a tolerance, NAME=VALUE (repeatable)"),
+        Opt("tol", list, (), help="override a tolerance, NAME=VALUE, VALUE finite and >= 0 (repeatable)"),
     ]),
 }
 

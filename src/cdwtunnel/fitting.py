@@ -12,18 +12,19 @@ No ``TransportParams`` is built per point or per trial; the fields are
 checked once, before the fit starts.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import kernels
 from .numerics import FitResult, least_squares_fit
 
 # ``current_sge`` is not called here: it is imported so that the name
 # ``fitting.current_sge``, which perfbench's tracer wraps to count per-point
 # model evaluations, keeps existing.
-from .transport import TransportParams, current_sge
+from .transport import current_sge, current_sge_array, current_zener_array, sge_jacobian_array
+from .transport import sge_jacobian as sge_model_jacobian
 
 __all__ = [
     "ComparisonMetrics",
@@ -99,24 +100,7 @@ def transport_with(base, free, values):
     names = [n for n in FREE_PARAM_ORDER if n in free]
     if len(names) != len(values):
         raise ValueError("one value per free parameter required")
-    updates = dict(zip(names, (float(v) for v in values)))
-    return TransportParams(
-        e_t=base.e_t,
-        c_v=updates.get("c_v", base.c_v),
-        c_tilde1=updates.get("c_tilde1", base.c_tilde1),
-        g_p=base.g_p,
-        delta_s=base.delta_s,
-        e_star=base.e_star,
-        eps_g=base.eps_g,
-        m_e=base.m_e,
-        omega=base.omega,
-        e_charge=base.e_charge,
-    )
-
-
-def sge_model_jacobian(e, c_tilde1, c_v, e_t):
-    """(dI/dc_tilde1, dI/dc_v) of the printed pair current at field e."""
-    return kernels.sge_jacobian(e, c_tilde1, c_v, e_t)
+    return dataclasses.replace(base, **dict(zip(names, (float(v) for v in values))))
 
 
 def _validate_grid(e_grid, e_t):
@@ -148,7 +132,7 @@ def fit_sge_to_points(es, targets, free, start):
         raise ValueError("field E must be positive")
 
     def current(xs, c_tilde1, c_v):
-        return kernels.current_sge_array(xs, start.e_t, c_v, c_tilde1, False)
+        return current_sge_array(xs, start.e_t, c_v, c_tilde1, False)
 
     if not names:
         resid = targets - current(es, start.c_tilde1, start.c_v)
@@ -166,7 +150,7 @@ def fit_sge_to_points(es, targets, free, start):
 
     def jacobian(xs, params):
         c_tilde1, c_v = unpack(params)
-        d_ct1, d_cv = kernels.sge_jacobian_array(xs, c_tilde1, c_v, start.e_t)
+        d_ct1, d_cv = sge_jacobian_array(xs, c_tilde1, c_v, start.e_t)
         columns = {"c_tilde1": d_ct1, "c_v": d_cv}
         return np.column_stack([columns[n] for n in names])
 
@@ -186,5 +170,5 @@ def fit_sge_to_zener(tp_zener, e_grid, free=frozenset(FREE_PARAM_ORDER), start=N
         start = tp_zener
     if start.e_t != tp_zener.e_t:
         start = transport_with(tp_zener, ("c_tilde1", "c_v"), (start.c_tilde1, start.c_v))
-    targets = kernels.current_zener_array(es, tp_zener.e_t, tp_zener.g_p)
+    targets = current_zener_array(es, tp_zener.e_t, tp_zener.g_p)
     return fit_sge_to_points(es, targets, free, start)

@@ -1,15 +1,19 @@
 """Self-contained numerics: special functions, quadrature, least squares.
 
 Everything downstream (potentials, wavefunctionals, transport, fitting and
-the verification oracles) builds on these four operations.  All functions
-are pure; there is no module state.
+the verification oracles) builds on these operations.  ``integrate_adaptive``
+is an interval-batched adaptive Gauss-Kronrod (G10K21, QUADPACK's qk21) rule
+that evaluates its integrand on numpy arrays of nodes.  The overflow-safe
+cosh(arg) * exp(expo) product, scalar and array, is shared by the current
+laws and the matrix elements; its array form maps ``math.cosh``/``exp`` over
+the elements, so each value is bitwise equal to the scalar one.  All
+functions are pure; there is no module state.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from ._backend import QuadratureError, kernels
 
 __all__ = [
     "FitResult",
@@ -20,33 +24,172 @@ __all__ = [
     "least_squares_fit",
 ]
 
+# Switch from direct cosh*exp to the exp-of-sum form; at |arg| >= 35 the
+# dropped (1 + e^(-2|arg|)) factor is below double-precision resolution.
+_COSH_DIRECT_LIMIT = 35.0
+_LN2 = math.log(2.0)
+
+
+class QuadratureError(RuntimeError):
+    """Adaptive quadrature hit its refinement depth limit before converging."""
+
 
 def erf(x):
-    """Error function, absolute accuracy a few 1e-16.
+    """Error function, ``math.erf`` of ``float(x)``."""
+    return math.erf(float(x))
 
-    Evaluated by a Maclaurin series for |x| <= 3 and a complementary
-    continued fraction beyond, not a low-order rational fit.
+
+def _cosh_times_exp(arg, expo):
+    """cosh(arg) * exp(expo) without overflow for large |arg| or -expo."""
+    a = abs(arg)
+    if a <= _COSH_DIRECT_LIMIT:
+        return math.cosh(arg) * math.exp(expo)
+    t = a + expo - _LN2
+    if t > 709.0:
+        return math.inf
+    return math.exp(t)
+
+
+def _elementwise(fn):
+    """The math-module function ``fn`` applied to each element of a float array.
+
+    numpy's own cosh/exp may differ from ``math``'s in the last bit; mapping
+    the ``math`` function keeps the array kernels bitwise equal to the scalar ones.
     """
-    return kernels.erf(float(x))
+    return lambda x: np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
+
+
+_COSH = _elementwise(math.cosh)
+_SINH = _elementwise(math.sinh)
+_EXP = _elementwise(math.exp)
+
+
+def _cosh_times_exp_array(arg, expo):
+    """``_cosh_times_exp`` on arrays, element for element."""
+    a = np.abs(arg)
+    out = np.empty_like(a)
+    near = a <= _COSH_DIRECT_LIMIT
+    out[near] = _COSH(arg[near]) * _EXP(expo[near])
+    far = ~near
+    t = a[far] + expo[far] - _LN2
+    finite = ~(t > 709.0)
+    vals = np.full_like(t, math.inf)
+    vals[finite] = _EXP(t[finite])
+    out[far] = vals
+    return out
+
+
+# QUADPACK qk21 on [-1, 1] (Piessens et al., QUADPACK, Springer 1983): the
+# 21 Kronrod nodes in ascending order, the Kronrod weights, and the 10-point
+# Gauss weights, which sit on every second node and are zero elsewhere.
+_XK_POS = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+])
+_WK_POS = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208931961480, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+])
+_WK_MID = 0.149445554002916905664936468389821
+_WG_POS = np.zeros(10)
+_WG_POS[1::2] = [
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+]
+_GK_NODES = np.concatenate([-_XK_POS, [0.0], _XK_POS[::-1]])
+_WK = np.concatenate([_WK_POS, [_WK_MID], _WK_POS[::-1]])
+_WG = np.concatenate([_WG_POS, [0.0], _WG_POS[::-1]])
+# columns: Kronrod estimate, and Kronrod minus Gauss (the error estimate)
+_GK_WEIGHTS = np.column_stack([_WK, _WK - _WG])
+
+# The engine holds every unconverged interval of a round at once; beyond this
+# many it stops rather than let memory grow with 2^depth.
+_MAX_ACTIVE = 1 << 14
 
 
 def integrate_adaptive(f, a, b, tol, max_depth=48):
     """Integral of ``f`` over [a, b] with absolute error <= ``tol``.
 
-    Adaptive Gauss-Kronrod (G10K21, QUADPACK's qk21) with interval
-    bisection: each round evaluates ``f`` once on a numpy array of the 21
-    nodes of every unconverged interval, and accepts an interval when
-    |K21 - G10| is within its tolerance share, which halves with each
-    bisection.  ``f`` may take arrays (``np.exp``-style) or floats only; a
-    callback that raises TypeError or ValueError on the node array, or
-    returns another shape, is called once per node.
+    Adaptive Gauss-Kronrod (G10K21) with interval bisection: each round
+    evaluates ``f`` once on a numpy array of the 21 nodes of every
+    unconverged interval, and accepts an interval when |K21 - G10| is within
+    its tolerance share, which halves with each bisection, so the absolute
+    error of the sum stays at or below ``tol``.  ``f`` may take arrays
+    (``np.exp``-style) or floats only; a callback that raises TypeError or
+    ValueError on the node array, or returns another shape, is called once
+    per node, decided once per call.
 
     Raises QuadratureError when an interval still misses its tolerance
-    share after ``max_depth`` bisections (or too many intervals stay
-    unconverged at once), and ValueError for a > b or a non-positive
-    tolerance.
+    share after ``max_depth`` bisections, or when more than ``_MAX_ACTIVE``
+    intervals stay unconverged at once, and ValueError for a > b or a
+    non-positive tolerance.
     """
-    return kernels.integrate_adaptive(f, float(a), float(b), float(tol), max_depth)
+    a, b, tol = float(a), float(b), float(tol)
+    if not (a <= b):
+        raise ValueError("integration bounds must satisfy a <= b")
+    if not tol > 0.0:
+        raise ValueError("tolerance must be positive")
+    if a == b:
+        return 0.0
+    lo = np.array([a])
+    hi = np.array([b])
+    evaluate = None
+    accepted = []
+    depth = 0
+    while True:
+        half = 0.5 * (hi - lo)
+        x = ((0.5 * (lo + hi))[:, None] + half[:, None] * _GK_NODES).ravel()
+        if evaluate is None:
+            evaluate, y = _choose_evaluation(f, x)
+        else:
+            y = evaluate(x)
+        est, diff = (y.reshape(-1, 21) @ _GK_WEIGHTS).T
+        est *= half
+        err = np.abs(diff * half)
+        share = math.ldexp(tol, -depth)
+        ok = err <= share
+        accepted.append(est[ok])
+        if ok.all():
+            return math.fsum(np.concatenate(accepted).tolist())
+        bad = ~ok
+        lo, hi = lo[bad], hi[bad]
+        if depth >= max_depth or 2 * lo.size > _MAX_ACTIVE:
+            reason = "refinement depth limit" if depth >= max_depth else "active interval limit"
+            raise QuadratureError(
+                "%s reached on [%g, %g] (residual %g > %g)" % (reason, lo[0], hi[0], err[bad][0], share)
+            )
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.column_stack([lo, mid]).ravel(), np.column_stack([mid, hi]).ravel()
+        depth += 1
+
+
+def _choose_evaluation(f, x):
+    """Evaluate ``f`` on the node array ``x`` and pick how later rounds call it.
+
+    Returns ``(evaluate, f(x))``: ``f`` itself on arrays when it maps the node
+    array to an array of the same shape, else ``f`` mapped over floats.
+    """
+
+    def mapped(nodes):
+        return np.array([f(t) for t in nodes.tolist()], dtype=float)
+
+    def direct(nodes):
+        return np.asarray(f(nodes), dtype=float)
+
+    try:
+        y = direct(x)
+    except (TypeError, ValueError):
+        y = None
+    if y is not None and y.shape == x.shape:
+        return direct, y
+    return mapped, mapped(x)
 
 
 def finite_diff_gradient(f, x, h=1e-6):

@@ -10,8 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import kernels
-
 __all__ = [
     "BoundReport",
     "FieldProfile",
@@ -96,17 +94,23 @@ class BoundReport:
 
 def eval_extended_potential(phi, p):
     """C1 (phi-phi0)^2 - 4 C2 phi phi0 (phi-phi0)^2 + C2 (phi^2-phi0^2)^2."""
-    return kernels.extended_potential(float(phi), p.c1, p.c2, p.phi0)
+    phi = float(phi)
+    d = phi - p.phi0
+    s = phi * phi - p.phi0 * p.phi0
+    return p.c1 * d * d - 4.0 * p.c2 * phi * p.phi0 * d * d + p.c2 * s * s
 
 
 def eval_driven_sg(phi, p):
     """D1 (1 - cos phi) + D2 phi^2."""
-    return kernels.driven_sg_potential(float(phi), p.d1, p.d2)
+    phi = float(phi)
+    return p.d1 * (1.0 - math.cos(phi)) + p.d2 * phi * phi
 
 
 def hamiltonian_density(phi, pi, dphi_dx, p):
     """pi^2/2 + (d_x phi)^2/2 + mu^2 (phi - varphi)^2/2 - I0(mu)/2."""
-    return kernels.hamiltonian_density(float(phi), float(pi), float(dphi_dx), p.mu, p.varphi, p.i0)
+    phi, pi, dphi_dx = float(phi), float(pi), float(dphi_dx)
+    d = phi - p.varphi
+    return 0.5 * (pi * pi + dphi_dx * dphi_dx + p.mu * p.mu * d * d - p.i0)
 
 
 def delta_e_gap(p, phi_f, phi_t):

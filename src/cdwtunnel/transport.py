@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import kernels
+from .numerics import _COSH, _EXP, _SINH, _cosh_times_exp, _cosh_times_exp_array
 
 __all__ = [
     "CurveSeries",
@@ -119,26 +119,99 @@ def l_over_x(e, tp):
     return tp.c_v * tp.e_t / e
 
 
-def current_sge(e, tp, convention="printed"):
-    """Soliton-pair current at field e; see module docs for the convention flag."""
-    _check_field(e)
+def _substituted(convention):
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}")
-    return kernels.current_sge(float(e), tp.e_t, tp.c_v, tp.c_tilde1, convention == "substituted")
+    return convention == "substituted"
+
+
+def _sge_arg_expo(e, e_t, c_v, substituted, sqrt=math.sqrt):
+    chi = e_t * c_v / e
+    if substituted:
+        # literal back-substitution of the pair geometry: the 1/2 next to
+        # the observer point stays in the exponent and second cosh term
+        arg = sqrt(2.0 / chi) - sqrt(0.5 * chi)
+        expo = -0.5 * chi
+    else:
+        arg = sqrt(2.0 / chi) - sqrt(chi)
+        expo = -chi
+    return arg, expo
+
+
+def current_sge(e, tp, convention="printed"):
+    """Soliton-pair current at field e; see module docs for the convention flag.
+
+    Overflow-safe: huge fields give inf, vanishing fields underflow to 0.0.
+    """
+    _check_field(e)
+    arg, expo = _sge_arg_expo(float(e), tp.e_t, tp.c_v, _substituted(convention))
+    return tp.c_tilde1 * _cosh_times_exp(arg, expo)
+
+
+def current_sge_array(es, e_t, c_v, c_tilde1, substituted):
+    """``current_sge`` over the float array of fields ``es``, bitwise equal per element.
+
+    Takes the raw parameter values, so fits can pass trial values without
+    building a ``TransportParams``.
+    """
+    with np.errstate(all="ignore"):
+        arg, expo = _sge_arg_expo(es, e_t, c_v, substituted, np.sqrt)
+        return c_tilde1 * _cosh_times_exp_array(arg, expo)
 
 
 def current_sge_log(e, tp, convention="printed"):
     """ln of current_sge; stable where the current itself over/underflows."""
     _check_field(e)
-    if convention not in CONVENTIONS:
-        raise ValueError(f"convention must be one of {CONVENTIONS}")
-    return kernels.current_sge_log(float(e), tp.e_t, tp.c_v, tp.c_tilde1, convention == "substituted")
+    arg, expo = _sge_arg_expo(float(e), tp.e_t, tp.c_v, _substituted(convention))
+    a = abs(arg)
+    # ln cosh(a) = a + ln(1 + e^(-2a)) - ln 2
+    return math.log(tp.c_tilde1) + a + math.log1p(math.exp(-2.0 * a)) - math.log(2.0) + expo
+
+
+def _sge_jacobian(e, c_tilde1, c_v, e_t, sqrt, cosh, sinh, exp):
+    chi = c_v * e_t / e
+    a = sqrt(2.0 / chi)
+    b = sqrt(chi)
+    arg = a - b
+    cosh_arg = cosh(arg)
+    decay = exp(-chi)
+    # dI/dchi = C~1 e^-chi [sinh(arg)(-(a+b)/(2 chi)) - cosh(arg)], dchi/dc_v = chi/c_v
+    dchi = c_tilde1 * decay * (-sinh(arg) * (a + b) / (2.0 * chi) - cosh_arg)
+    return cosh_arg * decay, dchi * chi / c_v
+
+
+def sge_jacobian(e, c_tilde1, c_v, e_t):
+    """(dI/dc_tilde1, dI/dc_v) of the printed pair current at field e.
+
+    Uses bare cosh/sinh, so it raises OverflowError where |arg| exceeds
+    about 710, unlike the overflow-safe current itself.
+    """
+    return _sge_jacobian(e, c_tilde1, c_v, e_t, math.sqrt, math.cosh, math.sinh, math.exp)
+
+
+def sge_jacobian_array(es, c_tilde1, c_v, e_t):
+    """``sge_jacobian`` over the float array ``es``: two arrays, bitwise equal per element."""
+    with np.errstate(all="ignore"):
+        return _sge_jacobian(es, c_tilde1, c_v, e_t, np.sqrt, _COSH, _SINH, _EXP)
 
 
 def current_zener(e, tp):
     """Zener law G_p (E - E_T) e^(-E_T/E) for E > E_T, else 0."""
     _check_field(e)
-    return kernels.current_zener(float(e), tp.e_t, tp.g_p)
+    e = float(e)
+    if e <= tp.e_t:
+        return 0.0
+    return tp.g_p * (e - tp.e_t) * math.exp(-tp.e_t / e)
+
+
+def current_zener_array(es, e_t, g_p):
+    """``current_zener`` over the float array ``es``, bitwise equal per element."""
+    out = np.zeros_like(es)
+    above = ~(es <= e_t)
+    ea = es[above]
+    with np.errstate(all="ignore"):
+        out[above] = g_p * (ea - e_t) * _EXP(-e_t / ea)
+    return out
 
 
 def sge_from_matrix_element_form(e, tp):
@@ -173,9 +246,7 @@ def curve_series(model, tp, e_grid, convention="printed"):
     if not (np.all(es > 0.0) and np.all(np.diff(es) > 0.0)):
         raise ValueError("e_grid must be positive and strictly increasing")
     if model == "sge":
-        if convention not in CONVENTIONS:
-            raise ValueError(f"convention must be one of {CONVENTIONS}")
-        vals = kernels.current_sge_array(es, tp.e_t, tp.c_v, tp.c_tilde1, convention == "substituted")
+        vals = current_sge_array(es, tp.e_t, tp.c_v, tp.c_tilde1, _substituted(convention))
     else:
-        vals = kernels.current_zener_array(es, tp.e_t, tp.g_p)
+        vals = current_zener_array(es, tp.e_t, tp.g_p)
     return CurveSeries(es, vals, label=model)

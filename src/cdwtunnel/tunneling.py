@@ -11,7 +11,9 @@ oracle over the collective coordinate.
 import math
 from dataclasses import dataclass
 
-from ._backend import kernels
+import numpy as np
+
+from .numerics import _cosh_times_exp, integrate_adaptive
 
 __all__ = [
     "MatrixElementInputs",
@@ -51,16 +53,21 @@ class MatrixElementInputs:
 
 def t_if_analytic(inputs):
     """(2/(2 m*)) (n1^2 - n1^4/2) C1 C2 cosh(2 sqrt(x/2L) - sqrt(L/2x)) e^(-a L n1^2 L/(2x))."""
-    return kernels.t_if_analytic(
-        inputs.x_bar, inputs.l, inputs.alpha, inputs.n1, inputs.c1_norm, inputs.c2_norm, inputs.m_star
-    )
+    x_bar, l = inputs.x_bar, inputs.l
+    n1sq = inputs.n1 * inputs.n1
+    pref = (2.0 / (2.0 * inputs.m_star)) * (n1sq - 0.5 * n1sq * n1sq) * inputs.c1_norm * inputs.c2_norm
+    arg = 2.0 * math.sqrt(x_bar / (2.0 * l)) - math.sqrt(l / (2.0 * x_bar))
+    expo = -inputs.alpha * l * (n1sq * (l / (2.0 * x_bar)))
+    return pref * _cosh_times_exp(arg, expo)
 
 
 def t_if_simplified(inputs):
     """(C1 C2 / m*) cosh(2 sqrt(x/2L) - sqrt(L/2x)) e^(-a L L/(2x))."""
-    return kernels.t_if_simplified(
-        inputs.x_bar, inputs.l, inputs.alpha, inputs.c1_norm, inputs.c2_norm, inputs.m_star
-    )
+    x_bar, l = inputs.x_bar, inputs.l
+    pref = inputs.c1_norm * inputs.c2_norm / inputs.m_star
+    arg = 2.0 * math.sqrt(x_bar / (2.0 * l)) - math.sqrt(l / (2.0 * x_bar))
+    expo = -inputs.alpha * l * (l / (2.0 * x_bar))
+    return pref * _cosh_times_exp(arg, expo)
 
 
 def t_if_single_mode_oracle(spec_i, spec_f, u0=None, m_star=1.0, tol=1e-11, span=12.0):
@@ -80,18 +87,20 @@ def t_if_single_mode_oracle(spec_i, spec_f, u0=None, m_star=1.0, tol=1e-11, span
     hi = max(spec_i.center, spec_f.center) + span * width
     if hi <= u0:
         raise ValueError("barrier point u0 lies above the integration window")
-    return kernels.gaussian_overlap_current(
-        spec_i.norm_c,
-        spec_i.alpha,
-        spec_i.center,
-        spec_f.norm_c,
-        spec_f.alpha,
-        spec_f.center,
-        float(u0),
-        float(m_star),
-        float(hi),
-        float(tol),
-    )
+    ci, ai, mi = spec_i.norm_c, spec_i.alpha, spec_i.center
+    cf, af, mf = spec_f.norm_c, spec_f.alpha, spec_f.center
+
+    def integrand(u):
+        di = u - mi
+        df = u - mf
+        pi_ = ci * np.exp(-ai * di * di)
+        pf = cf * np.exp(-af * df * df)
+        ppi = pi_ * (4.0 * ai * ai * di * di - 2.0 * ai)
+        ppf = pf * (4.0 * af * af * df * df - 2.0 * af)
+        return pi_ * ppf - pf * ppi
+
+    val = integrate_adaptive(integrand, float(u0), float(hi), float(tol))
+    return abs(val) / (2.0 * float(m_star))
 
 
 def current_from_matrix_element(t, channel, rho=0.0):

@@ -129,7 +129,7 @@ def check_zener_threshold():
     below = max(abs(transport.current_zener(float(e), tp)) for e in np.linspace(0.05, tp.e_t, 200))
     continuity = abs(transport.current_zener(tp.e_t * (1.0 + 1e-12), tp))
     es = np.linspace(tp.e_t * (1.0 + 1e-8), 100.0 * tp.e_t, 10_000)
-    vals = np.array([transport.current_zener(float(e), tp) for e in es])
+    vals = transport.curve_series("zener", tp, es).currents
     violations = int(np.sum(np.diff(vals) <= 0.0))
     measured = max(below / 1e-300, continuity / 1e-11, float(violations))
     return _result(
@@ -279,7 +279,7 @@ def check_fit_roundtrip(tol=1e-5, n=50):
             c_tilde1=float(rng.uniform(0.2, 5.0)), c_v=float(rng.uniform(0.5, 2.0))
         )
         es = np.linspace(1.2, 5.0, 40)
-        targets = [transport.current_sge(float(e), truth) for e in es]
+        targets = transport.curve_series("sge", truth, es).currents
         start = fitting.transport_with(
             truth,
             ("c_tilde1", "c_v"),

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import kernels
+from .numerics import integrate_adaptive
 from .potential import FieldProfile
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+_SQRT_TWO_OVER_PI = math.sqrt(2.0 / math.pi)
 
 # offset of the final-state center above one full winding; the physics only
 # requires it to be small and positive
@@ -93,7 +94,8 @@ class WavefunctionalSpec:
 
 def kink_pair_profile(x, kp):
     """tanh(b (x - x_a)) + tanh(b (x_b - x))."""
-    return kernels.kink_pair_value(float(x), kp.x_a, kp.x_b, kp.b)
+    x = float(x)
+    return math.tanh(kp.b * (x - kp.x_a)) + math.tanh(kp.b * (kp.x_b - x))
 
 
 def sample_profile(kp, half_width, n):
@@ -103,7 +105,7 @@ def sample_profile(kp, half_width, n):
     if not half_width > 0.0:
         raise ValueError("half_width must be positive")
     xs = np.linspace(kp.x_a - half_width, kp.x_b + half_width, int(n))
-    phis = np.array([kernels.kink_pair_value(float(x), kp.x_a, kp.x_b, kp.b) for x in xs])
+    phis = np.array([kink_pair_profile(x, kp) for x in xs])
     return FieldProfile(xs, phis)
 
 
@@ -122,14 +124,23 @@ def thin_wall_ft(k, l):
     """
     if not l > 0.0:
         raise ValueError("box width must be positive")
-    return kernels.thin_wall_ft(float(k), float(l))
+    k, l = float(k), float(l)
+    if abs(k) < 1e-12:
+        return _SQRT_TWO_OVER_PI * 0.5 * l
+    return _SQRT_TWO_OVER_PI * math.sin(0.5 * k * l) / k
 
 
 def thin_wall_ft_oracle(k, l, tol=1e-11):
-    """Direct cosine-transform quadrature of the unit box (independent route)."""
+    """Direct cosine-transform quadrature of the unit box (independent route).
+
+    (1/sqrt(2 pi)) * integral of cos(k x) over [-l/2, l/2], by adaptive
+    Gauss-Kronrod quadrature on node arrays.
+    """
     if not l > 0.0:
         raise ValueError("box width must be positive")
-    return kernels.box_ft_quadrature(float(k), float(l), float(tol))
+    k, l = float(k), float(l)
+    val = integrate_adaptive(lambda x: np.cos(k * x), -0.5 * l, 0.5 * l, float(tol))
+    return val / math.sqrt(2.0 * math.pi)
 
 
 def norm_constant(alpha, l):
@@ -142,7 +153,10 @@ def norm_constant(alpha, l):
         raise ValueError("alpha must be positive")
     if not l > 0.0:
         raise ValueError("separation L must be positive")
-    return kernels.norm_constant(float(alpha), float(l))
+    u_max = float(l) / math.sqrt(2.0 * math.pi)
+    a = 2.0 * float(alpha)
+    integral = 0.5 * math.sqrt(math.pi / a) * math.erf(u_max * math.sqrt(a))
+    return 1.0 / math.sqrt(integral)
 
 
 def eval_wavefunctional(u, spec):

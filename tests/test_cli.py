@@ -363,6 +363,20 @@ def test_verify_tolerance_override_forces_fail(capsys):
     assert "FAIL thin-wall-ft" in out
 
 
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+def test_verify_non_finite_or_negative_tolerance_is_usage_error(capsys, value):
+    code = main(["verify", "--check", "ratio-18-19", "--tol", f"ratio-18-19={value}"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: tolerance for 'ratio-18-19' must be finite") and err.count("\n") == 1
+
+
+def test_verify_zero_tolerance_is_valid(capsys):
+    code = main(["verify", "--check", "ratio-18-19", "--tol", "ratio-18-19=0"])
+    assert code == 3
+    assert capsys.readouterr().out.startswith("FAIL ratio-18-19 ")
+
+
 def test_verify_config_tol_may_be_one_string(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"check": "normalization", "tol": "normalization=1"}))

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from cdwtunnel import _purekernels as kernels
 from cdwtunnel.fitting import (
     FIG2B_REFERENCE_RMS_REL,
     FIG2B_WINDOW,
@@ -13,7 +12,14 @@ from cdwtunnel.fitting import (
     transport_with,
 )
 from cdwtunnel.numerics import finite_diff_gradient, least_squares_fit
-from cdwtunnel.transport import CurveSeries, TransportParams, current_sge, current_zener, curve_series
+from cdwtunnel.transport import (
+    CurveSeries,
+    TransportParams,
+    current_sge,
+    current_zener,
+    curve_series,
+    sge_jacobian_array,
+)
 
 
 def _sge_series(tp, es):
@@ -199,7 +205,7 @@ def test_array_jacobian_equals_scalar_jacobian():
             chi = cv * e_t / es
             arg = np.sqrt(2.0 / chi) - np.sqrt(chi)
             far |= {int(np.sign(a)) for a in arg[np.abs(arg) > 35.0]}
-            d_ct1, d_cv = kernels.sge_jacobian_array(es, ct1, cv, e_t)
+            d_ct1, d_cv = sge_jacobian_array(es, ct1, cv, e_t)
             rows = [sge_model_jacobian(float(e), ct1, cv, e_t) for e in es]
             assert np.array_equal(d_ct1, [r[0] for r in rows])
             assert np.array_equal(d_cv, [r[1] for r in rows])
@@ -208,7 +214,7 @@ def test_array_jacobian_equals_scalar_jacobian():
     with pytest.raises(OverflowError):
         sge_model_jacobian(1e-6, 1.0, 1.0, 1.0)
     with pytest.raises(OverflowError):
-        kernels.sge_jacobian_array(np.array([1.0, 1e-6]), 1.0, 1.0, 1.0)
+        sge_jacobian_array(np.array([1.0, 1e-6]), 1.0, 1.0, 1.0)
 
 
 def _point_by_point_fit(es, targets, free, start):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cdwtunnel
+import cdwtunnel._backend
 from cdwtunnel.numerics import (
     QuadratureError,
     erf,
@@ -44,6 +45,32 @@ def test_erf_odd_symmetry():
         assert erf(-x) == -erf(x)
 
 
+def test_erf_matches_mpmath_on_a_grid():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        worst = max(abs(mpmath.mpf(erf(x)) - mpmath.erf(mpmath.mpf(x))) for x in np.linspace(-6.0, 6.0, 4001))
+    assert worst <= 2e-16
+
+
+def test_erf_is_odd_monotone_and_bounded(tmp_path, monkeypatch):
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    # hypothesis caches source constants in a storage directory even without a database
+    monkeypatch.setenv("HYPOTHESIS_STORAGE_DIRECTORY", str(tmp_path))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=20))
+    def run(xs):
+        xs = sorted(xs)
+        ys = [erf(x) for x in xs]
+        assert all(-1.0 <= y <= 1.0 for y in ys)
+        assert all(erf(-x) == -y for x, y in zip(xs, ys))
+        assert all(a <= b for a, b in zip(ys, ys[1:]))
+
+    run()
+
+
 def test_erf_against_quadrature():
     pref = 2.0 / math.sqrt(math.pi)
     for x in np.linspace(0.1, 6.0, 30):
@@ -76,9 +103,9 @@ def test_quadrature_rejects_bad_arguments():
 
 
 def test_quadrature_reports_depth_exhaustion():
-    # perfbench records cdwtunnel.BACKEND and wraps the kernel module's quadrature
+    # perfbench records cdwtunnel.BACKEND and wraps the quadrature through _backend.kernels
     assert cdwtunnel.BACKEND == "pure"
-    assert cdwtunnel._backend.kernels is cdwtunnel._purekernels
+    assert cdwtunnel._backend.kernels is cdwtunnel.numerics
     assert cdwtunnel.QuadratureError is cdwtunnel._backend.kernels.QuadratureError
     # the message names the first failing interval
     with pytest.raises(QuadratureError, match=r"on \[0, 0\.046875\] "):

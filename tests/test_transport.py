@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from cdwtunnel import _purekernels as kernels
 from cdwtunnel.transport import (
     CurveSeries,
     TransportParams,
     current_sge,
+    current_sge_array,
     current_sge_log,
     current_zener,
+    current_zener_array,
     curve_series,
     l_over_x,
     pair_separation,
@@ -209,8 +210,9 @@ def test_array_pair_current_equals_scalar_kernel(convention):
         for _ in range(3):
             e_t, c_v = rng.uniform(0.3, 3.0, 2)
             c_tilde1 = float(rng.choice([rng.uniform(0.1, 5.0), 1e300]))
-            got = kernels.current_sge_array(es, e_t, c_v, c_tilde1, substituted)
-            want = [kernels.current_sge(float(e), e_t, c_v, c_tilde1, substituted) for e in es]
+            got = current_sge_array(es, e_t, c_v, c_tilde1, substituted)
+            tp = TransportParams(e_t=e_t, c_v=c_v, c_tilde1=c_tilde1)
+            want = [current_sge(float(e), tp, convention) for e in es]
             assert got.dtype == np.float64 and got.shape == es.shape
             assert np.array_equal(got, want)
             seen_far |= bool(np.any(np.abs(_sge_arg(es, e_t, c_v)) > 35.0))
@@ -223,12 +225,12 @@ def test_array_zener_current_equals_scalar_kernel():
     for _ in range(10):
         e_t, g_p = rng.uniform(0.3, 3.0, 2)
         es = np.sort(np.concatenate([rng.uniform(0.01, 4.0 * e_t, 200), [e_t, 0.5 * e_t]]))
-        got = kernels.current_zener_array(es, e_t, g_p)
-        want = [kernels.current_zener(float(e), e_t, g_p) for e in es]
+        got = current_zener_array(es, e_t, g_p)
+        want = [current_zener(float(e), TransportParams(e_t=e_t, g_p=g_p)) for e in es]
         assert np.array_equal(got, want)
         assert np.all(got[es <= e_t] == 0.0) and np.all(got[es > e_t] > 0.0)
-    huge = kernels.current_zener_array(np.array([1e300]), 1.0, 1e300)
-    assert np.isinf(huge[0]) and huge[0] == kernels.current_zener(1e300, 1.0, 1e300)
+    huge = current_zener_array(np.array([1e300]), 1.0, 1e300)
+    assert np.isinf(huge[0]) and huge[0] == current_zener(1e300, TransportParams(e_t=1.0, g_p=1e300))
 
 
 @pytest.mark.parametrize("model, convention", [("sge", "printed"), ("sge", "substituted"), ("zener", "printed")])
