@@ -7,6 +7,12 @@ the default; a config ``null`` counts as unset.  A command writes all of its
 data files or none, with floats rendered to 12 significant digits, and
 identical configurations produce byte-identical outputs.
 
+A subcommand takes only the ``TransportParams`` fields that its output reads:
+``curve`` takes e_t, c_v, c_tilde1 and g_p; ``fit`` takes e_t and g_p for the
+Zener targets and starts from ``--start-c-tilde1``/``--start-c-v``;
+``matrix-element`` takes delta_s and e_star, which map fields to pair
+separations under ``--over e``.
+
 Exit codes: 0 success, 1 usage/config error, 2 runtime/numeric error,
 3 verification failure.
 """
@@ -193,9 +199,11 @@ def _usage_errors():
         raise CliUsageError(str(exc)) from exc
 
 
-def _transport_params(o):
+def _transport_params(o, **values):
+    """``TransportParams`` from the command's transport options, plus ``values``."""
+    fields = {f.name for f in dataclasses.fields(transport.TransportParams)}
     with _usage_errors():
-        return transport.TransportParams(**{opt.name: getattr(o, opt.name) for opt in _TRANSPORT})
+        return transport.TransportParams(**{k: v for k, v in vars(o).items() if k in fields}, **values)
 
 
 def _require_out(o):
@@ -267,34 +275,24 @@ def _parse_data_csv(path):
 
 
 def _cmd_fit(o):
-    tp = _transport_params(o)
+    # the Zener targets read e_t and g_p; the fit starts from c_tilde1 and c_v
+    tp = _transport_params(o, c_tilde1=o.start_c_tilde1, c_v=o.start_c_v)
     free = {name.strip() for name in o.free.split(",") if name.strip()}
     unknown = free - set(fitting.FREE_PARAM_ORDER)
     if unknown:
         raise CliUsageError(
             f"cannot free {sorted(unknown)}; allowed: {list(fitting.FREE_PARAM_ORDER)}"
         )
-    start = tp
-    if o.start_c_tilde1 is not None or o.start_c_v is not None:
-        with _usage_errors():
-            start = fitting.transport_with(
-                tp,
-                ("c_tilde1", "c_v"),
-                (
-                    o.start_c_tilde1 if o.start_c_tilde1 is not None else tp.c_tilde1,
-                    o.start_c_v if o.start_c_v is not None else tp.c_v,
-                ),
-            )
 
     if o.data is not None:
         es, targets = _parse_data_csv(o.data)
         order = np.argsort(es)
         es, targets = es[order], targets[order]
-        fit = fitting.fit_sge_to_points(es, targets, free, start)
+        fit = fitting.fit_sge_to_points(es, targets, free, tp)
     else:
         lo, hi = fitting.FIG2B_WINDOW
         es = _grid(o, lo * tp.e_t, hi * tp.e_t)
-        fit = fitting.fit_sge_to_zener(tp, es, free=free, start=start)
+        fit = fitting.fit_sge_to_zener(tp, es, free=free)
 
     names = [n for n in fitting.FREE_PARAM_ORDER if n in free]
     report = {
@@ -405,15 +403,18 @@ def _grid_opts(n, kind):
     ]
 
 
+def _transport_opts(*names):
+    return [Opt(name, float, getattr(transport.TransportParams, name)) for name in names]
+
+
 _OUT = Opt("out", str, help="output path")
-_TRANSPORT = [Opt(f.name, float, f.default) for f in dataclasses.fields(transport.TransportParams)]
 
 # subcommand: (function, help, options)
 COMMANDS = {
     "curve": (_cmd_curve, "emit current-vs-field series", [
         _OUT,
         *_grid_opts(200, "log"),
-        *_TRANSPORT,
+        *_transport_opts("e_t", "c_v", "c_tilde1", "g_p"),
         Opt("model", str, "both", ("sge", "zener", "both")),
         Opt("convention", str, "printed", transport.CONVENTIONS),
         Opt("format", str, "csv", ("csv", "json")),
@@ -421,11 +422,11 @@ COMMANDS = {
     "fit": (_cmd_fit, "fit the pair current to Zener samples or CSV data", [
         _OUT,
         *_grid_opts(100, "linear"),
-        *_TRANSPORT,
+        *_transport_opts("e_t", "g_p"),
         Opt("data", str, help="CSV of (E, I) points to fit instead of synthetic targets"),
         Opt("free", str, "c_tilde1,c_v", help="comma list of free parameters (c_tilde1,c_v)"),
-        Opt("start_c_tilde1"),
-        Opt("start_c_v"),
+        Opt("start_c_tilde1", float, 1.0),
+        Opt("start_c_v", float, 1.0),
     ]),
     "profile": (_cmd_profile, "emit a kink-pair profile and its box transform", [
         _OUT,
@@ -441,7 +442,7 @@ COMMANDS = {
     "matrix-element": (_cmd_matrix_element, "evaluate matrix elements over an L or E grid", [
         _OUT,
         *_grid_opts(25, "linear"),
-        *_TRANSPORT,
+        *_transport_opts("delta_s", "e_star"),
         Opt("over", str, "l", ("l", "e")),
         Opt("x_bar", float, 1.0),
         Opt("n1", float, 1.0 - wavefunctional.DEFAULT_EPS_PLUS),
@@ -479,7 +480,7 @@ def main(argv=None):
     except CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, QuadratureError, OSError) as exc:
+    except (ValueError, OverflowError, QuadratureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -4,10 +4,10 @@ Everything downstream (potentials, wavefunctionals, transport, fitting and
 the verification oracles) builds on these operations.  ``integrate_adaptive``
 is an interval-batched adaptive Gauss-Kronrod (G10K21, QUADPACK's qk21) rule
 that evaluates its integrand on numpy arrays of nodes.  The overflow-safe
-cosh(arg) * exp(expo) product, scalar and array, is shared by the current
-laws and the matrix elements; its array form maps ``math.cosh``/``exp`` over
-the elements, so each value is bitwise equal to the scalar one.  All
-functions are pure; there is no module state.
+cosh(arg) * exp(expo) product has a scalar form, for the per-point matrix
+elements, and an array form, for the current laws; the array form maps
+``math.cosh``/``exp`` over the elements, so each value is bitwise equal to
+the scalar one.  All functions are pure; there is no module state.
 """
 
 import math
@@ -262,15 +262,7 @@ def _numeric_jacobian(model, params, xs):
     return jac
 
 
-def least_squares_fit(
-    model,
-    params0,
-    data,
-    jacobian=None,
-    tol_step=1e-10,
-    tol_resid=1e-10,
-    max_iter=200,
-):
+def least_squares_fit(model, params0, data, jacobian=None, max_iter=200):
     """Damped Gauss-Newton least squares for models y = model(x, params).
 
     ``data`` is a sequence of (x, y) pairs, or an (n, 2) array.  The model
@@ -284,7 +276,7 @@ def least_squares_fit(
     raise the damping.  Deterministic for fixed inputs.
 
     Converged means the relative step size and the relative residual change
-    both fell below their thresholds.  Non-convergence is reported through
+    both fell below 1e-10.  Non-convergence is reported through
     the flag and ``stop`` (``"max_iter"`` or ``"damping_collapse"``) with
     the best parameters seen, never as an exception.
     """
@@ -345,7 +337,7 @@ def least_squares_fit(
                 cost = trial_cost
                 lam = max(lam / 10.0, 1e-14)
                 accepted = True
-                if rel_step < tol_step and rel_drop < tol_resid:
+                if rel_step < 1e-10 and rel_drop < 1e-10:
                     stop = "converged"
             else:
                 lam *= 10.0

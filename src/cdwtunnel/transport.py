@@ -9,6 +9,9 @@ exp(-chi/2) and sqrt(chi/2); since c_v exists to absorb such bookkeeping,
 both conventions are exposed through ``convention`` and the printed form is
 the default.  The printed law is ungated below threshold (it carries no
 threshold clause); the Zener law is zero at and below E_T.
+
+Each law and the pair current's Jacobian is one array kernel over a grid of
+fields; the scalar functions are one-element calls of it.
 """
 
 import math
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _COSH, _EXP, _SINH, _cosh_times_exp, _cosh_times_exp_array
+from .numerics import _COSH, _EXP, _SINH, _cosh_times_exp_array
 
 __all__ = [
     "CurveSeries",
@@ -125,17 +128,23 @@ def _substituted(convention):
     return convention == "substituted"
 
 
-def _sge_arg_expo(e, e_t, c_v, substituted, sqrt=math.sqrt):
+def _sge_arg_expo(e, e_t, c_v, substituted):
     chi = e_t * c_v / e
     if substituted:
         # literal back-substitution of the pair geometry: the 1/2 next to
         # the observer point stays in the exponent and second cosh term
-        arg = sqrt(2.0 / chi) - sqrt(0.5 * chi)
+        arg = np.sqrt(2.0 / chi) - np.sqrt(0.5 * chi)
         expo = -0.5 * chi
     else:
-        arg = sqrt(2.0 / chi) - sqrt(chi)
+        arg = np.sqrt(2.0 / chi) - np.sqrt(chi)
         expo = -chi
     return arg, expo
+
+
+def _single_field(e):
+    """The positive field ``e`` as a one-element array for the ``*_array`` kernels."""
+    _check_field(e)
+    return np.array([float(e)])
 
 
 def current_sge(e, tp, convention="printed"):
@@ -143,19 +152,18 @@ def current_sge(e, tp, convention="printed"):
 
     Overflow-safe: huge fields give inf, vanishing fields underflow to 0.0.
     """
-    _check_field(e)
-    arg, expo = _sge_arg_expo(float(e), tp.e_t, tp.c_v, _substituted(convention))
-    return tp.c_tilde1 * _cosh_times_exp(arg, expo)
+    es = _single_field(e)
+    return float(current_sge_array(es, tp.e_t, tp.c_v, tp.c_tilde1, _substituted(convention))[0])
 
 
 def current_sge_array(es, e_t, c_v, c_tilde1, substituted):
-    """``current_sge`` over the float array of fields ``es``, bitwise equal per element.
+    """Soliton-pair current over the float array of fields ``es``.
 
     Takes the raw parameter values, so fits can pass trial values without
     building a ``TransportParams``.
     """
     with np.errstate(all="ignore"):
-        arg, expo = _sge_arg_expo(es, e_t, c_v, substituted, np.sqrt)
+        arg, expo = _sge_arg_expo(es, e_t, c_v, substituted)
         return c_tilde1 * _cosh_times_exp_array(arg, expo)
 
 
@@ -163,21 +171,9 @@ def current_sge_log(e, tp, convention="printed"):
     """ln of current_sge; stable where the current itself over/underflows."""
     _check_field(e)
     arg, expo = _sge_arg_expo(float(e), tp.e_t, tp.c_v, _substituted(convention))
-    a = abs(arg)
+    a = abs(float(arg))
     # ln cosh(a) = a + ln(1 + e^(-2a)) - ln 2
-    return math.log(tp.c_tilde1) + a + math.log1p(math.exp(-2.0 * a)) - math.log(2.0) + expo
-
-
-def _sge_jacobian(e, c_tilde1, c_v, e_t, sqrt, cosh, sinh, exp):
-    chi = c_v * e_t / e
-    a = sqrt(2.0 / chi)
-    b = sqrt(chi)
-    arg = a - b
-    cosh_arg = cosh(arg)
-    decay = exp(-chi)
-    # dI/dchi = C~1 e^-chi [sinh(arg)(-(a+b)/(2 chi)) - cosh(arg)], dchi/dc_v = chi/c_v
-    dchi = c_tilde1 * decay * (-sinh(arg) * (a + b) / (2.0 * chi) - cosh_arg)
-    return cosh_arg * decay, dchi * chi / c_v
+    return math.log(tp.c_tilde1) + a + math.log1p(math.exp(-2.0 * a)) - math.log(2.0) + float(expo)
 
 
 def sge_jacobian(e, c_tilde1, c_v, e_t):
@@ -186,26 +182,31 @@ def sge_jacobian(e, c_tilde1, c_v, e_t):
     Uses bare cosh/sinh, so it raises OverflowError where |arg| exceeds
     about 710, unlike the overflow-safe current itself.
     """
-    return _sge_jacobian(e, c_tilde1, c_v, e_t, math.sqrt, math.cosh, math.sinh, math.exp)
+    d_ct1, d_cv = sge_jacobian_array(_single_field(e), c_tilde1, c_v, e_t)
+    return float(d_ct1[0]), float(d_cv[0])
 
 
 def sge_jacobian_array(es, c_tilde1, c_v, e_t):
-    """``sge_jacobian`` over the float array ``es``: two arrays, bitwise equal per element."""
+    """``sge_jacobian`` over the float array ``es``: two arrays, one element per field."""
     with np.errstate(all="ignore"):
-        return _sge_jacobian(es, c_tilde1, c_v, e_t, np.sqrt, _COSH, _SINH, _EXP)
+        chi = c_v * e_t / es
+        a = np.sqrt(2.0 / chi)
+        b = np.sqrt(chi)
+        arg = a - b
+        cosh_arg = _COSH(arg)
+        decay = _EXP(-chi)
+        # dI/dchi = C~1 e^-chi [sinh(arg)(-(a+b)/(2 chi)) - cosh(arg)], dchi/dc_v = chi/c_v
+        dchi = c_tilde1 * decay * (-_SINH(arg) * (a + b) / (2.0 * chi) - cosh_arg)
+        return cosh_arg * decay, dchi * chi / c_v
 
 
 def current_zener(e, tp):
     """Zener law G_p (E - E_T) e^(-E_T/E) for E > E_T, else 0."""
-    _check_field(e)
-    e = float(e)
-    if e <= tp.e_t:
-        return 0.0
-    return tp.g_p * (e - tp.e_t) * math.exp(-tp.e_t / e)
+    return float(current_zener_array(_single_field(e), tp.e_t, tp.g_p)[0])
 
 
 def current_zener_array(es, e_t, g_p):
-    """``current_zener`` over the float array ``es``, bitwise equal per element."""
+    """Zener law over the float array of fields ``es``."""
     out = np.zeros_like(es)
     above = ~(es <= e_t)
     ea = es[above]

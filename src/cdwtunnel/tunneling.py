@@ -70,13 +70,13 @@ def t_if_simplified(inputs):
     return pref * _cosh_times_exp(arg, expo)
 
 
-def t_if_single_mode_oracle(spec_i, spec_f, u0=None, m_star=1.0, tol=1e-11, span=12.0):
+def t_if_single_mode_oracle(spec_i, spec_f, u0=None, m_star=1.0, tol=1e-11):
     """|T| by adaptive quadrature over the retained mode amplitude u.
 
     Integrates (1/2m*) [psi_i psi_f'' - psi_f psi_i''] theta(u - u0) with
     the Gaussian second derivatives taken analytically; u0 defaults to the
-    midpoint of the two centers.  The upper limit sits ``span`` Gaussian
-    widths above the higher center, where the integrand is long dead.
+    midpoint of the two centers.  The upper limit sits 12 Gaussian widths
+    above the higher center, where the integrand is long dead.
     Quadrature non-convergence propagates.
     """
     if not m_star > 0.0:
@@ -84,7 +84,7 @@ def t_if_single_mode_oracle(spec_i, spec_f, u0=None, m_star=1.0, tol=1e-11, span
     if u0 is None:
         u0 = 0.5 * (spec_i.center + spec_f.center)
     width = 1.0 / math.sqrt(2.0 * min(spec_i.alpha, spec_f.alpha))
-    hi = max(spec_i.center, spec_f.center) + span * width
+    hi = max(spec_i.center, spec_f.center) + 12.0 * width
     if hi <= u0:
         raise ValueError("barrier point u0 lies above the integration window")
     ci, ai, mi = spec_i.norm_c, spec_i.alpha, spec_i.center

@@ -81,7 +81,7 @@ def check_thin_wall_ft(tol=1e-6):
     return _result("thin-wall-ft", worst, tol, "max relative error, k in [0.01, 20], L in {1,2,5,10}")
 
 
-def check_ratio_18_19(tol=1e-12, n=100):
+def check_ratio_18_19(tol=1e-12):
     """Full/reduced matrix-element ratio at n1 = 1 must be exactly 1/2.
 
     Draws are rejected when the common exponential factor falls below the
@@ -90,7 +90,7 @@ def check_ratio_18_19(tol=1e-12, n=100):
     rng = np.random.default_rng(20240811)
     worst = 0.0
     accepted = 0
-    while accepted < n:
+    while accepted < 100:
         x_bar = float(rng.uniform(0.1, 10.0))
         l = float(rng.uniform(0.5, 50.0))
         alpha = float(rng.uniform(0.02, 5.0))
@@ -109,16 +109,16 @@ def check_ratio_18_19(tol=1e-12, n=100):
         num = tunneling.t_if_analytic(inputs)
         den = tunneling.t_if_simplified(inputs)
         worst = max(worst, abs(num / den - 0.5))
-    return _result("ratio-18-19", worst, tol, f"max |ratio - 1/2| over {n} random inputs")
+    return _result("ratio-18-19", worst, tol, "max |ratio - 1/2| over 100 random inputs")
 
 
 def check_sge_reconciliation(tol=1e-12):
     """Printed current vs the matrix-element form after the c_v absorption."""
     tp = transport.TransportParams(c_v=0.7, c_tilde1=2.5)
+    es = np.geomspace(0.2, 20.0, 100)
     worst = 0.0
-    for e in np.geomspace(0.2, 20.0, 100):
-        a = transport.current_sge(float(e), tp)
-        b = transport.sge_from_matrix_element_form(float(e), tp)
+    for e, a in zip(es.tolist(), transport.curve_series("sge", tp, es).currents.tolist()):
+        b = transport.sge_from_matrix_element_form(e, tp)
         worst = max(worst, abs(a - b) / abs(a))
     return _result("sge-reconciliation", worst, tol, "max relative gap on a 100-point log grid")
 
@@ -126,7 +126,7 @@ def check_sge_reconciliation(tol=1e-12):
 def check_zener_threshold():
     """Zero at/below threshold, continuity at E_T, strictly increasing above."""
     tp = transport.TransportParams()
-    below = max(abs(transport.current_zener(float(e), tp)) for e in np.linspace(0.05, tp.e_t, 200))
+    below = float(transport.curve_series("zener", tp, np.linspace(0.05, tp.e_t, 200)).currents.max())
     continuity = abs(transport.current_zener(tp.e_t * (1.0 + 1e-12), tp))
     es = np.linspace(tp.e_t * (1.0 + 1e-8), 100.0 * tp.e_t, 10_000)
     vals = transport.curve_series("zener", tp, es).currents
@@ -186,17 +186,17 @@ def check_topological_charge():
     )
 
 
-def oracle_shape_sweep(n_points=15):
-    """Declared sweep: centers 0 and 2 pi, alpha = 1/L, alpha*Delta^2 in [4, 25].
+def oracle_shape_sweep():
+    """Declared sweep: centers 0 and 2 pi, alpha = 1/L, alpha*Delta^2 in [4, 25], 15 points.
 
     Returns (x, ln|T|_oracle, ln|T|_analytic) arrays with x = alpha Delta^2/2.
     The analytic route is evaluated at the observer point x_bar = L^2/(4 pi^2)
     that places both routes on a common exponential scale.
     """
     delta = TWO_PI
-    xs = np.linspace(2.0, 12.5, n_points)
-    ln_oracle = np.empty(n_points)
-    ln_analytic = np.empty(n_points)
+    xs = np.linspace(2.0, 12.5, 15)
+    ln_oracle = np.empty(xs.size)
+    ln_analytic = np.empty(xs.size)
     for i, x in enumerate(xs):
         alpha = 2.0 * float(x) / delta**2
         l = 1.0 / alpha
@@ -270,11 +270,11 @@ def check_fig2b_fit():
     )
 
 
-def check_fit_roundtrip(tol=1e-5, n=50):
+def check_fit_roundtrip(tol=1e-5):
     """Self-fit recovery of (c_tilde1, c_v) from 20%-perturbed starts."""
     rng = np.random.default_rng(20240812)
     worst = 0.0
-    for _ in range(n):
+    for _ in range(50):
         truth = transport.TransportParams(
             c_tilde1=float(rng.uniform(0.2, 5.0)), c_v=float(rng.uniform(0.5, 2.0))
         )
@@ -294,7 +294,7 @@ def check_fit_roundtrip(tol=1e-5, n=50):
             abs(fit.params[1] - truth.c_v) / truth.c_v,
         )
         worst = max(worst, rel)
-    return _result("fit-roundtrip", worst, tol, f"max relative parameter error over {n} self-fits")
+    return _result("fit-roundtrip", worst, tol, "max relative parameter error over 50 self-fits")
 
 
 CHECKS = {

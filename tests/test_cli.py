@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -189,6 +191,18 @@ def test_fit_empty_data_file(tmp_path, capsys):
     assert "no data rows" in capsys.readouterr().err
 
 
+def test_fit_jacobian_overflow_is_runtime_error(tmp_path, capsys):
+    # at these fields the start current underflows to 0, so the start is
+    # evaluable, and the Jacobian's cosh overflows
+    data = tmp_path / "tiny.csv"
+    data.write_text("e,i\n1e-6,1\n2e-6,2\n")
+    code = main(["fit", "--data", str(data), "--out", str(tmp_path / "report.json")])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["tiny.csv"]
+
+
 def test_fit_grid_below_threshold_is_runtime_error(capsys):
     code = main(["fit", "--grid-lo", "0.5", "--grid-hi", "5", "--grid-n", "30"])
     assert code == 2
@@ -317,6 +331,54 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
 
+# Grid ends inside each subcommand's default window; any other float option is
+# scaled by 0.8.  profile runs with a k grid and matrix-element over fields, so
+# that every float option has an output to reach.
+GRID_ENDS = {"curve": (1.1, 9.0), "fit": (1.3, 4.5), "matrix-element": (2.5, 11.0)}
+BASE_ARGS = {"curve": [], "fit": [], "profile": ["--k-n", "5"], "matrix-element": ["--over", "e"]}
+
+
+@pytest.mark.parametrize(
+    "command, opt",
+    [(command, opt) for command, (_, _, opts) in cli.COMMANDS.items() for opt in opts if opt.kind is float],
+    ids=lambda v: getattr(v, "name", v),
+)
+def test_every_float_option_changes_the_output(tmp_path, capsys, command, opt):
+    if opt.name in ("grid_lo", "grid_hi"):
+        value = GRID_ENDS[command][opt.name == "grid_hi"]
+    else:
+        value = 0.8 * opt.default
+    outputs = []
+    for extra in ([], ["--" + opt.name.replace("_", "-"), repr(value)]):
+        d = tmp_path / str(len(outputs))
+        d.mkdir()
+        assert main([command, *BASE_ARGS[command], *extra, "--out", str(d / "out.csv")]) == 0
+        outputs.append((capsys.readouterr().out, {p.name: p.read_bytes() for p in d.iterdir()}))
+    assert outputs[0] != outputs[1]
+
+
+# TransportParams fields that a subcommand's output does not read, so it does not take them
+NOT_TAKEN = {
+    "curve": ["delta_s", "e_star", "eps_g", "m_e", "omega", "e_charge"],
+    "fit": ["c_v", "c_tilde1", "delta_s", "e_star", "eps_g", "m_e", "omega", "e_charge"],
+    "matrix-element": ["e_t", "c_v", "c_tilde1", "g_p", "eps_g", "m_e", "omega", "e_charge"],
+}
+
+
+@pytest.mark.parametrize("command, name", [(c, n) for c, names in NOT_TAKEN.items() for n in names])
+def test_transport_field_not_taken_is_usage_error(tmp_path, capsys, command, name):
+    flag = "--" + name.replace("_", "-")
+    assert main([command, flag, "1", "--out", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: unrecognized arguments: {flag} 1") and err.count("\n") == 1
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({name: 1.0}))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: unknown config key(s) ['{name}']") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
 def test_profile_minimal_grid(tmp_path):
     out = tmp_path / "two.csv"
     code = main(["profile", "--n", "2", "--out", str(out)])
@@ -406,8 +468,11 @@ def test_unknown_subcommand_is_usage_error(capsys):
 
 
 def test_console_entry_point_runs():
+    # the subprocess imports the same sources as this process, installed or not
+    src = str(Path(cdwtunnel.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-m", "cdwtunnel.cli", "--version"], capture_output=True, text=True
+        [sys.executable, "-m", "cdwtunnel.cli", "--version"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert f"cdwtunnel {cdwtunnel.__version__}" in proc.stdout

@@ -175,6 +175,38 @@ def test_residual_invariant_under_joint_rescale():
     assert rel_rms(fit_a, tp) == pytest.approx(rel_rms(fit_b, tp_scaled), rel=1e-8)
 
 
+def test_fit_invariant_under_joint_rescale_of_targets_and_amplitude(tmp_path, monkeypatch):
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    # hypothesis caches source constants in a storage directory even without a database
+    monkeypatch.setenv("HYPOTHESIS_STORAGE_DIRECTORY", str(tmp_path))
+    es = np.linspace(1.2, 5.0, 40)
+    factor = st.floats(0.8, 1.2)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        st.booleans(), st.floats(-3.0, 3.0), st.floats(0.2, 5.0), st.floats(0.5, 2.0), factor, factor
+    )
+    def run(zener, log_s, c_tilde1, c_v, f1, f2):
+        s = 10.0**log_s
+        start = TransportParams(c_tilde1=c_tilde1 * f1, c_v=c_v * f2)
+        start_s = TransportParams(c_tilde1=c_tilde1 * f1 * s, c_v=c_v * f2)
+        if zener:
+            fit = fit_sge_to_zener(TransportParams(), es, start=start)
+            fit_s = fit_sge_to_zener(TransportParams(g_p=s), es, start=start_s)
+        else:
+            targets = curve_series("sge", TransportParams(c_tilde1=c_tilde1, c_v=c_v), es).currents
+            fit = fit_sge_to_points(es, targets, FREE_PARAM_ORDER, start)
+            fit_s = fit_sge_to_points(es, s * targets, FREE_PARAM_ORDER, start_s)
+        if fit.converged and fit_s.converged:
+            assert fit_s.params[0] / s == pytest.approx(fit.params[0], rel=1e-6)
+            assert fit_s.params[1] == pytest.approx(fit.params[1], rel=1e-6)
+            assert abs(fit_s.residual_rms / s - fit.residual_rms) <= 1e-9
+
+    run()
+
+
 def test_round_trip_many_random_draws():
     rng = np.random.default_rng(47)
     es = np.linspace(1.2, 5.0, 40)

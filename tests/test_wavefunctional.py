@@ -103,6 +103,22 @@ def test_ft_zeros_at_harmonics():
         assert abs(thin_wall_ft(k, l)) <= 1e-15
 
 
+def test_ft_vanishes_at_every_harmonic(tmp_path, monkeypatch):
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    # hypothesis caches source constants in a storage directory even without a database
+    monkeypatch.setenv("HYPOTHESIS_STORAGE_DIRECTORY", str(tmp_path))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.integers(1, 1000), st.floats(-3.0, 3.0), st.sampled_from([1.0, -1.0]))
+    def run(n, log_l, sign):
+        l = 10.0**log_l
+        assert abs(thin_wall_ft(sign * TWO_PI * n / l, l)) <= 1e-15 * l
+
+    run()
+
+
 def test_ft_reference_value():
     assert thin_wall_ft(math.pi / 2.0, 2.0) == pytest.approx(FT_L2_K_HALF_PI, abs=1e-12)
 
