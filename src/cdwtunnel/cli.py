@@ -333,7 +333,8 @@ def _cmd_profile(o):
 
 def _cmd_matrix_element(o):
     out = _require_out(o)
-    tp = _transport_params(o)
+    # only an E grid maps fields to separations through delta_s and e_star
+    tp = _transport_params(o) if o.over == "e" else None
     grid = _grid(o, 2.0, 12.0)
     with _usage_errors():
         # x_bar, n1 and m_star are checked once, before any row is computed

@@ -11,7 +11,7 @@ the scalar one.  All functions are pure; there is no module state.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -227,7 +227,6 @@ class FitResult:
     residual_rms: float
     iterations: int
     converged: bool
-    cost: float = field(default=np.nan, repr=False)
     stop: str = "converged"
 
     def __post_init__(self):
@@ -354,6 +353,5 @@ def least_squares_fit(model, params0, data, jacobian=None, max_iter=200):
         residual_rms=rms,
         iterations=iterations,
         converged=stop == "converged",
-        cost=cost,
         stop=stop,
     )

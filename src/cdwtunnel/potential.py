@@ -93,8 +93,7 @@ class BoundReport:
 
 
 def eval_extended_potential(phi, p):
-    """C1 (phi-phi0)^2 - 4 C2 phi phi0 (phi-phi0)^2 + C2 (phi^2-phi0^2)^2."""
-    phi = float(phi)
+    """C1 (phi-phi0)^2 - 4 C2 phi phi0 (phi-phi0)^2 + C2 (phi^2-phi0^2)^2, phi a float or array."""
     d = phi - p.phi0
     s = phi * phi - p.phi0 * p.phi0
     return p.c1 * d * d - 4.0 * p.c2 * phi * p.phi0 * d * d + p.c2 * s * s
@@ -137,8 +136,7 @@ def topological_charge(profile):
 
 def _profile_energy(profile, p):
     grad = np.gradient(profile.phis, profile.xs)
-    d = profile.phis - p.phi0
-    v = p.c1 * d**2 - 4.0 * p.c2 * profile.phis * p.phi0 * d**2 + p.c2 * (profile.phis**2 - p.phi0**2) ** 2
+    v = eval_extended_potential(profile.phis, p)
     return float(np.trapezoid(0.5 * grad**2 + v, profile.xs))
 
 

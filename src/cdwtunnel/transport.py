@@ -37,6 +37,7 @@ __all__ = [
 
 CONVENTIONS = ("printed", "substituted")
 MODELS = ("sge", "zener")
+_COSH_ARG_MAX = math.acosh(np.finfo(float).max)  # largest |x| with finite math.cosh, sinh
 
 
 @dataclass(frozen=True)
@@ -179,8 +180,8 @@ def current_sge_log(e, tp, convention="printed"):
 def sge_jacobian(e, c_tilde1, c_v, e_t):
     """(dI/dc_tilde1, dI/dc_v) of the printed pair current at field e.
 
-    Uses bare cosh/sinh, so it raises OverflowError where |arg| exceeds
-    about 710, unlike the overflow-safe current itself.
+    Uses bare cosh/sinh, so it raises OverflowError, naming the fields,
+    where |arg| exceeds about 710.48, unlike the overflow-safe current itself.
     """
     d_ct1, d_cv = sge_jacobian_array(_single_field(e), c_tilde1, c_v, e_t)
     return float(d_ct1[0]), float(d_cv[0])
@@ -193,10 +194,15 @@ def sge_jacobian_array(es, c_tilde1, c_v, e_t):
         a = np.sqrt(2.0 / chi)
         b = np.sqrt(chi)
         arg = a - b
-        cosh_arg = _COSH(arg)
+        try:
+            cosh_arg, sinh_arg = _COSH(arg), _SINH(arg)
+        except OverflowError:
+            over = es[np.abs(arg) > _COSH_ARG_MAX]
+            msg = f"pair-current Jacobian overflows: |cosh argument| > {_COSH_ARG_MAX:.2f} for fields in"
+            raise OverflowError(f"{msg} [{float(over.min())!r}, {float(over.max())!r}]") from None
         decay = _EXP(-chi)
         # dI/dchi = C~1 e^-chi [sinh(arg)(-(a+b)/(2 chi)) - cosh(arg)], dchi/dc_v = chi/c_v
-        dchi = c_tilde1 * decay * (-_SINH(arg) * (a + b) / (2.0 * chi) - cosh_arg)
+        dchi = c_tilde1 * decay * (-sinh_arg * (a + b) / (2.0 * chi) - cosh_arg)
         return cosh_arg * decay, dchi * chi / c_v
 
 

@@ -11,9 +11,8 @@ oracle over the collective coordinate.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .numerics import _cosh_times_exp, integrate_adaptive
+from .wavefunctional import eval_wavefunctional
 
 __all__ = [
     "MatrixElementInputs",
@@ -51,23 +50,24 @@ class MatrixElementInputs:
             raise ValueError("n1 must lie in (0, 1]")
 
 
-def t_if_analytic(inputs):
-    """(2/(2 m*)) (n1^2 - n1^4/2) C1 C2 cosh(2 sqrt(x/2L) - sqrt(L/2x)) e^(-a L n1^2 L/(2x))."""
+def _cosh_exp_factor(inputs, n1sq):
+    """cosh(2 sqrt(x/2L) - sqrt(L/2x)) e^(-a L n1^2 L/(2x)), overflow-safe."""
     x_bar, l = inputs.x_bar, inputs.l
-    n1sq = inputs.n1 * inputs.n1
-    pref = (2.0 / (2.0 * inputs.m_star)) * (n1sq - 0.5 * n1sq * n1sq) * inputs.c1_norm * inputs.c2_norm
     arg = 2.0 * math.sqrt(x_bar / (2.0 * l)) - math.sqrt(l / (2.0 * x_bar))
     expo = -inputs.alpha * l * (n1sq * (l / (2.0 * x_bar)))
-    return pref * _cosh_times_exp(arg, expo)
+    return _cosh_times_exp(arg, expo)
+
+
+def t_if_analytic(inputs):
+    """(2/(2 m*)) (n1^2 - n1^4/2) C1 C2 cosh(2 sqrt(x/2L) - sqrt(L/2x)) e^(-a L n1^2 L/(2x))."""
+    n1sq = inputs.n1 * inputs.n1
+    pref = (2.0 / (2.0 * inputs.m_star)) * (n1sq - 0.5 * n1sq * n1sq) * inputs.c1_norm * inputs.c2_norm
+    return pref * _cosh_exp_factor(inputs, n1sq)
 
 
 def t_if_simplified(inputs):
     """(C1 C2 / m*) cosh(2 sqrt(x/2L) - sqrt(L/2x)) e^(-a L L/(2x))."""
-    x_bar, l = inputs.x_bar, inputs.l
-    pref = inputs.c1_norm * inputs.c2_norm / inputs.m_star
-    arg = 2.0 * math.sqrt(x_bar / (2.0 * l)) - math.sqrt(l / (2.0 * x_bar))
-    expo = -inputs.alpha * l * (l / (2.0 * x_bar))
-    return pref * _cosh_times_exp(arg, expo)
+    return inputs.c1_norm * inputs.c2_norm / inputs.m_star * _cosh_exp_factor(inputs, 1.0)
 
 
 def t_if_single_mode_oracle(spec_i, spec_f, u0=None, m_star=1.0, tol=1e-11):
@@ -87,14 +87,14 @@ def t_if_single_mode_oracle(spec_i, spec_f, u0=None, m_star=1.0, tol=1e-11):
     hi = max(spec_i.center, spec_f.center) + 12.0 * width
     if hi <= u0:
         raise ValueError("barrier point u0 lies above the integration window")
-    ci, ai, mi = spec_i.norm_c, spec_i.alpha, spec_i.center
-    cf, af, mf = spec_f.norm_c, spec_f.alpha, spec_f.center
+    ai, mi = spec_i.alpha, spec_i.center
+    af, mf = spec_f.alpha, spec_f.center
 
     def integrand(u):
         di = u - mi
         df = u - mf
-        pi_ = ci * np.exp(-ai * di * di)
-        pf = cf * np.exp(-af * df * df)
+        pi_ = eval_wavefunctional(u, spec_i)
+        pf = eval_wavefunctional(u, spec_f)
         ppi = pi_ * (4.0 * ai * ai * di * di - 2.0 * ai)
         ppf = pf * (4.0 * af * af * df * df - 2.0 * af)
         return pi_ * ppf - pf * ppi

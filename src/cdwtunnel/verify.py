@@ -318,13 +318,7 @@ def run_check(name, tolerance=None):
         raise KeyError(name)
     result = CHECKS[name]()
     if tolerance is not None:
-        result = CheckResult(
-            name=result.name,
-            passed=bool(result.measured <= tolerance),
-            measured=result.measured,
-            tolerance=float(tolerance),
-            detail=result.detail,
-        )
+        result = _result(result.name, result.measured, tolerance, result.detail)
     return result
 
 

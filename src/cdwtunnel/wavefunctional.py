@@ -93,9 +93,15 @@ class WavefunctionalSpec:
 
 
 def kink_pair_profile(x, kp):
-    """tanh(b (x - x_a)) + tanh(b (x_b - x))."""
-    x = float(x)
-    return math.tanh(kp.b * (x - kp.x_a)) + math.tanh(kp.b * (kp.x_b - x))
+    """tanh u + tanh v = sinh(bL) / (cosh u cosh v), u = b (x - x_a), v = b (x_b - x).
+
+    ``x`` is a float or a numpy array.  The form 2 e^(2 min(u, v, 0)) (1 - e^(-2bL))
+    / ((1 + e^(-2|u|)) (1 + e^(-2|v|))) neither cancels in the tails nor overflows.
+    """
+    u = kp.b * (x - kp.x_a)
+    v = kp.b * (kp.x_b - x)
+    num = np.exp(2.0 * np.minimum(np.minimum(u, v), 0.0)) * -np.expm1(-2.0 * kp.b * kp.l)
+    return 2.0 * num / ((1.0 + np.exp(-2.0 * np.abs(u))) * (1.0 + np.exp(-2.0 * np.abs(v))))
 
 
 def sample_profile(kp, half_width, n):
@@ -105,8 +111,7 @@ def sample_profile(kp, half_width, n):
     if not half_width > 0.0:
         raise ValueError("half_width must be positive")
     xs = np.linspace(kp.x_a - half_width, kp.x_b + half_width, int(n))
-    phis = np.array([kink_pair_profile(x, kp) for x in xs])
-    return FieldProfile(xs, phis)
+    return FieldProfile(xs, kink_pair_profile(xs, kp))
 
 
 def thin_wall_box(x, l, height):
@@ -160,9 +165,9 @@ def norm_constant(alpha, l):
 
 
 def eval_wavefunctional(u, spec):
-    """norm_c * exp(-alpha (u - center)^2)."""
-    d = float(u) - spec.center
-    return spec.norm_c * math.exp(-spec.alpha * d * d)
+    """norm_c * exp(-alpha (u - center)^2) at a float or numpy array ``u``."""
+    d = u - spec.center
+    return spec.norm_c * np.exp(-spec.alpha * d * d)
 
 
 def transport_pair_specs(l, eps_plus=DEFAULT_EPS_PLUS):

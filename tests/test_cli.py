@@ -200,6 +200,8 @@ def test_fit_jacobian_overflow_is_runtime_error(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    # the message names the overflowing quantity and the field
+    assert "Jacobian" in err and "1e-06" in err
     assert [p.name for p in tmp_path.iterdir()] == ["tiny.csv"]
 
 
@@ -279,6 +281,7 @@ def test_non_numeric_config_is_usage_error(tmp_path, capsys, command, config, fi
         (["matrix-element", "--eps-plus", "inf"], "argument --eps-plus: must be a finite number"),
         (["profile", "--half-width", "inf"], "argument --half-width: must be a finite number"),
         (["curve", "--e-t", "nan"], "argument --e-t: must be a finite number"),
+        (["matrix-element", "--over", "e", "--delta-s", "0"], "delta_s must be positive"),
     ],
     ids=[
         "profile-n",
@@ -289,6 +292,7 @@ def test_non_numeric_config_is_usage_error(tmp_path, capsys, command, config, fi
         "matrix-element-eps-plus-inf",
         "profile-half-width-inf",
         "curve-e-t-nan",
+        "matrix-element-over-e-delta-s",
     ],
 )
 def test_out_of_range_option_is_usage_error(tmp_path, capsys, args, message):
@@ -397,6 +401,14 @@ def test_matrix_element_table(tmp_path):
     for line in lines[1:]:
         cells = [float(c) for c in line.split(",")]
         assert cells[1] > 0.0 and cells[2] > 0.0 and cells[3] > 0.0
+
+
+def test_matrix_element_over_l_ignores_transport_options(tmp_path):
+    # delta_s and e_star map fields to separations; an L grid never reads them
+    default, given = tmp_path / "default.csv", tmp_path / "given.csv"
+    assert main(["matrix-element", "--out", str(default)]) == 0
+    assert main(["matrix-element", "--delta-s", "0", "--e-star", "-1", "--out", str(given)]) == 0
+    assert given.read_bytes() == default.read_bytes()
 
 
 def test_matrix_element_over_field_grid(tmp_path):

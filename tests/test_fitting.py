@@ -243,10 +243,10 @@ def test_array_jacobian_equals_scalar_jacobian():
             assert np.array_equal(d_cv, [r[1] for r in rows])
     assert far == {-1, 1}
     # where the bare cosh overflows, both raise
-    with pytest.raises(OverflowError):
+    with pytest.raises(OverflowError, match=r"Jacobian .* for fields in \[1e-06, 1e-06\]"):
         sge_model_jacobian(1e-6, 1.0, 1.0, 1.0)
-    with pytest.raises(OverflowError):
-        sge_jacobian_array(np.array([1.0, 1e-6]), 1.0, 1.0, 1.0)
+    with pytest.raises(OverflowError, match=r"Jacobian .* for fields in \[1e-07, 1e-06\]"):
+        sge_jacobian_array(np.array([1e-7, 1.0, 1e-6]), 1.0, 1.0, 1.0)
 
 
 def _point_by_point_fit(es, targets, free, start):

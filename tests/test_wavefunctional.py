@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cdwtunnel.numerics import integrate_adaptive
-from cdwtunnel.potential import topological_charge
+from cdwtunnel.potential import PotentialParams, eval_extended_potential, topological_charge
 from cdwtunnel.wavefunctional import (
     KinkPairProfile,
     WavefunctionalSpec,
@@ -37,6 +37,76 @@ def test_pair_far_tails_cancel():
 def test_pair_value_at_left_center():
     kp = KinkPairProfile(x_a=0.0, x_b=3.0, b=1.2)
     assert kink_pair_profile(0.0, kp) == pytest.approx(math.tanh(kp.b * kp.l), rel=1e-15)
+
+
+# (x_a, x_b, b, half_width, n): narrow pair, wide shallow pair, the `profile`
+# default, steep pair, and one bogomolnyi-sweep profile
+ORACLE_GRIDS = [
+    (0.0, 1e-3, 3.0, 40.0, 4001),
+    (-20.0, 20.0, 0.3, 60.0, 10001),
+    (-5.0, 5.0, 1.0, 15.0, 801),
+    (-0.5, 0.5, 4.0, 25.0, 4001),
+    (-7.5, 7.5, 0.5, 25.0, 4001),
+]
+
+
+@pytest.mark.parametrize("x_a, x_b, b, half_width, n", ORACLE_GRIDS)
+def test_profile_matches_mpmath_in_tails_and_core(x_a, x_b, b, half_width, n):
+    mpmath = pytest.importorskip("mpmath")
+    kp = KinkPairProfile(x_a=x_a, x_b=x_b, b=b)
+    prof = sample_profile(kp, half_width, n)
+    worst = 0.0
+    with mpmath.workdps(60):
+        # sinh(bL)/(cosh u cosh v), not the tanh sum, which cancels even at 60 digits
+        top = mpmath.sinh(mpmath.mpf(b) * (mpmath.mpf(x_b) - x_a))
+        for x, phi in zip(prof.xs.tolist(), prof.phis.tolist()):
+            u = mpmath.mpf(b) * (mpmath.mpf(x) - x_a)
+            v = mpmath.mpf(b) * (x_b - mpmath.mpf(x))
+            ref = top / (mpmath.cosh(u) * mpmath.cosh(v))
+            worst = max(worst, float(abs(phi - ref) / ref))
+    # conditioning of e^(-2|u|) under rounding of u: 2|u| eps, |u| up to 120
+    assert worst <= 1e-13
+
+
+def test_profile_symmetric_bounded_and_peaked_at_midpoint(tmp_path, monkeypatch):
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    monkeypatch.setenv("HYPOTHESIS_STORAGE_DIRECTORY", str(tmp_path))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.floats(-3.0, 3.0), st.floats(-2.0, 2.0), st.floats(0.0, 1e4))
+    def run(log_l, log_b, d):
+        l, b = 10.0**log_l, 10.0**log_b
+        kp = KinkPairProfile(x_a=-0.5 * l, x_b=0.5 * l, b=b)
+        left, right = kink_pair_profile(-d, kp), kink_pair_profile(d, kp)
+        assert left == right
+        assert 0.0 <= right <= 2.0
+        mid = 2.0 * math.tanh(0.5 * b * l)
+        assert abs(kink_pair_profile(0.0, kp) - mid) <= 1e-15 * mid
+
+    run()
+
+
+_KP = KinkPairProfile(x_a=-2.0, x_b=3.0, b=1.7)
+_POTENTIAL = PotentialParams(c1=1.3, c2=0.7)
+_STATE = WavefunctionalSpec.normalized(0.4, 5.0, center=2.0)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        lambda x: kink_pair_profile(x, _KP),
+        lambda x: eval_extended_potential(x, _POTENTIAL),
+        lambda x: eval_wavefunctional(x, _STATE),
+    ],
+    ids=["kink-pair", "extended-potential", "wavefunctional"],
+)
+def test_one_kernel_for_points_and_grids(kernel):
+    xs = np.concatenate([np.linspace(-40.0, 40.0, 2001), np.random.default_rng(5).normal(0.0, 8.0, 500)])
+    on_grid = kernel(xs)
+    assert on_grid.shape == xs.shape
+    assert on_grid.tolist() == [float(kernel(x)) for x in xs.tolist()]
 
 
 def test_pair_validation():
