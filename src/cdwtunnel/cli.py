@@ -267,6 +267,8 @@ def _parse_data_csv(path):
             i = float(cells[1])
         except ValueError as exc:
             raise CliUsageError(f"line {lineno}: non-numeric cell ({exc})") from exc
+        if not (math.isfinite(e) and math.isfinite(i)):
+            raise CliUsageError(f"line {lineno}: non-finite cell")
         es.append(e)
         currents.append(i)
     if not es:
@@ -344,12 +346,11 @@ def _cmd_matrix_element(o):
     rows = []
     for g in grid:
         l = transport.pair_separation(float(g), tp) if o.over == "e" else float(g)
-        alpha = potential.alpha_from_separation(l)
         spec_i, spec_f = wavefunctional.transport_pair_specs(l, o.eps_plus)
         inputs = tunneling.MatrixElementInputs(
             x_bar=o.x_bar,
             l=l,
-            alpha=alpha,
+            alpha=spec_i.alpha,
             n1=o.n1,
             c1_norm=spec_i.norm_c,
             c2_norm=spec_f.norm_c,

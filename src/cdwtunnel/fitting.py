@@ -137,7 +137,7 @@ def fit_sge_to_points(es, targets, free, start):
     if not names:
         resid = targets - current(es, start.c_tilde1, start.c_v)
         rms = float(np.sqrt(np.mean(resid**2)))
-        return FitResult(params=np.array([]), residual_rms=rms, iterations=0, converged=True)
+        return FitResult(params=np.array([]), residual_rms=rms, iterations=0)
 
     def unpack(params):
         values = dict(zip(names, map(float, params)))
@@ -155,7 +155,7 @@ def fit_sge_to_points(es, targets, free, start):
         return np.column_stack([columns[n] for n in names])
 
     params0 = np.array([getattr(start, n) for n in names], dtype=float)
-    return least_squares_fit(model, params0, np.column_stack((es, targets)), jacobian=jacobian)
+    return least_squares_fit(model, params0, np.column_stack((es, targets)), jacobian)
 
 
 def fit_sge_to_zener(tp_zener, e_grid, free=frozenset(FREE_PARAM_ORDER), start=None):

@@ -3,7 +3,9 @@
 Everything downstream (potentials, wavefunctionals, transport, fitting and
 the verification oracles) builds on these operations.  ``integrate_adaptive``
 is an interval-batched adaptive Gauss-Kronrod (G10K21, QUADPACK's qk21) rule
-that evaluates its integrand on numpy arrays of nodes.  The overflow-safe
+and ``least_squares_fit`` a damped Gauss-Newton fitter that needs the
+model's Jacobian; both call their callables on whole numpy arrays and
+check the shape of what comes back.  The overflow-safe
 cosh(arg) * exp(expo) product has a scalar form, for the per-point matrix
 elements, and an array form, for the current laws; the array form maps
 ``math.cosh``/``exp`` over the elements, so each value is bitwise equal to
@@ -121,10 +123,9 @@ def integrate_adaptive(f, a, b, tol, max_depth=48):
     evaluates ``f`` once on a numpy array of the 21 nodes of every
     unconverged interval, and accepts an interval when |K21 - G10| is within
     its tolerance share, which halves with each bisection, so the absolute
-    error of the sum stays at or below ``tol``.  ``f`` may take arrays
-    (``np.exp``-style) or floats only; a callback that raises TypeError or
-    ValueError on the node array, or returns another shape, is called once
-    per node, decided once per call.
+    error of the sum stays at or below ``tol``.  ``f`` maps the float node
+    array to a float array of the same shape (``np.exp``-style); any other
+    shape raises ValueError naming it.
 
     Raises QuadratureError when an interval still misses its tolerance
     share after ``max_depth`` bisections, or when more than ``_MAX_ACTIVE``
@@ -140,16 +141,12 @@ def integrate_adaptive(f, a, b, tol, max_depth=48):
         return 0.0
     lo = np.array([a])
     hi = np.array([b])
-    evaluate = None
     accepted = []
     depth = 0
     while True:
         half = 0.5 * (hi - lo)
         x = ((0.5 * (lo + hi))[:, None] + half[:, None] * _GK_NODES).ravel()
-        if evaluate is None:
-            evaluate, y = _choose_evaluation(f, x)
-        else:
-            y = evaluate(x)
+        y = _evaluate(f, "integrand", x.shape, x)
         est, diff = (y.reshape(-1, 21) @ _GK_WEIGHTS).T
         est *= half
         err = np.abs(diff * half)
@@ -170,26 +167,12 @@ def integrate_adaptive(f, a, b, tol, max_depth=48):
         depth += 1
 
 
-def _choose_evaluation(f, x):
-    """Evaluate ``f`` on the node array ``x`` and pick how later rounds call it.
-
-    Returns ``(evaluate, f(x))``: ``f`` itself on arrays when it maps the node
-    array to an array of the same shape, else ``f`` mapped over floats.
-    """
-
-    def mapped(nodes):
-        return np.array([f(t) for t in nodes.tolist()], dtype=float)
-
-    def direct(nodes):
-        return np.asarray(f(nodes), dtype=float)
-
-    try:
-        y = direct(x)
-    except (TypeError, ValueError):
-        y = None
-    if y is not None and y.shape == x.shape:
-        return direct, y
-    return mapped, mapped(x)
+def _evaluate(fn, what, shape, *args):
+    """``fn(*args)`` as a float array, which must have ``shape``."""
+    out = np.asarray(fn(*args), dtype=float)
+    if out.shape != shape:
+        raise ValueError(f"{what} returned shape {out.shape}; expected {shape}")
+    return out
 
 
 def finite_diff_gradient(f, x, h=1e-6):
@@ -219,65 +202,44 @@ class FitResult:
 
     ``stop`` says why the fit ended: ``"converged"``, ``"max_iter"`` (the
     iteration budget ran out) or ``"damping_collapse"`` (the damping grew
-    past 1e15 without an accepted step).  ``converged`` is true exactly
-    when ``stop`` is ``"converged"``.
+    past 1e15 without an accepted step).  ``converged`` is read from
+    ``stop``.
     """
 
     params: np.ndarray
     residual_rms: float
     iterations: int
-    converged: bool
     stop: str = "converged"
 
     def __post_init__(self):
         self.params = np.asarray(self.params, dtype=float)
         if self.stop not in _STOP_REASONS:
             raise ValueError(f"stop must be one of {_STOP_REASONS}")
-        if self.converged != (self.stop == "converged"):
-            raise ValueError("converged must hold exactly when stop is 'converged'")
         if self.converged and not (np.isfinite(self.residual_rms) and self.residual_rms >= 0.0):
             raise ValueError("converged fit must carry a finite non-negative residual")
 
-
-def _evaluate(fn, what, xs, params, shape):
-    """``fn(xs, params)`` as a float array, which must have ``shape``."""
-    out = np.asarray(fn(xs, params), dtype=float)
-    if out.shape != shape:
-        raise ValueError(f"{what} returned shape {out.shape} for {xs.size} points; expected {shape}")
-    return out
+    @property
+    def converged(self):
+        """True exactly when ``stop`` is ``"converged"``."""
+        return self.stop == "converged"
 
 
-def _numeric_jacobian(model, params, xs):
-    shape = (xs.size,)
-    jac = np.empty((xs.size, params.size))
-    for j in range(params.size):
-        h = 1e-6 * max(1.0, abs(params[j]))
-        pp = params.copy()
-        pm = params.copy()
-        pp[j] += h
-        pm[j] -= h
-        diff = _evaluate(model, "model", xs, pp, shape) - _evaluate(model, "model", xs, pm, shape)
-        jac[:, j] = diff / (2.0 * h)
-    return jac
-
-
-def least_squares_fit(model, params0, data, jacobian=None, max_iter=200):
+def least_squares_fit(model, params0, data, jacobian, max_iter=200):
     """Damped Gauss-Newton least squares for models y = model(x, params).
 
-    ``data`` is a sequence of (x, y) pairs, or an (n, 2) array.  The model
-    and the Jacobian evaluate the whole data set in one call: with ``xs``
-    the float array of the n abscissae, ``model(xs, params)`` returns the n
-    model values and ``jacobian(xs, params)`` the (n, p) matrix of their
-    derivatives; any other shape raises ValueError.  Without ``jacobian``
-    it is numeric central differences (h = 1e-6 max(1, |p|)), two model
-    calls per parameter.  Damping is multiplied by 10 on a rejected step
-    and divided by 10 on an accepted one; singular normal equations only
-    raise the damping.  Deterministic for fixed inputs.
+    ``data`` is a sequence of finite (x, y) pairs, or an (n, 2) array.  The
+    model and its Jacobian evaluate the whole data set in one call: with
+    ``xs`` the float array of the n abscissae, ``model(xs, params)`` returns
+    the n model values and ``jacobian(xs, params)`` the (n, p) matrix of
+    their derivatives; any other shape raises ValueError.  Damping is
+    multiplied by 10 on a rejected step and divided by 10 on an accepted
+    one; singular normal equations only raise the damping.  Deterministic
+    for fixed inputs.
 
     Converged means the relative step size and the relative residual change
-    both fell below 1e-10.  Non-convergence is reported through
-    the flag and ``stop`` (``"max_iter"`` or ``"damping_collapse"``) with
-    the best parameters seen, never as an exception.
+    both fell below 1e-10.  Non-convergence is reported through ``stop``
+    (``"max_iter"`` or ``"damping_collapse"``) with the best parameters
+    seen, never as an exception.
     """
     params = np.asarray(params0, dtype=float).copy()
     if params.ndim != 1 or params.size == 0:
@@ -289,12 +251,14 @@ def least_squares_fit(model, params0, data, jacobian=None, max_iter=200):
         raise ValueError("data must be non-empty")
     if points.ndim != 2 or points.shape[1] != 2:
         raise ValueError("data must be a sequence of (x, y) pairs")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("data must be finite")
     xs = points[:, 0].copy()
     ys = points[:, 1].copy()
     n = ys.size
 
     def cost_of(p):
-        r = ys - _evaluate(model, "model", xs, p, (n,))
+        r = ys - _evaluate(model, "model", (n,), xs, p)
         if not np.all(np.isfinite(r)):
             return None, np.inf
         return r, float(r @ r)
@@ -307,10 +271,7 @@ def least_squares_fit(model, params0, data, jacobian=None, max_iter=200):
     stop = "max_iter"
     iterations = 0
     while iterations < max_iter:
-        if jacobian is not None:
-            jac = _evaluate(jacobian, "jacobian", xs, params, (n, params.size))
-        else:
-            jac = _numeric_jacobian(model, params, xs)
+        jac = _evaluate(jacobian, "jacobian", (n, params.size), xs, params)
         grad = jac.T @ resid
         normal = jac.T @ jac
         diag = np.diag(normal).copy()
@@ -352,6 +313,5 @@ def least_squares_fit(model, params0, data, jacobian=None, max_iter=200):
         params=params,
         residual_rms=rms,
         iterations=iterations,
-        converged=stop == "converged",
         stop=stop,
     )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import integrate_adaptive
-from .potential import FieldProfile
+from .potential import FieldProfile, alpha_from_separation
 
 __all__ = [
     "DEFAULT_EPS_PLUS",
@@ -176,9 +176,7 @@ def transport_pair_specs(l, eps_plus=DEFAULT_EPS_PLUS):
     Width alpha = 1/L for both; centers 0 and 2 pi + eps_plus; both carry
     the one-sided normalization constant for that (alpha, L).
     """
-    if not l > 0.0:
-        raise ValueError("separation L must be positive")
-    alpha = 1.0 / l
+    alpha = alpha_from_separation(l)
     initial = WavefunctionalSpec.normalized(alpha, l, center=0.0)
     final = WavefunctionalSpec.normalized(alpha, l, center=TWO_PI + eps_plus)
     return initial, final

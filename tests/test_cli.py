@@ -183,6 +183,19 @@ def test_fit_malformed_csv_names_line(tmp_path, capsys):
     assert "line 7" in capsys.readouterr().err
 
 
+def test_fit_non_finite_cell_is_usage_error(tmp_path, capsys):
+    # nan, inf and an overflowing literal parse as floats; each is malformed data
+    for n, row in enumerate(["1.5,nan", "1.5,inf", "1.5,1e999", "nan,0.3", "-inf,0.3"]):
+        data = tmp_path / f"bad{n}.csv"
+        data.write_text(f"e,i\n2.0,0.5\n{row}\n3.0,0.9\n")
+        out = tmp_path / "report.json"
+        code = main(["fit", "--data", str(data), "--out", str(out)])
+        stdout, err = capsys.readouterr()
+        assert code == 1 and stdout == ""
+        assert err == "error: line 3: non-finite cell\n"
+        assert not out.exists()
+
+
 def test_fit_empty_data_file(tmp_path, capsys):
     data = tmp_path / "empty.csv"
     data.write_text("e,i\n")

@@ -1,0 +1,36 @@
+"""The names perfbench's tracer wraps exist and are put back after a traced run.
+
+The tracer patches library names by attribute lookup, so deleting or
+renaming one of them (``fitting.current_sge``, ``fitting.sge_model_jacobian``,
+``_backend.kernels`` and the rest) fails here rather than only under
+``pytest perfbench``.
+"""
+
+from pathlib import Path
+
+import cdwtunnel
+import cdwtunnel._backend
+from cdwtunnel import fitting, numerics
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_tracer_installs_and_restores(monkeypatch):
+    # perfbench records cdwtunnel.BACKEND and wraps the quadrature through _backend.kernels
+    assert cdwtunnel.BACKEND == "pure"
+    assert cdwtunnel._backend.kernels is cdwtunnel.numerics
+    assert cdwtunnel.QuadratureError is cdwtunnel._backend.kernels.QuadratureError
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    originals = (numerics.integrate_adaptive, numerics.least_squares_fit, fitting.current_sge)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        patched = (numerics.integrate_adaptive, numerics.least_squares_fit, fitting.current_sge)
+    finally:
+        restored = tracer.restore()
+    assert all(new is not old for new, old in zip(patched, originals))
+    assert restored > 0
+    assert (numerics.integrate_adaptive, numerics.least_squares_fit, fitting.current_sge) == originals
