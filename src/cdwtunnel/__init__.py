@@ -1,15 +1,15 @@
 """Soliton-pair tunneling transport for charge density waves.
 
-Numerical core (special functions, adaptive quadrature, damped
-Gauss-Newton), sine-Gordon-family potentials with an energy-bound
+Numerical core (special functions, adaptive quadrature, Levenberg-Marquardt
+least squares), sine-Gordon-family potentials with an energy-bound
 diagnostic, kink-pair profiles and Gaussian collective-coordinate
 wavefunctionals, analytic tunneling matrix elements with an independent
 quadrature oracle, the soliton-pair and Zener current laws, and fitting of
 one against the other.
 
 Each formula is one function in the module that owns its physics; the
-array forms of the current laws, which fits and curve series use, are
-bitwise equal to the scalar ones.  Everything is plain Python on numpy
+scalar current laws are one-element calls of the array kernels that fits
+and curve series use.  Everything is plain Python on numpy
 (``cdwtunnel.BACKEND`` is ``"pure"``).
 """
 

@@ -120,7 +120,8 @@ def fit_sge_to_points(es, targets, free, start):
     Free parameters are taken in FREE_PARAM_ORDER; everything else is held
     at ``start``.  Every field must be positive.  An empty ``free`` set
     performs no iterations and just reports the residual of the start
-    parameters.
+    parameters; like a fit, it raises ValueError where the model is not
+    finite at the start.
     """
     es = np.asarray(es, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -136,6 +137,8 @@ def fit_sge_to_points(es, targets, free, start):
 
     if not names:
         resid = targets - current(es, start.c_tilde1, start.c_v)
+        if not np.all(np.isfinite(resid)):
+            raise ValueError("model is not evaluable at the initial parameters")
         rms = float(np.sqrt(np.mean(resid**2)))
         return FitResult(params=np.array([]), residual_rms=rms, iterations=0)
 

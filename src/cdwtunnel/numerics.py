@@ -3,16 +3,16 @@
 Everything downstream (potentials, wavefunctionals, transport, fitting and
 the verification oracles) builds on these operations.  ``integrate_adaptive``
 is an interval-batched adaptive Gauss-Kronrod (G10K21, QUADPACK's qk21) rule
-and ``least_squares_fit`` a damped Gauss-Newton fitter that needs the
+and ``least_squares_fit`` a Levenberg-Marquardt fitter that needs the
 model's Jacobian; both call their callables on whole numpy arrays and
 check the shape of what comes back.  The overflow-safe
-cosh(arg) * exp(expo) product has a scalar form, for the per-point matrix
-elements, and an array form, for the current laws; the array form maps
-``math.cosh``/``exp`` over the elements, so each value is bitwise equal to
-the scalar one.  All functions are pure; there is no module state.
+cosh(arg) * exp(expo) product has a scalar form on ``math``, for the
+per-point matrix elements, and an array form on numpy's cosh/exp, for the
+current laws.  All functions are pure; there is no module state.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +30,13 @@ __all__ = [
 # dropped (1 + e^(-2|arg|)) factor is below double-precision resolution.
 _COSH_DIRECT_LIMIT = 35.0
 _LN2 = math.log(2.0)
+# exp overflows above _EXP_MAX and is subnormal below _EXP_NORMAL_MIN.  Below
+# it the direct product is formed as cosh(arg) exp(expo + _EXP_SHIFT) e^-_EXP_SHIFT,
+# which keeps full precision wherever the product itself is a normal float.
+_EXP_MAX = math.log(sys.float_info.max)
+_EXP_NORMAL_MIN = math.log(sys.float_info.min)
+_EXP_SHIFT = 64.0
+_EXP_UNSHIFT = math.exp(-_EXP_SHIFT)
 
 
 class QuadratureError(RuntimeError):
@@ -45,39 +52,30 @@ def _cosh_times_exp(arg, expo):
     """cosh(arg) * exp(expo) without overflow for large |arg| or -expo."""
     a = abs(arg)
     if a <= _COSH_DIRECT_LIMIT:
+        if expo < _EXP_NORMAL_MIN:
+            return math.cosh(arg) * math.exp(expo + _EXP_SHIFT) * _EXP_UNSHIFT
         return math.cosh(arg) * math.exp(expo)
     t = a + expo - _LN2
-    if t > 709.0:
+    if t > _EXP_MAX:
         return math.inf
     return math.exp(t)
 
 
-def _elementwise(fn):
-    """The math-module function ``fn`` applied to each element of a float array.
-
-    numpy's own cosh/exp may differ from ``math``'s in the last bit; mapping
-    the ``math`` function keeps the array kernels bitwise equal to the scalar ones.
-    """
-    return lambda x: np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
-
-
-_COSH = _elementwise(math.cosh)
-_SINH = _elementwise(math.sinh)
-_EXP = _elementwise(math.exp)
-
-
 def _cosh_times_exp_array(arg, expo):
-    """``_cosh_times_exp`` on arrays, element for element."""
+    """``_cosh_times_exp`` on float arrays, element for element, with numpy's cosh/exp."""
     a = np.abs(arg)
-    out = np.empty_like(a)
     near = a <= _COSH_DIRECT_LIMIT
-    out[near] = _COSH(arg[near]) * _EXP(expo[near])
+    deep = expo < _EXP_NORMAL_MIN
+    if near.all() and not deep.any():
+        return np.cosh(arg) * np.exp(expo)
+    out = np.empty_like(a)
+    deep &= near
+    direct = near & ~deep
+    out[direct] = np.cosh(arg[direct]) * np.exp(expo[direct])
+    out[deep] = np.cosh(arg[deep]) * np.exp(expo[deep] + _EXP_SHIFT) * _EXP_UNSHIFT
     far = ~near
-    t = a[far] + expo[far] - _LN2
-    finite = ~(t > 709.0)
-    vals = np.full_like(t, math.inf)
-    vals[finite] = _EXP(t[finite])
-    out[far] = vals
+    with np.errstate(over="ignore"):
+        out[far] = np.exp(a[far] + expo[far] - _LN2)
     return out
 
 
@@ -195,15 +193,28 @@ def finite_diff_gradient(f, x, h=1e-6):
 
 _STOP_REASONS = ("converged", "max_iter", "damping_collapse")
 
+# Levenberg-Marquardt constants: the damping mu is relative to the Marquardt
+# scale D, starts at _MU_START and past _MU_MAX ends the fit; an extra trial
+# along an accepted step goes _REACH_MIN to _REACH_MAX step lengths; the stop
+# tests compare against _GTOL (gradient cosine), _FTOL (relative cost
+# reduction) and _RESIDUAL_FLOOR (residual norm relative to the data norm).
+_MU_START = 1e-3
+_MU_MAX = 1e15
+_REACH_MIN = 2.0
+_REACH_MAX = 100.0
+_GTOL = 1e-12
+_FTOL = 1e-14
+_RESIDUAL_FLOOR = 16.0 * np.finfo(float).eps
+
 
 @dataclass
 class FitResult:
-    """Outcome of a damped Gauss-Newton fit.
+    """Outcome of a Levenberg-Marquardt fit.
 
-    ``stop`` says why the fit ended: ``"converged"``, ``"max_iter"`` (the
-    iteration budget ran out) or ``"damping_collapse"`` (the damping grew
-    past 1e15 without an accepted step).  ``converged`` is read from
-    ``stop``.
+    ``stop`` says why the fit ended: ``"converged"`` (one of the stop tests
+    of ``least_squares_fit`` passed), ``"max_iter"`` (the budget of trial
+    steps ran out) or ``"damping_collapse"`` (the damping grew past 1e15
+    without an accepted step).  ``converged`` is read from ``stop``.
     """
 
     params: np.ndarray
@@ -225,19 +236,35 @@ class FitResult:
 
 
 def least_squares_fit(model, params0, data, jacobian, max_iter=200):
-    """Damped Gauss-Newton least squares for models y = model(x, params).
+    """Levenberg-Marquardt least squares for models y = model(x, params).
 
     ``data`` is a sequence of finite (x, y) pairs, or an (n, 2) array.  The
     model and its Jacobian evaluate the whole data set in one call: with
     ``xs`` the float array of the n abscissae, ``model(xs, params)`` returns
     the n model values and ``jacobian(xs, params)`` the (n, p) matrix of
-    their derivatives; any other shape raises ValueError.  Damping is
-    multiplied by 10 on a rejected step and divided by 10 on an accepted
-    one; singular normal equations only raise the damping.  Deterministic
+    their derivatives; any other shape raises ValueError.  Deterministic
     for fixed inputs.
 
-    Converged means the relative step size and the relative residual change
-    both fell below 1e-10.  Non-convergence is reported through ``stop``
+    Each trial step solves (J^T J + mu D) step = J^T r, where D is the
+    running maximum of diag(J^T J) (Marquardt's scaling, as in MINPACK's
+    ``lmder``; a zero entry counts as 1).  The damping follows Nielsen's
+    gain-ratio rule: with rho the actual over the predicted cost reduction,
+    an accepted step (rho > 0) multiplies mu by max(1/3, 1 - (2 rho - 1)^3),
+    and a rejected one by 2, 4, 8, ... in turn.  Where the actual reduction
+    of an accepted step puts the minimum of the cost along it 2 to 100 step
+    lengths out, that point is tried too; on large-residual fits such as the
+    Zener fits, Gauss-Newton steps otherwise creep along a curved valley.
+    ``iterations`` counts these trials and the trial steps, rejected ones
+    included.
+
+    Converged means one of three tests passed: every Jacobian column is
+    within a cosine of 1e-12 of orthogonal to the residual (the scaled
+    gradient test); a step's actual and predicted cost reductions are both
+    at most 1e-14 of the cost (MINPACK's ``ftol`` test; that step is taken,
+    since the gradient still resolves it where the cost no longer does); or
+    the residual norm is at most 16 ulp of the data norm, so that rounding,
+    not the parameters, limits it, as on a zero-residual fit.
+    Non-convergence is reported through ``stop``
     (``"max_iter"`` or ``"damping_collapse"``) with the best parameters
     seen, never as an exception.
     """
@@ -267,46 +294,71 @@ def least_squares_fit(model, params0, data, jacobian, max_iter=200):
     if resid is None:
         raise ValueError("model is not evaluable at the initial parameters")
 
-    lam = 1e-3
+    cost_floor = (_RESIDUAL_FLOOR * float(np.linalg.norm(ys))) ** 2
+    scale = np.zeros(params.size)
+    mu, nu = _MU_START, 2.0
     stop = "max_iter"
     iterations = 0
-    while iterations < max_iter:
-        jac = _evaluate(jacobian, "jacobian", (n, params.size), xs, params)
-        grad = jac.T @ resid
-        normal = jac.T @ jac
-        diag = np.diag(normal).copy()
-        diag[diag <= 0.0] = np.max(diag) if np.max(diag) > 0.0 else 1.0
-
-        accepted = False
-        while iterations < max_iter and not accepted:
-            iterations += 1
-            try:
-                step = np.linalg.solve(normal + lam * np.diag(diag), grad)
-            except np.linalg.LinAlgError:
-                step = None
-            if step is None or not np.all(np.isfinite(step)):
-                lam *= 10.0
-                continue
-            trial = params + step
-            trial_resid, trial_cost = cost_of(trial)
-            if trial_cost <= cost:
-                rel_step = np.linalg.norm(step) / max(1.0, np.linalg.norm(params))
-                rel_drop = abs(cost - trial_cost) / max(cost, 1e-300)
-                params = trial
-                resid = trial_resid
-                cost = trial_cost
-                lam = max(lam / 10.0, 1e-14)
-                accepted = True
-                if rel_step < 1e-10 and rel_drop < 1e-10:
-                    stop = "converged"
-            else:
-                lam *= 10.0
-                if lam > 1e15:
-                    # damping has collapsed the step to nothing useful
-                    stop = "damping_collapse"
-                    break
-        if stop != "max_iter" or not accepted:
+    jac = None
+    while cost > cost_floor:
+        if jac is None:
+            jac = _evaluate(jacobian, "jacobian", (n, params.size), xs, params)
+            grad = jac.T @ resid
+            normal = jac.T @ jac
+            col_sq = np.diag(normal)
+            scale = np.maximum(scale, col_sq)
+            damping = np.diag(np.where(scale > 0.0, scale, 1.0))
+            live = col_sq > 0.0
+            if np.all(np.abs(grad[live]) <= _GTOL * np.sqrt(col_sq[live] * cost)):
+                stop = "converged"
+                break
+        if iterations >= max_iter:
             break
+        iterations += 1
+        try:
+            step = np.linalg.solve(normal + mu * damping, grad)
+        except np.linalg.LinAlgError:
+            step = None
+        rho = -math.inf
+        if step is not None and np.all(np.isfinite(step)):
+            trial_resid, trial_cost = cost_of(params + step)
+            # the linear model's reduction, |J step|^2 + 2 mu step^T D step, is never negative
+            predicted = float(np.sum((jac @ step) ** 2) + 2.0 * mu * (step @ damping @ step))
+            actual = cost - trial_cost
+            if predicted > 0.0:
+                rho = actual / predicted
+            if abs(actual) <= _FTOL * cost and predicted <= _FTOL * cost and rho <= 2.0:
+                # The cost no longer resolves the step, but the gradient that
+                # made it still does: take it and stop.
+                params, resid, cost = params + step, trial_resid, trial_cost
+                stop = "converged"
+                break
+            if rho > 0.0:
+                # Along the step the cost is c - 2 t slope + t^2 curvature, with the
+                # curvature read off the actual reduction; where that puts the line
+                # minimum at _REACH_MIN steps or beyond, try it once.
+                slope = float(grad @ step)
+                curvature = 2.0 * slope - actual
+                reach = slope / curvature if curvature * _REACH_MAX > slope else _REACH_MAX
+                if reach >= _REACH_MIN and iterations < max_iter:
+                    iterations += 1
+                    far_resid, far_cost = cost_of(params + reach * step)
+                    if far_cost < trial_cost:
+                        step, trial_resid, trial_cost = reach * step, far_resid, far_cost
+                params, resid, cost = params + step, trial_resid, trial_cost
+                jac = None
+        if rho > 0.0:
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            nu = 2.0
+        else:
+            mu *= nu
+            nu *= 2.0
+            if mu > _MU_MAX:
+                # damping has collapsed the step to nothing useful
+                stop = "damping_collapse"
+                break
+    else:
+        stop = "converged"
 
     rms = float(np.sqrt(cost / n))
     return FitResult(

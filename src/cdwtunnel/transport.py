@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _COSH, _EXP, _SINH, _cosh_times_exp_array
+from .numerics import _cosh_times_exp_array
 
 __all__ = [
     "CurveSeries",
@@ -37,7 +37,7 @@ __all__ = [
 
 CONVENTIONS = ("printed", "substituted")
 MODELS = ("sge", "zener")
-_COSH_ARG_MAX = math.acosh(np.finfo(float).max)  # largest |x| with finite math.cosh, sinh
+_COSH_ARG_MAX = math.acosh(np.finfo(float).max)  # largest |x| with finite cosh, sinh
 
 
 @dataclass(frozen=True)
@@ -180,8 +180,8 @@ def current_sge_log(e, tp, convention="printed"):
 def sge_jacobian(e, c_tilde1, c_v, e_t):
     """(dI/dc_tilde1, dI/dc_v) of the printed pair current at field e.
 
-    Uses bare cosh/sinh, so it raises OverflowError, naming the fields,
-    where |arg| exceeds about 710.48, unlike the overflow-safe current itself.
+    Raises OverflowError, naming the fields, where |arg| exceeds about 710.48,
+    the range of a bare cosh and sinh, unlike the overflow-safe current itself.
     """
     d_ct1, d_cv = sge_jacobian_array(_single_field(e), c_tilde1, c_v, e_t)
     return float(d_ct1[0]), float(d_cv[0])
@@ -194,16 +194,13 @@ def sge_jacobian_array(es, c_tilde1, c_v, e_t):
         a = np.sqrt(2.0 / chi)
         b = np.sqrt(chi)
         arg = a - b
-        try:
-            cosh_arg, sinh_arg = _COSH(arg), _SINH(arg)
-        except OverflowError:
-            over = es[np.abs(arg) > _COSH_ARG_MAX]
+        over = np.abs(arg) > _COSH_ARG_MAX
+        if over.any():
             msg = f"pair-current Jacobian overflows: |cosh argument| > {_COSH_ARG_MAX:.2f} for fields in"
-            raise OverflowError(f"{msg} [{float(over.min())!r}, {float(over.max())!r}]") from None
-        decay = _EXP(-chi)
-        # dI/dchi = C~1 e^-chi [sinh(arg)(-(a+b)/(2 chi)) - cosh(arg)], dchi/dc_v = chi/c_v
-        dchi = c_tilde1 * decay * (-sinh_arg * (a + b) / (2.0 * chi) - cosh_arg)
-        return cosh_arg * decay, dchi * chi / c_v
+            raise OverflowError(f"{msg} [{float(es[over].min())!r}, {float(es[over].max())!r}]")
+        d_ct1 = _cosh_times_exp_array(arg, -chi)
+        # dI/dchi = -C~1 cosh(arg) e^-chi [tanh(arg) (a+b)/(2 chi) + 1], dchi/dc_v = chi/c_v
+        return d_ct1, d_ct1 * ((-c_tilde1 / c_v) * (np.tanh(arg) * (0.5 * (a + b)) + chi))
 
 
 def current_zener(e, tp):
@@ -217,7 +214,7 @@ def current_zener_array(es, e_t, g_p):
     above = ~(es <= e_t)
     ea = es[above]
     with np.errstate(all="ignore"):
-        out[above] = g_p * (ea - e_t) * _EXP(-e_t / ea)
+        out[above] = g_p * (ea - e_t) * np.exp(-e_t / ea)
     return out
 
 

@@ -174,9 +174,9 @@ def transport_pair_specs(l, eps_plus=DEFAULT_EPS_PLUS):
     """(initial, final) transport states for pair separation L.
 
     Width alpha = 1/L for both; centers 0 and 2 pi + eps_plus; both carry
-    the one-sided normalization constant for that (alpha, L).
+    the one-sided normalization constant for that (alpha, L), computed once.
     """
     alpha = alpha_from_separation(l)
     initial = WavefunctionalSpec.normalized(alpha, l, center=0.0)
-    final = WavefunctionalSpec.normalized(alpha, l, center=TWO_PI + eps_plus)
+    final = WavefunctionalSpec(alpha, TWO_PI + eps_plus, initial.norm_c, initial.u_max)
     return initial, final

@@ -218,6 +218,31 @@ def test_fit_jacobian_overflow_is_runtime_error(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["tiny.csv"]
 
 
+def test_fit_empty_free_set_reports_an_unevaluable_start(tmp_path, capsys):
+    # the pair current overflows at these fields; with no free parameter the
+    # report is the start's residual, which does not exist
+    data = tmp_path / "huge.csv"
+    data.write_text("e,i\n1e6,1\n2e6,2\n")
+    code = main(["fit", "--data", str(data), "--free", "", "--out", str(tmp_path / "report.json")])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: model is not evaluable at the initial parameters\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["huge.csv"]
+
+
+def test_fit_stops_on_a_rank_deficient_problem(tmp_path, capsys):
+    # one distinct field: c_tilde1 and c_v trade off along a flat valley whose
+    # floor puts the model at the mean of the two currents
+    data = tmp_path / "one_field.csv"
+    data.write_text("e,i\n2.0,1\n2.0,3\n")
+    code = main(["fit", "--data", str(data)])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["converged"] is True
+    assert report["residual_rms"] == 1.0
+    assert report["iterations"] < 20
+
+
 def test_fit_grid_below_threshold_is_runtime_error(capsys):
     code = main(["fit", "--grid-lo", "0.5", "--grid-hi", "5", "--grid-n", "30"])
     assert code == 2
@@ -501,3 +526,14 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert f"cdwtunnel {cdwtunnel.__version__}" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is a test-only oracle; importing it at run time would add to every
+    # command's start-up time and memory
+    src = str(Path(cdwtunnel.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, cdwtunnel.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -289,6 +289,24 @@ def test_fit_survives_degenerate_jacobian():
     assert fit2.params[0] == pytest.approx(2.0, rel=1e-8)
 
 
+def test_fit_stops_when_parameters_enter_only_as_a_product():
+    # J^T J is singular everywhere: the optimum is a curve p0 p1 = slope, and
+    # the fit must stop on it rather than wander along it until max_iter
+    xs = np.linspace(0.5, 2.0, 12)
+    ys = 3.0 * xs + 0.1 * (-1.0) ** np.arange(12)
+    slope = (xs @ ys) / (xs @ xs)
+    fit = least_squares_fit(
+        lambda x, p: p[0] * p[1] * x,
+        np.array([1.0, 1.0]),
+        np.column_stack([xs, ys]),
+        lambda x, p: np.column_stack([p[1] * x, p[0] * x]),
+    )
+    assert fit.converged
+    assert fit.iterations < 20
+    assert fit.params[0] * fit.params[1] == pytest.approx(slope, rel=1e-10)
+    assert fit.residual_rms == pytest.approx(math.sqrt(np.mean((ys - slope * xs) ** 2)), rel=1e-12)
+
+
 def test_fit_is_deterministic():
     truth = np.array([1.7, 0.9])
     data = [(x, _exp_model(x, truth)) for x in np.linspace(0, 3, 15)]

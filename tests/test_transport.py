@@ -16,6 +16,7 @@ from cdwtunnel.transport import (
     pair_separation,
     reference_displacement,
     sge_from_matrix_element_form,
+    sge_jacobian_array,
     tunneling_onset,
 )
 
@@ -248,3 +249,61 @@ def test_curve_series_equals_pointwise_laws(model, convention):
 def test_curve_series_rejects_unknown_convention():
     with pytest.raises(ValueError, match="convention"):
         curve_series("sge", TransportParams(), [1.0, 2.0], "literal")
+
+
+def _fields_for_args(args, e_t, c_v):
+    """Fields at which the printed law's cosh argument sqrt(2/chi) - sqrt(chi) takes ``args``."""
+    s = 0.5 * (np.sqrt(args**2 + 4.0 * math.sqrt(2.0)) - args)  # s = sqrt(chi)
+    return np.unique(e_t * c_v / s**2)
+
+
+def test_kernels_match_mpmath_up_to_cosh_argument_700():
+    """Pair current (both conventions), its Jacobian and the Zener law against
+    60-digit mpmath at the same float inputs, for |cosh argument| up to 700.
+
+    Each value is within 1e-13 relative; the pair-current values may add the
+    error that rounding chi and its square roots carries through their
+    condition number, at most sqrt(2/chi) + sqrt(chi) + chi, taken as 4 ulp of
+    it.  Where the exact value lies outside the normal float range, the
+    kernel returns inf above it and at most the smallest normal below it.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    u = 2.0**-53
+    rng = np.random.default_rng(41)
+    checked, reach = 0, 0.0
+    for _ in range(4):
+        e_t, c_v, c_tilde1 = (float(v) for v in rng.uniform(0.3, 3.0, 3))
+        es = _fields_for_args(np.linspace(-700.0, 700.0, 281), e_t, c_v)
+        got = {
+            "printed": current_sge_array(es, e_t, c_v, c_tilde1, False),
+            "substituted": current_sge_array(es, e_t, c_v, c_tilde1, True),
+            "zener": current_zener_array(es, e_t, c_tilde1),
+        }
+        got["d_ct1"], got["d_cv"] = sge_jacobian_array(es, c_tilde1, c_v, e_t)
+        with mpmath.workdps(60):
+            for k, e in enumerate(es.tolist()):
+                field = mpmath.mpf(e)
+                chi = e_t * mpmath.mpf(c_v) / field
+                a, b = mpmath.sqrt(2 / chi), mpmath.sqrt(chi)
+                cosh_decay = mpmath.cosh(a - b) * mpmath.exp(-chi)
+                want = {
+                    "printed": c_tilde1 * cosh_decay,
+                    "substituted": c_tilde1 * mpmath.cosh(a - mpmath.sqrt(chi / 2)) * mpmath.exp(-chi / 2),
+                    "zener": c_tilde1 * (field - e_t) * mpmath.exp(-e_t / field) if e > e_t else mpmath.mpf(0),
+                    "d_ct1": cosh_decay,
+                    "d_cv": -c_tilde1 * mpmath.exp(-chi) * (mpmath.sinh(a - b) * (a + b) / 2 + mpmath.cosh(a - b) * chi) / c_v,
+                }
+                pair_tol = 1e-13 + 4.0 * u * float(a + b + chi)
+                for name, ref in want.items():
+                    value = got[name][k]
+                    tol = 1e-13 if name == "zener" else pair_tol
+                    if abs(ref) > huge:
+                        assert value == math.copysign(math.inf, ref), (name, e)
+                    elif abs(ref) < tiny:
+                        assert abs(value) <= tiny, (name, e, value)
+                    else:
+                        assert abs(value - float(ref)) <= tol * abs(float(ref)), (name, e, value, ref)
+                        checked += 1
+                        reach = max(reach, float(abs(a - b)))
+    assert checked > 2500 and reach > 690.0

@@ -269,6 +269,9 @@ def test_transport_pair_specs():
     assert initial.center == 0.0
     assert final.center == pytest.approx(TWO_PI + 1e-3)
     assert initial.u_max == pytest.approx(l / math.sqrt(TWO_PI))
+    # one normalization per pair, the closed form's for (alpha, L)
+    assert initial.norm_c == final.norm_c == norm_constant(1.0 / l, l)
+    assert initial.u_max == final.u_max
 
 
 def test_spec_validation():
