@@ -244,18 +244,17 @@ def _cmd_curve(o):
 
 
 def _parse_data_csv(path):
+    """(E, I) arrays from a CSV data file; the first non-blank line may be a header."""
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        raw = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise CliUsageError(f"cannot read data file: {exc}") from exc
     es = []
     currents = []
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
+    rows = [(n, line.strip()) for n, line in enumerate(raw.splitlines(), start=1) if line.strip()]
+    for k, (lineno, line) in enumerate(rows):
         cells = [c.strip() for c in line.split(",")]
-        if lineno == 1:
+        if k == 0:
             try:
                 float(cells[0])
             except ValueError:
@@ -269,6 +268,8 @@ def _parse_data_csv(path):
             raise CliUsageError(f"line {lineno}: non-numeric cell ({exc})") from exc
         if not (math.isfinite(e) and math.isfinite(i)):
             raise CliUsageError(f"line {lineno}: non-finite cell")
+        if not e > 0.0:
+            raise CliUsageError(f"line {lineno}: field E must be positive")
         es.append(e)
         currents.append(i)
     if not es:

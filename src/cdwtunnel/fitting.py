@@ -139,7 +139,10 @@ def fit_sge_to_points(es, targets, free, start):
         resid = targets - current(es, start.c_tilde1, start.c_v)
         if not np.all(np.isfinite(resid)):
             raise ValueError("model is not evaluable at the initial parameters")
-        rms = float(np.sqrt(np.mean(resid**2)))
+        with np.errstate(over="ignore"):
+            rms = float(np.sqrt(np.mean(resid**2)))
+        if rms == math.inf:
+            raise ValueError("sum of squared residuals overflows at the initial parameters")
         return FitResult(params=np.array([]), residual_rms=rms, iterations=0)
 
     def unpack(params):

@@ -1,4 +1,4 @@
-"""Self-contained numerics: special functions, quadrature, least squares.
+"""Self-contained numerics: adaptive quadrature, least squares, cosh * exp.
 
 Everything downstream (potentials, wavefunctionals, transport, fitting and
 the verification oracles) builds on these operations.  ``integrate_adaptive``
@@ -8,7 +8,8 @@ model's Jacobian; both call their callables on whole numpy arrays and
 check the shape of what comes back.  The overflow-safe
 cosh(arg) * exp(expo) product has a scalar form on ``math``, for the
 per-point matrix elements, and an array form on numpy's cosh/exp, for the
-current laws.  All functions are pure; there is no module state.
+current laws.  The error function is ``math.erf``.  All functions are pure;
+there is no module state.
 """
 
 import math
@@ -20,8 +21,6 @@ import numpy as np
 __all__ = [
     "FitResult",
     "QuadratureError",
-    "erf",
-    "finite_diff_gradient",
     "integrate_adaptive",
     "least_squares_fit",
 ]
@@ -41,11 +40,6 @@ _EXP_UNSHIFT = math.exp(-_EXP_SHIFT)
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature hit its refinement depth limit before converging."""
-
-
-def erf(x):
-    """Error function, ``math.erf`` of ``float(x)``."""
-    return math.erf(float(x))
 
 
 def _cosh_times_exp(arg, expo):
@@ -173,24 +167,6 @@ def _evaluate(fn, what, shape, *args):
     return out
 
 
-def finite_diff_gradient(f, x, h=1e-6):
-    """Central-difference gradient of a scalar function of a vector.
-
-    Component i is (f(x + h e_i) - f(x - h e_i)) / (2 h).
-    """
-    if not h > 0.0:
-        raise ValueError("step h must be positive")
-    x = np.asarray(x, dtype=float)
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        grad[i] = (f(xp) - f(xm)) / (2.0 * h)
-    return grad
-
-
 _STOP_REASONS = ("converged", "max_iter", "damping_collapse")
 
 # Levenberg-Marquardt constants: the damping mu is relative to the Marquardt
@@ -235,6 +211,7 @@ class FitResult:
         return self.stop == "converged"
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def least_squares_fit(model, params0, data, jacobian, max_iter=200):
     """Levenberg-Marquardt least squares for models y = model(x, params).
 
@@ -267,6 +244,14 @@ def least_squares_fit(model, params0, data, jacobian, max_iter=200):
     Non-convergence is reported through ``stop``
     (``"max_iter"`` or ``"damping_collapse"``) with the best parameters
     seen, never as an exception.
+
+    The fit runs with numpy's overflow and invalid-value warnings off, the
+    model and Jacobian included: every value it computes is judged by
+    whether it is finite.  A trial whose sum of squared residuals or
+    predicted reduction is not finite is a rejected step.  At the start
+    parameters a sum of squares that is not finite raises ValueError, which
+    names the overflow where the residuals are finite; normal equations
+    J^T J, J^T r that are not finite raise OverflowError.
     """
     params = np.asarray(params0, dtype=float).copy()
     if params.ndim != 1 or params.size == 0:
@@ -285,16 +270,25 @@ def least_squares_fit(model, params0, data, jacobian, max_iter=200):
     n = ys.size
 
     def cost_of(p):
+        """The residual and its sum of squares, which is inf wherever it is not finite."""
         r = ys - _evaluate(model, "model", (n,), xs, p)
-        if not np.all(np.isfinite(r)):
-            return None, np.inf
-        return r, float(r @ r)
+        cost = float(r @ r)
+        return r, cost if math.isfinite(cost) else math.inf
 
     resid, cost = cost_of(params)
-    if resid is None:
+    if cost == math.inf:
+        if np.all(np.isfinite(resid)):
+            raise ValueError("sum of squared residuals overflows at the initial parameters")
         raise ValueError("model is not evaluable at the initial parameters")
 
-    cost_floor = (_RESIDUAL_FLOOR * float(np.linalg.norm(ys))) ** 2
+    data_norm = float(np.linalg.norm(ys))
+    if data_norm == math.inf:  # the squares overflow; scale them by the largest |y|
+        big = float(np.max(np.abs(ys)))
+        data_norm = big * float(np.linalg.norm(ys / big))
+    try:
+        cost_floor = (_RESIDUAL_FLOOR * data_norm) ** 2
+    except OverflowError:  # a floor above every finite cost
+        cost_floor = math.inf
     scale = np.zeros(params.size)
     mu, nu = _MU_START, 2.0
     stop = "max_iter"
@@ -305,11 +299,13 @@ def least_squares_fit(model, params0, data, jacobian, max_iter=200):
             jac = _evaluate(jacobian, "jacobian", (n, params.size), xs, params)
             grad = jac.T @ resid
             normal = jac.T @ jac
+            if not (np.all(np.isfinite(normal)) and np.all(np.isfinite(grad))):
+                raise OverflowError(f"normal equations J^T J, J^T r are not finite at {params.tolist()}")
             col_sq = np.diag(normal)
             scale = np.maximum(scale, col_sq)
             damping = np.diag(np.where(scale > 0.0, scale, 1.0))
             live = col_sq > 0.0
-            if np.all(np.abs(grad[live]) <= _GTOL * np.sqrt(col_sq[live] * cost)):
+            if np.all(np.abs(grad[live]) <= _GTOL * np.sqrt(col_sq[live]) * math.sqrt(cost)):
                 stop = "converged"
                 break
         if iterations >= max_iter:
@@ -318,12 +314,13 @@ def least_squares_fit(model, params0, data, jacobian, max_iter=200):
         try:
             step = np.linalg.solve(normal + mu * damping, grad)
         except np.linalg.LinAlgError:
-            step = None
+            step = np.full(params.size, math.nan)
+        # the linear model's reduction, |J step|^2 + 2 mu step^T D step, is never
+        # negative; it is not finite where the step is not or overflows
+        predicted = float(np.sum((jac @ step) ** 2) + 2.0 * mu * (step @ damping @ step))
         rho = -math.inf
-        if step is not None and np.all(np.isfinite(step)):
+        if math.isfinite(predicted):
             trial_resid, trial_cost = cost_of(params + step)
-            # the linear model's reduction, |J step|^2 + 2 mu step^T D step, is never negative
-            predicted = float(np.sum((jac @ step) ** 2) + 2.0 * mu * (step @ damping @ step))
             actual = cost - trial_cost
             if predicted > 0.0:
                 rho = actual / predicted

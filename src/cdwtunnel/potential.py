@@ -1,8 +1,7 @@
-"""Potential-energy functions, gap energies and the bound diagnostic.
+"""The extended quartic potential, gap energies and the bound diagnostic.
 
-The extended quartic potential, the driven sine-Gordon form and the
-quadratic Hamiltonian density are separate families; nothing here solves
-field equations, it only evaluates energies on caller-supplied data.
+Nothing here solves field equations; it only evaluates energies on
+caller-supplied data.
 """
 
 import math
@@ -18,9 +17,7 @@ __all__ = [
     "bogomolnyi_check",
     "bound_braces",
     "delta_e_gap",
-    "eval_driven_sg",
     "eval_extended_potential",
-    "hamiltonian_density",
     "topological_charge",
 ]
 
@@ -29,31 +26,16 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class PotentialParams:
-    """Coefficients of the potential families.
-
-    c1, c2, phi0 parameterize the extended quartic potential; d1, d2 the
-    driven sine-Gordon form (classical cosine term about 100x the quadratic
-    quantum addition by default); mu, varphi, i0 the quadratic Hamiltonian
-    density.
-    """
+    """Coefficients c1, c2 and vacuum phi0 of the extended quartic potential."""
 
     c1: float = 1.0
     c2: float = 1.0
     phi0: float = TWO_PI
-    d1: float = 100.0
-    d2: float = 1.0
-    mu: float = 1.0
-    varphi: float = 0.0
-    i0: float = 0.0
 
     def __post_init__(self):
-        for name in ("c1", "c2", "phi0", "d1", "d2", "mu", "varphi", "i0"):
+        for name in ("c1", "c2", "phi0"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.d1 < 0.0 or self.d2 < 0.0:
-            raise ValueError("d1 and d2 must be non-negative")
-        if self.mu < 0.0:
-            raise ValueError("mu must be non-negative")
 
 
 class FieldProfile:
@@ -97,19 +79,6 @@ def eval_extended_potential(phi, p):
     d = phi - p.phi0
     s = phi * phi - p.phi0 * p.phi0
     return p.c1 * d * d - 4.0 * p.c2 * phi * p.phi0 * d * d + p.c2 * s * s
-
-
-def eval_driven_sg(phi, p):
-    """D1 (1 - cos phi) + D2 phi^2."""
-    phi = float(phi)
-    return p.d1 * (1.0 - math.cos(phi)) + p.d2 * phi * phi
-
-
-def hamiltonian_density(phi, pi, dphi_dx, p):
-    """pi^2/2 + (d_x phi)^2/2 + mu^2 (phi - varphi)^2/2 - I0(mu)/2."""
-    phi, pi, dphi_dx = float(phi), float(pi), float(dphi_dx)
-    d = phi - p.varphi
-    return 0.5 * (pi * pi + dphi_dx * dphi_dx + p.mu * p.mu * d * d - p.i0)
 
 
 def delta_e_gap(p, phi_f, phi_t):

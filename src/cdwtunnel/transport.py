@@ -1,4 +1,4 @@
-"""Field-to-geometry maps and the two current-vs-field laws.
+"""The field-to-separation map and the two current-vs-field laws.
 
 ``current_sge`` is the soliton-pair law as printed, with chi = E_T c_v / E:
 
@@ -28,11 +28,8 @@ __all__ = [
     "current_sge",
     "current_sge_log",
     "current_zener",
-    "l_over_x",
     "pair_separation",
-    "reference_displacement",
     "sge_from_matrix_element_form",
-    "tunneling_onset",
 ]
 
 CONVENTIONS = ("printed", "substituted")
@@ -42,7 +39,12 @@ _COSH_ARG_MAX = math.acosh(np.finfo(float).max)  # largest |x| with finite cosh,
 
 @dataclass(frozen=True)
 class TransportParams:
-    """Threshold, amplitudes and microscopic constants of the current laws."""
+    """Constants of the two current laws and of the pair separation.
+
+    e_t is the shared threshold, c_v and c_tilde1 the pair current's
+    geometry factor and amplitude, g_p the Zener amplitude; delta_s and
+    e_star give the separation L = (2 delta_s / e_star) / E.
+    """
 
     e_t: float = 1.0
     c_v: float = 1.0
@@ -50,18 +52,12 @@ class TransportParams:
     g_p: float = 1.0
     delta_s: float = 1.0
     e_star: float = 1.0
-    eps_g: float = 1.0
-    m_e: float = 1.0
-    omega: float = 1.0
-    e_charge: float = 1.0
 
     def __post_init__(self):
-        for name in ("e_t", "c_v", "c_tilde1", "g_p", "delta_s", "e_star", "m_e", "omega", "e_charge"):
+        for name in ("e_t", "c_v", "c_tilde1", "g_p", "delta_s", "e_star"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be positive and finite")
-        if not (math.isfinite(self.eps_g) and self.eps_g >= 0.0):
-            raise ValueError("eps_g must be non-negative and finite")
 
 
 class CurveSeries:
@@ -98,29 +94,6 @@ def pair_separation(e, tp):
     """Pair separation (2 Delta_s / e*) / E; L is inversely proportional to E."""
     _check_field(e)
     return (2.0 * tp.delta_s / tp.e_star) * (1.0 / e)
-
-
-def tunneling_onset(e, tp):
-    """Literal onset inequality e* E L(E) > eps_G.
-
-    Because L(E) = (2 Delta_s/e*)/E, the product e* E L collapses to
-    2 Delta_s and the outcome is independent of E; the literal inequality
-    is evaluated anyway.
-    """
-    _check_field(e)
-    return tp.e_star * e * pair_separation(e, tp) > tp.eps_g
-
-
-def reference_displacement(e, tp):
-    """Harmonic observer point e_charge E / (m omega^2)."""
-    _check_field(e)
-    return tp.e_charge * e / (tp.m_e * tp.omega**2)
-
-
-def l_over_x(e, tp):
-    """Separation-to-observer ratio c_v E_T / E."""
-    _check_field(e)
-    return tp.c_v * tp.e_t / e
 
 
 def _substituted(convention):

@@ -1,4 +1,4 @@
-"""Tunneling matrix elements and the golden-rule channel contract.
+"""Tunneling matrix elements and their quadrature oracle.
 
 Two analytic magnitudes are provided: ``t_if_analytic`` keeps the
 occupation factor n1 everywhere and ``t_if_simplified`` is the reduced
@@ -16,14 +16,10 @@ from .wavefunctional import eval_wavefunctional
 
 __all__ = [
     "MatrixElementInputs",
-    "current_from_matrix_element",
     "t_if_analytic",
     "t_if_simplified",
     "t_if_single_mode_oracle",
 ]
-
-CHANNELS = ("boson_coherent", "quasiparticle")
-
 
 @dataclass(frozen=True)
 class MatrixElementInputs:
@@ -101,14 +97,3 @@ def t_if_single_mode_oracle(spec_i, spec_f, u0=None, m_star=1.0, tol=1e-11):
 
     val = integrate_adaptive(integrand, float(u0), float(hi), float(tol))
     return abs(val) / (2.0 * float(m_star))
-
-
-def current_from_matrix_element(t, channel, rho=0.0):
-    """Golden-rule channel contract: |t| for coherent bosons, 2 pi |t|^2 rho otherwise."""
-    if channel not in CHANNELS:
-        raise ValueError(f"channel must be one of {CHANNELS}")
-    if rho < 0.0:
-        raise ValueError("density of states rho must be non-negative")
-    if channel == "boson_coherent":
-        return abs(t)
-    return 2.0 * math.pi * t * t * rho

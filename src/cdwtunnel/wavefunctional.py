@@ -22,7 +22,6 @@ __all__ = [
     "kink_pair_profile",
     "norm_constant",
     "sample_profile",
-    "thin_wall_box",
     "thin_wall_ft",
     "thin_wall_ft_oracle",
     "transport_pair_specs",
@@ -112,13 +111,6 @@ def sample_profile(kp, half_width, n):
         raise ValueError("half_width must be positive")
     xs = np.linspace(kp.x_a - half_width, kp.x_b + half_width, int(n))
     return FieldProfile(xs, kink_pair_profile(xs, kp))
-
-
-def thin_wall_box(x, l, height):
-    """Centered box: height for |x| <= l/2 (closed interval), else 0."""
-    if not l > 0.0:
-        raise ValueError("box width must be positive")
-    return height if abs(x) <= 0.5 * l else 0.0
 
 
 def thin_wall_ft(k, l):

@@ -249,6 +249,81 @@ def test_fit_grid_below_threshold_is_runtime_error(capsys):
     assert "threshold" in capsys.readouterr().err
 
 
+def test_fit_data_file_with_bom_and_leading_blank_line(tmp_path, capsys):
+    rows = "2,1.1\n3,1.9\n4,2.6\n"
+    reports = []
+    for name, text in [("plain.csv", rows), ("bom.csv", "\ufeff" + rows), ("blank.csv", "\n\ne,i\n" + rows)]:
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        assert main(["fit", "--data", str(tmp_path / name)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1] == reports[2]
+    assert json.loads(reports[0])["iterations"] > 0
+
+
+def test_fit_data_row_with_non_positive_field_is_usage_error(tmp_path, capsys):
+    for n, field in enumerate(["0", "-0.0", "-2.5"]):
+        data = tmp_path / f"bad{n}.csv"
+        data.write_text(f"e,i\n2.0,0.5\n{field},0.7\n")
+        out = tmp_path / "report.json"
+        assert main(["fit", "--data", str(data), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", "error: line 3: field E must be positive\n")
+        assert not out.exists()
+
+
+def test_fit_data_whose_squared_residual_overflows_is_runtime_error(tmp_path, capsys):
+    data = tmp_path / "huge.csv"
+    data.write_text("2,1e300\n3,1e300\n")
+    for free in ("c_tilde1,c_v", ""):
+        code = main(["fit", "--data", str(data), "--free", free, "--out", str(tmp_path / "report.json")])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: sum of squared residuals overflows at the initial parameters\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["huge.csv"]
+
+
+def test_any_fit_data_file_runs_or_exits_cleanly(tmp_path, monkeypatch, capsys):
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    # hypothesis caches source constants in a storage directory even without a database
+    monkeypatch.setenv("HYPOTHESIS_STORAGE_DIRECTORY", str(tmp_path))
+    fields = st.one_of(st.floats(0.5, 20.0), st.floats(1.2, 6.0), st.floats(-5.0, 0.0), st.sampled_from([1e-6, 1e6]))
+    currents = st.one_of(
+        st.floats(0.0, 5.0), st.floats(-10.0, 10.0), st.floats(-1e300, 1e300), st.sampled_from([1e300, 1e154, 1e150])
+    )
+    rows = st.lists(st.tuples(fields, currents, st.booleans()), max_size=6)
+
+    def run_fit(d, name, text):
+        (d / name).write_text(text, encoding="utf-8")
+        out = d / "report.json"
+        code = main(["fit", "--data", str(d / name), "--out", str(out)])
+        stdout, err = capsys.readouterr()
+        assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_RUNTIME)
+        if code == cli.EXIT_OK:
+            assert err == "" and out.read_text(encoding="utf-8") == stdout
+            out.unlink()
+        else:
+            assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
+            assert not out.exists()
+        return code, stdout, err
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(rows=rows, header=st.booleans())
+    def run(rows, header):
+        # each row may be preceded by a blank line
+        lines = ["e,i"] if header else []
+        for e, i, blank in rows:
+            lines += [""] * blank + [f"{e!r},{i!r}"]
+        text = "\n".join(lines) + "\n"
+        d = tmp_path / "case"
+        d.mkdir(exist_ok=True)
+        plain = run_fit(d, "plain.csv", text)
+        assert run_fit(d, "bom.csv", "\ufeff" + text) == plain
+        if any(not e > 0.0 for e, _, _ in rows):
+            assert plain[0] == cli.EXIT_USAGE
+
+    run()
+
+
 def test_profile_sidecar_charge(tmp_path):
     out = tmp_path / "prof.csv"
     code = main(["profile", "--x-a", "-5", "--x-b", "5", "--steepness", "1", "--out", str(out)])
@@ -401,9 +476,9 @@ def test_every_float_option_changes_the_output(tmp_path, capsys, command, opt):
 
 # TransportParams fields that a subcommand's output does not read, so it does not take them
 NOT_TAKEN = {
-    "curve": ["delta_s", "e_star", "eps_g", "m_e", "omega", "e_charge"],
-    "fit": ["c_v", "c_tilde1", "delta_s", "e_star", "eps_g", "m_e", "omega", "e_charge"],
-    "matrix-element": ["e_t", "c_v", "c_tilde1", "g_p", "eps_g", "m_e", "omega", "e_charge"],
+    "curve": ["delta_s", "e_star"],
+    "fit": ["c_v", "c_tilde1", "delta_s", "e_star"],
+    "matrix-element": ["e_t", "c_v", "c_tilde1", "g_p"],
 }
 
 

@@ -11,7 +11,7 @@ from cdwtunnel.fitting import (
     sge_model_jacobian,
     transport_with,
 )
-from cdwtunnel.numerics import finite_diff_gradient, least_squares_fit
+from cdwtunnel.numerics import least_squares_fit
 from cdwtunnel.transport import (
     CurveSeries,
     TransportParams,
@@ -22,6 +22,7 @@ from cdwtunnel.transport import (
     curve_series,
     sge_jacobian_array,
 )
+from oracles import finite_diff_gradient
 
 
 def _sge_series(tp, es):

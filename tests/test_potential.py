@@ -10,9 +10,7 @@ from cdwtunnel.potential import (
     bogomolnyi_check,
     bound_braces,
     delta_e_gap,
-    eval_driven_sg,
     eval_extended_potential,
-    hamiltonian_density,
     topological_charge,
 )
 from cdwtunnel.wavefunctional import KinkPairProfile, sample_profile
@@ -63,41 +61,6 @@ def test_extended_potential_joint_sign_flip():
         b = eval_extended_potential(-phi, PotentialParams(c1=c1, c2=c2, phi0=-phi0))
         assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
-
-def test_driven_sg_values():
-    p = PotentialParams(d1=100.0, d2=1.0)
-    assert eval_driven_sg(0.0, p) == 0.0
-    assert eval_driven_sg(math.pi, p) == pytest.approx(200.0 + math.pi**2, rel=1e-13)
-    # full-period residual comes from the quantum term alone
-    assert eval_driven_sg(TWO_PI, p) - eval_driven_sg(0.0, p) == pytest.approx(
-        p.d2 * TWO_PI**2, rel=1e-12
-    )
-
-
-def test_default_classical_to_quantum_ratio():
-    p = PotentialParams()
-    assert p.d1 / p.d2 == pytest.approx(100.0)
-
-
-def test_hamiltonian_density_values():
-    p = PotentialParams(mu=1.0, varphi=0.5, i0=0.8)
-    assert hamiltonian_density(0.5, 0.0, 0.0, p) == pytest.approx(-0.4)
-    p2 = PotentialParams(mu=2.0, varphi=0.0, i0=0.0)
-    assert hamiltonian_density(1.0, 0.0, 0.0, p2) == pytest.approx(2.0)
-
-
-def test_hamiltonian_density_kinetic_scaling():
-    p = PotentialParams(i0=0.0)
-    base = hamiltonian_density(p.varphi, 1.0, 0.0, p)
-    assert hamiltonian_density(p.varphi, 2.0, 0.0, p) == pytest.approx(4.0 * base)
-
-
-def test_hamiltonian_density_lower_bound():
-    rng = np.random.default_rng(13)
-    p = PotentialParams(mu=1.3, varphi=-0.2, i0=2.0)
-    for _ in range(500):
-        phi, pi, dphi = rng.uniform(-5, 5, size=3)
-        assert hamiltonian_density(phi, pi, dphi, p) >= -0.5 * p.i0 - 1e-12
 
 
 def test_gap_energy():
@@ -164,10 +127,6 @@ def test_field_profile_validation():
 
 
 def test_potential_params_validation():
-    with pytest.raises(ValueError):
-        PotentialParams(d1=-1.0)
-    with pytest.raises(ValueError):
-        PotentialParams(mu=-0.1)
     with pytest.raises(ValueError):
         PotentialParams(c1=math.nan)
 

@@ -12,12 +12,9 @@ from cdwtunnel.transport import (
     current_zener,
     current_zener_array,
     curve_series,
-    l_over_x,
     pair_separation,
-    reference_displacement,
     sge_from_matrix_element_form,
     sge_jacobian_array,
-    tunneling_onset,
 )
 
 # mpmath: cosh(sqrt2 - 1) e^(-1)
@@ -46,32 +43,6 @@ def test_pair_separation_domain():
     with pytest.raises(ValueError):
         pair_separation(-2.0, TransportParams())
 
-
-def test_onset_is_field_independent():
-    # e* E L collapses to 2 Delta_s under the separation law
-    tp = TransportParams(delta_s=1.0, e_star=1.0, eps_g=1.0)
-    assert all(tunneling_onset(float(e), tp) for e in np.geomspace(0.01, 100, 20))
-    blocked = TransportParams(delta_s=1.0, e_star=1.0, eps_g=2.0 + 1e-9)
-    assert not any(tunneling_onset(float(e), blocked) for e in np.geomspace(0.01, 100, 20))
-    open_gap = TransportParams(eps_g=0.0)
-    assert tunneling_onset(5.0, open_gap)
-
-
-def test_reference_displacement():
-    tp = TransportParams(e_charge=1.0, m_e=1.0, omega=1.0)
-    assert reference_displacement(3.0, tp) == pytest.approx(3.0)
-    assert reference_displacement(6.0, tp) == pytest.approx(2.0 * reference_displacement(3.0, tp))
-    tp4 = TransportParams(e_charge=1.0, m_e=1.0, omega=4.0)
-    assert reference_displacement(3.0, tp4) == pytest.approx(reference_displacement(3.0, tp) / 16.0)
-
-
-def test_l_over_x():
-    tp = TransportParams(c_v=1.0, e_t=1.0)
-    assert l_over_x(1.0, tp) == pytest.approx(1.0)
-    tp2 = TransportParams(c_v=2.5, e_t=1.3)
-    assert l_over_x(tp2.c_v * tp2.e_t, tp2) == pytest.approx(1.0)
-    for e in np.geomspace(0.1, 100, 20):
-        assert l_over_x(float(e), tp2) * e == pytest.approx(tp2.c_v * tp2.e_t, rel=1e-15)
 
 
 def test_sge_reference_value():
@@ -188,9 +159,6 @@ def test_curve_series_validation():
 def test_transport_params_validation():
     with pytest.raises(ValueError):
         TransportParams(e_t=0.0)
-    with pytest.raises(ValueError):
-        TransportParams(eps_g=-0.1)
-    assert TransportParams(eps_g=0.0).eps_g == 0.0
 
 
 def _sge_arg(es, e_t, c_v):

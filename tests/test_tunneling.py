@@ -5,7 +5,6 @@ import pytest
 
 from cdwtunnel.tunneling import (
     MatrixElementInputs,
-    current_from_matrix_element,
     t_if_analytic,
     t_if_simplified,
     t_if_single_mode_oracle,
@@ -187,27 +186,3 @@ def test_oracle_custom_barrier_point():
     assert default != shifted
     with pytest.raises(ValueError):
         t_if_single_mode_oracle(spec_i, spec_f, u0=1e9)
-
-
-def test_channel_contract():
-    assert current_from_matrix_element(0.0, "boson_coherent") == 0.0
-    assert current_from_matrix_element(0.0, "quasiparticle", rho=2.0) == 0.0
-    t = 0.37
-    assert current_from_matrix_element(2.0 * t, "boson_coherent") == pytest.approx(
-        2.0 * current_from_matrix_element(t, "boson_coherent")
-    )
-    rho = 1.7
-    assert current_from_matrix_element(2.0 * t, "quasiparticle", rho) == pytest.approx(
-        4.0 * current_from_matrix_element(t, "quasiparticle", rho)
-    )
-    assert current_from_matrix_element(t, "quasiparticle", rho) == pytest.approx(
-        2.0 * math.pi * t * t * rho, rel=1e-15
-    )
-    assert current_from_matrix_element(-t, "boson_coherent") == abs(t)
-
-
-def test_channel_validation():
-    with pytest.raises(ValueError):
-        current_from_matrix_element(1.0, "fermion")
-    with pytest.raises(ValueError):
-        current_from_matrix_element(1.0, "quasiparticle", rho=-1.0)

@@ -12,11 +12,11 @@ from cdwtunnel.wavefunctional import (
     kink_pair_profile,
     norm_constant,
     sample_profile,
-    thin_wall_box,
     thin_wall_ft,
     thin_wall_ft_oracle,
     transport_pair_specs,
 )
+from oracles import thin_wall_box
 
 TWO_PI = 2.0 * math.pi
 # mpmath: 2 sqrt(2) / pi^(3/2)
