@@ -109,7 +109,7 @@ def _load_config(path):
         return {}
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliUsageError(f"cannot read config file: {exc}") from exc
     try:
         cfg = json.loads(raw)
@@ -247,7 +247,7 @@ def _parse_data_csv(path):
     """(E, I) arrays from a CSV data file; the first non-blank line may be a header."""
     try:
         raw = Path(path).read_text(encoding="utf-8-sig")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliUsageError(f"cannot read data file: {exc}") from exc
     es = []
     currents = []
@@ -340,8 +340,9 @@ def _cmd_matrix_element(o):
     tp = _transport_params(o) if o.over == "e" else None
     grid = _grid(o, 2.0, 12.0)
     with _usage_errors():
-        # x_bar, n1 and m_star are checked once, before any row is computed
+        # x_bar, n1, m_star and eps_plus are checked once, before any row is computed
         tunneling.MatrixElementInputs(x_bar=o.x_bar, l=1.0, alpha=1.0, n1=o.n1, m_star=o.m_star)
+        wavefunctional.transport_pair_specs(1.0, o.eps_plus)
 
     header = (["e", "l"] if o.over == "e" else ["l"]) + ["t_analytic", "t_simplified", "t_oracle"]
     rows = []

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import FitResult, least_squares_fit
+from .numerics import least_squares_fit
 
 # ``current_sge`` is not called here: it is imported so that the name
 # ``fitting.current_sge``, which perfbench's tracer wraps to count per-point
@@ -57,8 +57,6 @@ class ComparisonMetrics:
 
     rms_rel: float
     max_rel: float
-    grid_lo: float
-    grid_hi: float
 
     def __post_init__(self):
         if self.rms_rel < 0.0 or self.max_rel < self.rms_rel - 1e-15:
@@ -90,8 +88,6 @@ def compare_series(a, b, window):
     return ComparisonMetrics(
         rms_rel=float(np.sqrt(np.mean(rel**2))),
         max_rel=float(np.max(np.abs(rel))),
-        grid_lo=lo,
-        grid_hi=hi,
     )
 
 
@@ -118,10 +114,9 @@ def fit_sge_to_points(es, targets, free, start):
     """Fit the printed pair current to (E, I) samples, freeing only ``free``.
 
     Free parameters are taken in FREE_PARAM_ORDER; everything else is held
-    at ``start``.  Every field must be positive.  An empty ``free`` set
-    performs no iterations and just reports the residual of the start
-    parameters; like a fit, it raises ValueError where the model is not
-    finite at the start.
+    at ``start``.  Every field must be positive.  An empty ``free`` set is a
+    zero-parameter ``least_squares_fit``: it reports the residual of the
+    start parameters after 0 iterations and raises the start errors of a fit.
     """
     es = np.asarray(es, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -132,19 +127,6 @@ def fit_sge_to_points(es, targets, free, start):
     if not np.all(es > 0.0):
         raise ValueError("field E must be positive")
 
-    def current(xs, c_tilde1, c_v):
-        return current_sge_array(xs, start.e_t, c_v, c_tilde1, False)
-
-    if not names:
-        resid = targets - current(es, start.c_tilde1, start.c_v)
-        if not np.all(np.isfinite(resid)):
-            raise ValueError("model is not evaluable at the initial parameters")
-        with np.errstate(over="ignore"):
-            rms = float(np.sqrt(np.mean(resid**2)))
-        if rms == math.inf:
-            raise ValueError("sum of squared residuals overflows at the initial parameters")
-        return FitResult(params=np.array([]), residual_rms=rms, iterations=0)
-
     def unpack(params):
         values = dict(zip(names, map(float, params)))
         return values.get("c_tilde1", start.c_tilde1), values.get("c_v", start.c_v)
@@ -152,7 +134,8 @@ def fit_sge_to_points(es, targets, free, start):
     def model(xs, params):
         if not all(math.isfinite(v) and v > 0.0 for v in params):
             return np.full(xs.size, math.inf)
-        return current(xs, *unpack(params))
+        c_tilde1, c_v = unpack(params)
+        return current_sge_array(xs, start.e_t, c_v, c_tilde1, False)
 
     def jacobian(xs, params):
         c_tilde1, c_v = unpack(params)

@@ -243,7 +243,9 @@ def least_squares_fit(model, params0, data, jacobian, max_iter=200):
     not the parameters, limits it, as on a zero-residual fit.
     Non-convergence is reported through ``stop``
     (``"max_iter"`` or ``"damping_collapse"``) with the best parameters
-    seen, never as an exception.
+    seen, never as an exception.  With zero parameters (``params0`` of
+    size 0) nothing is fitted: the result is the start residual, converged
+    after 0 iterations, and the Jacobian is never called.
 
     The fit runs with numpy's overflow and invalid-value warnings off, the
     model and Jacobian included: every value it computes is judged by
@@ -254,8 +256,8 @@ def least_squares_fit(model, params0, data, jacobian, max_iter=200):
     J^T J, J^T r that are not finite raise OverflowError.
     """
     params = np.asarray(params0, dtype=float).copy()
-    if params.ndim != 1 or params.size == 0:
-        raise ValueError("params0 must be a non-empty vector")
+    if params.ndim != 1:
+        raise ValueError("params0 must be a vector")
     if not np.all(np.isfinite(params)):
         raise ValueError("params0 must be finite")
     points = np.asarray(data, dtype=float)
@@ -294,7 +296,7 @@ def least_squares_fit(model, params0, data, jacobian, max_iter=200):
     stop = "max_iter"
     iterations = 0
     jac = None
-    while cost > cost_floor:
+    while params.size and cost > cost_floor:
         if jac is None:
             jac = _evaluate(jacobian, "jacobian", (n, params.size), xs, params)
             grad = jac.T @ resid

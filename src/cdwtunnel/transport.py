@@ -63,7 +63,7 @@ class TransportParams:
 class CurveSeries:
     """Sampled (E, I) curve with strictly increasing positive fields."""
 
-    def __init__(self, es, currents, label):
+    def __init__(self, es, currents):
         es = np.asarray(es, dtype=float)
         currents = np.asarray(currents, dtype=float)
         if es.ndim != 1 or currents.ndim != 1 or es.size != currents.size:
@@ -76,13 +76,6 @@ class CurveSeries:
             raise ValueError("currents must be finite and non-negative")
         self.es = es
         self.currents = currents
-        self.label = str(label)
-
-    def __len__(self):
-        return self.es.size
-
-    def points(self):
-        return list(zip(self.es.tolist(), self.currents.tolist()))
 
 
 def _check_field(e):
@@ -213,17 +206,14 @@ def curve_series(model, tp, e_grid, convention="printed"):
     """Evaluate the selected current law on a strictly increasing grid.
 
     The whole grid goes through one array kernel; every value equals the
-    scalar ``current_sge``/``current_zener`` at that field.
+    scalar ``current_sge``/``current_zener`` at that field.  ``CurveSeries``
+    checks the grid.
     """
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}")
     es = np.asarray(e_grid, dtype=float)
-    if es.ndim != 1 or es.size == 0:
-        raise ValueError("e_grid must be a non-empty 1-D array")
-    if not (np.all(es > 0.0) and np.all(np.diff(es) > 0.0)):
-        raise ValueError("e_grid must be positive and strictly increasing")
     if model == "sge":
         vals = current_sge_array(es, tp.e_t, tp.c_v, tp.c_tilde1, _substituted(convention))
     else:
         vals = current_zener_array(es, tp.e_t, tp.g_p)
-    return CurveSeries(es, vals, label=model)
+    return CurveSeries(es, vals)

@@ -1,11 +1,13 @@
 """Verification suite: named cross-checks with independent oracles.
 
 Every check pits a closed form against an independent route (quadrature,
-re-derivation, exhaustive sweep or a recorded regression constant) and
-returns a measured error to compare against its tolerance.  Composite
-checks (several sub-assertions with different scales) report the worst
-normalized margin, i.e. measured <= 1.0 passes, so tolerance overrides
-behave uniformly.
+re-derivation, exhaustive sweep or a recorded regression constant).  A
+check takes no argument and returns ``(measured, tolerance, detail)``: the
+measured error, its default pass tolerance and a one-line description.
+``run_check`` alone names the result and judges it, against the default or
+an override.  Composite checks (several sub-assertions with different
+scales) report the worst normalized margin, i.e. measured <= 1.0 passes, so
+tolerance overrides behave uniformly.
 
 All sweeps are deterministic: random draws use fixed seeds.
 """
@@ -31,31 +33,21 @@ class CheckResult:
     detail: str
 
 
-def _result(name, measured, tolerance, detail):
-    return CheckResult(
-        name=name,
-        passed=bool(measured <= tolerance),
-        measured=float(measured),
-        tolerance=float(tolerance),
-        detail=detail,
-    )
-
-
 # ---------------------------------------------------------------------------
 # individual checks
 # ---------------------------------------------------------------------------
 
-def check_erf_quadrature(tol=1e-12):
+def check_erf_quadrature():
     """erf against (2/sqrt(pi)) * adaptive quadrature of e^(-t^2) on [0, x]."""
     worst = 0.0
     pref = 2.0 / math.sqrt(math.pi)
     for x in np.linspace(0.25, 6.0, 24):
         quad = numerics.integrate_adaptive(lambda t: np.exp(-t * t), 0.0, float(x), 1e-14)
         worst = max(worst, abs(math.erf(x) - pref * quad))
-    return _result("erf-quadrature", worst, tol, "max |erf - quadrature| on x in [0.25, 6]")
+    return worst, 1e-12, "max |erf - quadrature| on x in [0.25, 6]"
 
 
-def check_normalization(tol=1e-8):
+def check_normalization():
     """One-sided Gaussian normalization round trip on a 5x5 log grid."""
     worst = 0.0
     for alpha in np.geomspace(0.1, 100.0, 5):
@@ -67,10 +59,10 @@ def check_normalization(tol=1e-8):
                 lambda u: c * c * np.exp(-2.0 * a * u * u), 0.0, u_max, 1e-11
             )
             worst = max(worst, abs(val - 1.0))
-    return _result("normalization", worst, tol, "max |integral - 1| on (alpha, L) log grid")
+    return worst, 1e-8, "max |integral - 1| on (alpha, L) log grid"
 
 
-def check_thin_wall_ft(tol=1e-6):
+def check_thin_wall_ft():
     """Closed-form box amplitude vs direct cosine-transform quadrature."""
     worst = 0.0
     for l in (1.0, 2.0, 5.0, 10.0):
@@ -78,10 +70,10 @@ def check_thin_wall_ft(tol=1e-6):
             closed = wavefunctional.thin_wall_ft(float(k), l)
             direct = wavefunctional.thin_wall_ft_oracle(float(k), l, tol=1e-12)
             worst = max(worst, abs(closed - direct) / abs(closed))
-    return _result("thin-wall-ft", worst, tol, "max relative error, k in [0.01, 20], L in {1,2,5,10}")
+    return worst, 1e-6, "max relative error, k in [0.01, 20], L in {1,2,5,10}"
 
 
-def check_ratio_18_19(tol=1e-12):
+def check_ratio_18_19():
     """Full/reduced matrix-element ratio at n1 = 1 must be exactly 1/2.
 
     Draws are rejected when the common exponential factor falls below the
@@ -109,10 +101,10 @@ def check_ratio_18_19(tol=1e-12):
         num = tunneling.t_if_analytic(inputs)
         den = tunneling.t_if_simplified(inputs)
         worst = max(worst, abs(num / den - 0.5))
-    return _result("ratio-18-19", worst, tol, "max |ratio - 1/2| over 100 random inputs")
+    return worst, 1e-12, "max |ratio - 1/2| over 100 random inputs"
 
 
-def check_sge_reconciliation(tol=1e-12):
+def check_sge_reconciliation():
     """Printed current vs the matrix-element form after the c_v absorption."""
     tp = transport.TransportParams(c_v=0.7, c_tilde1=2.5)
     es = np.geomspace(0.2, 20.0, 100)
@@ -120,7 +112,7 @@ def check_sge_reconciliation(tol=1e-12):
     for e, a in zip(es.tolist(), transport.curve_series("sge", tp, es).currents.tolist()):
         b = transport.sge_from_matrix_element_form(e, tp)
         worst = max(worst, abs(a - b) / abs(a))
-    return _result("sge-reconciliation", worst, tol, "max relative gap on a 100-point log grid")
+    return worst, 1e-12, "max relative gap on a 100-point log grid"
 
 
 def check_zener_threshold():
@@ -132,12 +124,7 @@ def check_zener_threshold():
     vals = transport.curve_series("zener", tp, es).currents
     violations = int(np.sum(np.diff(vals) <= 0.0))
     measured = max(below / 1e-300, continuity / 1e-11, float(violations))
-    return _result(
-        "zener-threshold",
-        measured,
-        1.0,
-        "normalized worst of: below-threshold |I|, continuity gap, non-increasing steps",
-    )
+    return measured, 1.0, "normalized worst of: below-threshold |I|, continuity gap, non-increasing steps"
 
 
 def check_bogomolnyi_sweep():
@@ -158,9 +145,7 @@ def check_bogomolnyi_sweep():
                     report = potential.bogomolnyi_check(prof, p, phi_c=0.0, phi_f=0.0, phi_t=TWO_PI)
                     if not report.satisfied:
                         failures += 1
-    return _result(
-        "bogomolnyi-sweep", float(failures), 0.0, f"bound violations across {total} grid profiles"
-    )
+    return float(failures), 0.0, f"bound violations across {total} grid profiles"
 
 
 def check_topological_charge():
@@ -178,12 +163,8 @@ def check_topological_charge():
         q = potential.topological_charge(potential.FieldProfile(xs, phis))
         worst_kink = max(worst_kink, abs(q - 1.0))
     measured = max(worst_pair / 1e-12, worst_kink / 1e-9)
-    return _result(
-        "topological-charge",
-        measured,
-        1.0,
-        f"normalized worst of pair windings ({worst_pair:.2e}) and kink windings ({worst_kink:.2e})",
-    )
+    detail = f"normalized worst of pair windings ({worst_pair:.2e}) and kink windings ({worst_kink:.2e})"
+    return measured, 1.0, detail
 
 
 def oracle_shape_sweep():
@@ -230,12 +211,7 @@ def check_oracle_shape():
     corr = float(np.corrcoef(ln_o, ln_a)[0, 1])
     slope = decay_slope(xs, ln_o)
     measured = max((1.0 - corr) / (1.0 - 0.99), abs(slope + 1.0) / 0.05)
-    return _result(
-        "oracle-shape",
-        measured,
-        1.0,
-        f"corr = {corr:.6f} (>= 0.99), decay slope = {slope:.4f} (within 5% of -1)",
-    )
+    return measured, 1.0, f"corr = {corr:.6f} (>= 0.99), decay slope = {slope:.4f} (within 5% of -1)"
 
 
 def fig2b_fit():
@@ -262,15 +238,11 @@ def check_fig2b_fit():
     parts.append(0.0 if increasing else 2.0)
     curv_agree = np.all(np.sign(np.diff(sge.currents, 2)) == np.sign(np.diff(zener.currents, 2)))
     parts.append(0.0 if curv_agree else 2.0)
-    return _result(
-        "fig2b-fit",
-        max(parts),
-        1.0,
-        f"converged = {fit.converged}, rms_rel = {metrics.rms_rel:.12g} (recorded {ref:.12g})",
-    )
+    detail = f"converged = {fit.converged}, rms_rel = {metrics.rms_rel:.12g} (recorded {ref:.12g})"
+    return max(parts), 1.0, detail
 
 
-def check_fit_roundtrip(tol=1e-5):
+def check_fit_roundtrip():
     """Self-fit recovery of (c_tilde1, c_v) from 20%-perturbed starts."""
     rng = np.random.default_rng(20240812)
     worst = 0.0
@@ -294,7 +266,7 @@ def check_fit_roundtrip(tol=1e-5):
             abs(fit.params[1] - truth.c_v) / truth.c_v,
         )
         worst = max(worst, rel)
-    return _result("fit-roundtrip", worst, tol, "max relative parameter error over 50 self-fits")
+    return worst, 1e-5, "max relative parameter error over 50 self-fits"
 
 
 CHECKS = {
@@ -313,13 +285,10 @@ CHECKS = {
 
 
 def run_check(name, tolerance=None):
-    """Run one named check, optionally overriding its pass tolerance."""
-    if name not in CHECKS:
-        raise KeyError(name)
-    result = CHECKS[name]()
-    if tolerance is not None:
-        result = _result(result.name, result.measured, tolerance, result.detail)
-    return result
+    """Run one named check, judged against ``tolerance`` or, if None, its default."""
+    measured, default, detail = CHECKS[name]()
+    tolerance = default if tolerance is None else tolerance
+    return CheckResult(name, bool(measured <= tolerance), float(measured), float(tolerance), detail)
 
 
 def run_checks(names=None, tolerances=None):

@@ -60,35 +60,27 @@ class KinkPairProfile:
 class WavefunctionalSpec:
     """Gaussian collective-coordinate state: norm_c * exp(-alpha (u - center)^2).
 
-    norm_c and u_max come from the one-sided normalization over [0, u_max]
-    with u_max = L / sqrt(2 pi); use ``normalized`` to build a consistent
-    spec from (alpha, L, center).
+    norm_c comes from the one-sided normalization over [0, L / sqrt(2 pi)]
+    (see ``norm_constant``); the spec keeps no L, so use ``normalized`` to
+    build a consistent spec from (alpha, L, center).
     """
 
     alpha: float
     center: float
     norm_c: float
-    u_max: float
 
     def __post_init__(self):
         if not self.alpha > 0.0:
             raise ValueError("alpha must be positive")
         if not self.norm_c > 0.0:
             raise ValueError("norm_c must be positive")
-        if not self.u_max > 0.0:
-            raise ValueError("u_max must be positive")
         if not math.isfinite(self.center):
             raise ValueError("center must be finite")
 
     @classmethod
     def normalized(cls, alpha, l, center=0.0):
         """Spec with norm_c from the error-function closed form."""
-        return cls(
-            alpha=alpha,
-            center=center,
-            norm_c=norm_constant(alpha, l),
-            u_max=l / math.sqrt(TWO_PI),
-        )
+        return cls(alpha=alpha, center=center, norm_c=norm_constant(alpha, l))
 
 
 def kink_pair_profile(x, kp):
@@ -167,8 +159,12 @@ def transport_pair_specs(l, eps_plus=DEFAULT_EPS_PLUS):
 
     Width alpha = 1/L for both; centers 0 and 2 pi + eps_plus; both carry
     the one-sided normalization constant for that (alpha, L), computed once.
+    The offset eps_plus must be positive, so that the final state lies above
+    one full winding of the initial one.
     """
+    if not eps_plus > 0.0:
+        raise ValueError(f"eps_plus must be positive, got {eps_plus!r}")
     alpha = alpha_from_separation(l)
     initial = WavefunctionalSpec.normalized(alpha, l, center=0.0)
-    final = WavefunctionalSpec(alpha, TWO_PI + eps_plus, initial.norm_c, initial.u_max)
+    final = WavefunctionalSpec(alpha, TWO_PI + eps_plus, initial.norm_c)
     return initial, final

@@ -260,6 +260,28 @@ def test_fit_data_file_with_bom_and_leading_blank_line(tmp_path, capsys):
     assert json.loads(reports[0])["iterations"] > 0
 
 
+def test_fit_data_file_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    data = tmp_path / "bad.csv"
+    data.write_bytes(b"\xff\xfe1,2\n")
+    out = tmp_path / "report.json"
+    assert main(["fit", "--data", str(data), "--out", str(out)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith("error: cannot read data file: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_config_file_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_bytes(b'\xff\xfe{"grid_n": 7}\n')
+    out = tmp_path / "out.csv"
+    assert main(["curve", "--config", str(cfg), "--out", str(out)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith("error: cannot read config file: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_fit_data_row_with_non_positive_field_is_usage_error(tmp_path, capsys):
     for n, field in enumerate(["0", "-0.0", "-2.5"]):
         data = tmp_path / f"bad{n}.csv"
@@ -395,6 +417,9 @@ def test_non_numeric_config_is_usage_error(tmp_path, capsys, command, config, fi
         (["profile", "--half-width", "inf"], "argument --half-width: must be a finite number"),
         (["curve", "--e-t", "nan"], "argument --e-t: must be a finite number"),
         (["matrix-element", "--over", "e", "--delta-s", "0"], "delta_s must be positive"),
+        (["matrix-element", "--eps-plus", "0"], "eps_plus must be positive"),
+        (["matrix-element", "--eps-plus", "-6.283185307179586"], "eps_plus must be positive"),
+        (["matrix-element", "--over", "e", "--eps-plus", "-7"], "eps_plus must be positive"),
     ],
     ids=[
         "profile-n",
@@ -406,6 +431,9 @@ def test_non_numeric_config_is_usage_error(tmp_path, capsys, command, config, fi
         "profile-half-width-inf",
         "curve-e-t-nan",
         "matrix-element-over-e-delta-s",
+        "matrix-element-eps-plus-zero",
+        "matrix-element-eps-plus-coincident-centres",
+        "matrix-element-eps-plus-below-initial",
     ],
 )
 def test_out_of_range_option_is_usage_error(tmp_path, capsys, args, message):

@@ -40,8 +40,8 @@ def test_compare_identical_series():
 def test_compare_uniform_offset():
     es = np.linspace(1.0, 3.0, 20)
     base = np.linspace(0.5, 2.0, 20)
-    a = CurveSeries(es, 1.1 * base, label="a")
-    b = CurveSeries(es, base, label="b")
+    a = CurveSeries(es, 1.1 * base)
+    b = CurveSeries(es, base)
     m = compare_series(a, b, (1.0, 3.0))
     assert m.rms_rel == pytest.approx(0.1, abs=1e-12)
     assert m.max_rel == pytest.approx(0.1, abs=1e-12)
@@ -49,8 +49,8 @@ def test_compare_uniform_offset():
 
 def test_compare_is_b_normalized_not_symmetric():
     es = np.linspace(1.0, 3.0, 10)
-    a = CurveSeries(es, np.full(10, 2.0), label="a")
-    b = CurveSeries(es, np.full(10, 1.0), label="b")
+    a = CurveSeries(es, np.full(10, 2.0))
+    b = CurveSeries(es, np.full(10, 1.0))
     ab = compare_series(a, b, (1.0, 3.0))
     ba = compare_series(b, a, (1.0, 3.0))
     assert ab.max_rel == pytest.approx(1.0)
@@ -59,23 +59,23 @@ def test_compare_is_b_normalized_not_symmetric():
 
 
 def test_compare_rejects_grid_mismatch():
-    a = CurveSeries(np.linspace(1, 3, 10), np.ones(10), label="a")
-    b = CurveSeries(np.linspace(1.01, 3.01, 10), np.ones(10), label="b")
+    a = CurveSeries(np.linspace(1, 3, 10), np.ones(10))
+    b = CurveSeries(np.linspace(1.01, 3.01, 10), np.ones(10))
     with pytest.raises(ValueError):
         compare_series(a, b, (1.0, 3.0))
 
 
 def test_compare_rejects_zero_denominator():
     es = np.linspace(0.5, 1.5, 5)
-    a = CurveSeries(es, np.ones(5), label="a")
-    b = CurveSeries(es, np.array([0.0, 1.0, 1.0, 1.0, 1.0]), label="zener-like")
+    a = CurveSeries(es, np.ones(5))
+    b = CurveSeries(es, np.array([0.0, 1.0, 1.0, 1.0, 1.0]))
     with pytest.raises(ValueError):
         compare_series(a, b, (0.5, 1.5))
 
 
 def test_compare_rejects_empty_window():
     es = np.linspace(1.0, 2.0, 5)
-    a = CurveSeries(es, np.ones(5), label="a")
+    a = CurveSeries(es, np.ones(5))
     with pytest.raises(ValueError):
         compare_series(a, a, (5.0, 6.0))
     with pytest.raises(ValueError):

@@ -362,8 +362,22 @@ def test_fit_raises_where_the_normal_equations_overflow():
 def test_fit_rejects_empty_inputs():
     with pytest.raises(ValueError):
         least_squares_fit(_exp_model, np.array([1.0, 1.0]), [], _exp_jac)
-    with pytest.raises(ValueError):
-        least_squares_fit(_exp_model, np.array([]), [(0.0, 1.0)], _exp_jac)
+
+
+def test_fit_with_zero_parameters_reports_the_start_residual():
+    def jacobian(x, p):
+        raise AssertionError("jacobian called with no parameter to fit")
+
+    data = [(1.0, 1.0), (2.0, 5.0)]
+    fit = least_squares_fit(lambda x, p: 2.0 * x, np.array([]), data, jacobian)
+    assert fit.params.shape == (0,)
+    assert fit.iterations == 0 and fit.stop == "converged"
+    assert fit.residual_rms == math.sqrt((1.0 + 1.0) / 2.0)
+    # the start errors are those of a fit with parameters
+    with pytest.raises(ValueError, match="^model is not evaluable at the initial parameters$"):
+        least_squares_fit(lambda x, p: np.full(x.size, np.inf), np.array([]), data, jacobian)
+    with pytest.raises(ValueError, match="^sum of squared residuals overflows at the initial parameters$"):
+        least_squares_fit(lambda x, p: x, np.array([]), [(2.0, 1e300), (3.0, 1e300)], jacobian)
 
 
 def test_fit_rejects_non_finite_data_before_calling_the_model():

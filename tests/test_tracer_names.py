@@ -10,7 +10,7 @@ from pathlib import Path
 
 import cdwtunnel
 import cdwtunnel._backend
-from cdwtunnel import fitting, numerics
+from cdwtunnel import fitting, numerics, verify
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -34,3 +34,16 @@ def test_tracer_installs_and_restores(monkeypatch):
     assert all(new is not old for new, old in zip(patched, originals))
     assert restored > 0
     assert (numerics.integrate_adaptive, numerics.least_squares_fit, fitting.current_sge) == originals
+
+
+def test_traced_verify_check_keeps_its_result_and_span(monkeypatch):
+    # the tracer wraps each value of verify.CHECKS; run_check must still name and judge the result
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    tracer = Tracer()
+    with tracer.installed():
+        (result,) = verify.run_checks(["ratio-18-19"])
+    assert isinstance(result, verify.CheckResult)
+    assert result.name == "ratio-18-19" and result.passed
+    assert [span[0] for span in tracer.spans if span[0].startswith("verify.")] == ["verify.ratio-18-19"]

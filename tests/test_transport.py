@@ -130,14 +130,12 @@ def test_curve_series_zener_below_threshold_is_zero():
     tp = TransportParams(e_t=1.0)
     series = curve_series("zener", tp, np.linspace(0.1, 1.0, 10))
     assert np.all(series.currents == 0.0)
-    assert series.label == "zener"
 
 
 def test_curve_series_sge_positive_and_monotone():
     tp = TransportParams()
     es = np.linspace(tp.c_v * tp.e_t, 50.0, 2000)
     series = curve_series("sge", tp, es)
-    assert series.label == "sge"
     assert np.all(series.currents > 0.0)
     assert np.all(np.diff(series.currents) > 0.0)
 
@@ -151,9 +149,7 @@ def test_curve_series_validation():
     with pytest.raises(ValueError):
         curve_series("nope", tp, [1.0, 2.0])
     with pytest.raises(ValueError):
-        CurveSeries([1.0, 2.0], [0.5, -0.5], label="x")
-    series = CurveSeries([1.0, 2.0], [0.5, 0.7], label="x")
-    assert series.points() == [(1.0, 0.5), (2.0, 0.7)]
+        CurveSeries([1.0, 2.0], [0.5, -0.5])
 
 
 def test_transport_params_validation():

@@ -268,14 +268,15 @@ def test_transport_pair_specs():
     assert initial.alpha == final.alpha == pytest.approx(1.0 / l)
     assert initial.center == 0.0
     assert final.center == pytest.approx(TWO_PI + 1e-3)
-    assert initial.u_max == pytest.approx(l / math.sqrt(TWO_PI))
     # one normalization per pair, the closed form's for (alpha, L)
     assert initial.norm_c == final.norm_c == norm_constant(1.0 / l, l)
-    assert initial.u_max == final.u_max
+    for eps_plus in (0.0, -1e-3, -TWO_PI, math.nan):
+        with pytest.raises(ValueError, match="eps_plus must be positive"):
+            transport_pair_specs(l, eps_plus)
 
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        WavefunctionalSpec(alpha=0.0, center=0.0, norm_c=1.0, u_max=1.0)
+        WavefunctionalSpec(alpha=0.0, center=0.0, norm_c=1.0)
     with pytest.raises(ValueError):
-        WavefunctionalSpec(alpha=1.0, center=0.0, norm_c=-1.0, u_max=1.0)
+        WavefunctionalSpec(alpha=1.0, center=0.0, norm_c=-1.0)
