@@ -12,7 +12,7 @@ and curve series use.  Everything is plain Python on numpy
 (``cdwtunnel.BACKEND`` is ``"pure"``).
 """
 
-from .fitting import ComparisonMetrics, compare_series, fit_sge_to_points, fit_sge_to_zener
+from .fitting import compare_series, fit_sge_to_points, fit_sge_to_zener
 from .numerics import (
     FitResult,
     QuadratureError,
@@ -59,7 +59,6 @@ BACKEND = "pure"
 __all__ = [
     "BACKEND",
     "BoundReport",
-    "ComparisonMetrics",
     "CurveSeries",
     "FieldProfile",
     "FitResult",

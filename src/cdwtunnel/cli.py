@@ -221,15 +221,10 @@ def _cmd_curve(o):
     tp = _transport_params(o)
     es = _grid(o, 1.05 * tp.e_t, 10.0 * tp.e_t)
 
-    if o.model == "both":
-        header = ["e", "i_sge", "i_zener"]
-        sge = transport.curve_series("sge", tp, es, o.convention)
-        zen = transport.curve_series("zener", tp, es)
-        rows = list(zip(es, sge.currents, zen.currents))
-    else:
-        header = ["e", f"i_{o.model}"]
-        series = transport.curve_series(o.model, tp, es, o.convention)
-        rows = list(zip(es, series.currents))
+    models = ("sge", "zener") if o.model == "both" else (o.model,)
+    header = ["e"] + [f"i_{model}" for model in models]
+    columns = [transport.curve_series(model, tp, es, o.convention).currents for model in models]
+    rows = list(zip(es, *columns))
 
     if o.format == "csv":
         _write({out: _csv_text(header, rows)})

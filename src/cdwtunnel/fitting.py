@@ -1,9 +1,9 @@
 """Curve comparison and fits of the pair current against Zener-law samples.
 
 The threshold E_T is shared between the two laws, never fitted; only the
-amplitude c_tilde1 and the geometry factor c_v are free.  Comparison
-metrics are normalized by the second series, so they are deliberately
-asymmetric in their arguments.
+amplitude c_tilde1 and the geometry factor c_v are free.  A comparison is
+the relative RMS normalized by the second series, so it is deliberately
+asymmetric in its arguments.
 
 Fits evaluate whole grids: the model and Jacobian handed to
 ``least_squares_fit`` each compute every field point in one call of the
@@ -14,7 +14,6 @@ checked once, before the fit starts.
 
 import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .transport import current_sge, current_sge_array, current_zener_array, sge_
 from .transport import sge_jacobian as sge_model_jacobian
 
 __all__ = [
-    "ComparisonMetrics",
     "FIG2B_REFERENCE_RMS_REL",
     "FIG2B_WINDOW",
     "FREE_PARAM_ORDER",
@@ -51,25 +49,12 @@ FIG2B_WINDOW = (1.2, 5.0)
 FIG2B_REFERENCE_RMS_REL = 0.4755059374594367
 
 
-@dataclass(frozen=True)
-class ComparisonMetrics:
-    """Relative deviation of one series from another over a shared window."""
-
-    rms_rel: float
-    max_rel: float
-
-    def __post_init__(self):
-        if self.rms_rel < 0.0 or self.max_rel < self.rms_rel - 1e-15:
-            raise ValueError("metrics must satisfy max_rel >= rms_rel >= 0")
-
-
 def compare_series(a, b, window):
-    """b-normalized deviation metrics of series a from series b.
+    """b-normalized relative RMS sqrt(mean(((a-b)/b)^2)) of series a from series b.
 
     Both series must carry identical E grids inside the window and b must
-    be nonzero there.  rms_rel is sqrt(mean((a-b)^2/b^2)) and max_rel the
-    worst |a-b|/|b|; swapping the arguments changes the normalization, so
-    the metrics are not symmetric.
+    be nonzero there.  Swapping the arguments changes the normalization, so
+    the result is not symmetric.
     """
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
@@ -85,10 +70,7 @@ def compare_series(a, b, window):
     if np.any(yb == 0.0):
         raise ValueError("second series is zero inside the window")
     rel = (ya - yb) / yb
-    return ComparisonMetrics(
-        rms_rel=float(np.sqrt(np.mean(rel**2))),
-        max_rel=float(np.max(np.abs(rel))),
-    )
+    return float(np.sqrt(np.mean(rel**2)))
 
 
 def transport_with(base, free, values):

@@ -15,7 +15,6 @@ __all__ = [
     "PotentialParams",
     "alpha_from_separation",
     "bogomolnyi_check",
-    "bound_braces",
     "delta_e_gap",
     "eval_extended_potential",
     "topological_charge",
@@ -86,11 +85,6 @@ def delta_e_gap(p, phi_f, phi_t):
     return eval_extended_potential(phi_f, p) - eval_extended_potential(phi_t, p)
 
 
-def bound_braces(p, phi_f, phi_t):
-    """The braces quantity of the energy bound: twice the gap energy."""
-    return 2.0 * delta_e_gap(p, phi_f, phi_t)
-
-
 def alpha_from_separation(l):
     """Gaussian width coefficient 1/L from the pair separation."""
     if not l > 0.0:
@@ -117,7 +111,7 @@ def bogomolnyi_check(profile, p, phi_c, phi_f, phi_t):
     side.
     """
     q = topological_charge(profile)
-    braces = bound_braces(p, phi_f, phi_t)
+    braces = 2.0 * delta_e_gap(p, phi_f, phi_t)
     lhs = _profile_energy(profile, p)
     rhs = abs(q) + 0.5 * (p.phi0 - phi_c) ** 2 * braces
     satisfied = lhs >= rhs - 1e-9 * max(1.0, abs(rhs))

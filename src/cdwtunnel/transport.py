@@ -72,8 +72,13 @@ class CurveSeries:
             raise ValueError("series must not be empty")
         if not (np.all(es > 0.0) and np.all(np.diff(es) > 0.0)):
             raise ValueError("fields must be positive and strictly increasing")
-        if not np.all(np.isfinite(currents)) or np.any(currents < 0.0):
-            raise ValueError("currents must be finite and non-negative")
+        ok = np.isfinite(currents) & (currents >= 0.0)
+        if not ok.all():
+            k = int(np.argmin(ok))
+            raise ValueError(
+                "currents must be finite and non-negative; the first bad one is"
+                f" I = {currents[k]:.12g} at E = {es[k]:.12g}"
+            )
         self.es = es
         self.currents = currents
 

@@ -5,11 +5,15 @@ occupation factor n1 everywhere and ``t_if_simplified`` is the reduced
 form feeding the transport current; at n1 = 1 the analytic form is exactly
 half the simplified one (the dropped prefactor is preserved and tested,
 not silently fixed).  The independent route is a single-mode quadrature
-oracle over the collective coordinate.
+oracle over the collective coordinate; where the overlap of two distinct
+states falls below the normal double range it raises, never returning a silent 0.
 """
 
 import math
+import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from .numerics import _cosh_times_exp, integrate_adaptive
 from .wavefunctional import eval_wavefunctional
@@ -66,34 +70,44 @@ def t_if_simplified(inputs):
     return inputs.c1_norm * inputs.c2_norm / inputs.m_star * _cosh_exp_factor(inputs, 1.0)
 
 
-def t_if_single_mode_oracle(spec_i, spec_f, u0=None, m_star=1.0, tol=1e-11):
+def t_if_single_mode_oracle(spec_i, spec_f, m_star=1.0, tol=1e-11):
     """|T| by adaptive quadrature over the retained mode amplitude u.
 
     Integrates (1/2m*) [psi_i psi_f'' - psi_f psi_i''] theta(u - u0) with
-    the Gaussian second derivatives taken analytically; u0 defaults to the
-    midpoint of the two centers.  The upper limit sits 12 Gaussian widths
-    above the higher center, where the integrand is long dead.
-    Quadrature non-convergence propagates.
+    the Gaussian second derivatives taken analytically, from the barrier
+    point u0, the midpoint of the two centers, to 12 Gaussian widths above
+    the higher center, where the integrand is long dead.  States with equal
+    (alpha, center) are proportional and give exactly 0.  For any other pair
+    a |T| below ``sys.float_info.min`` raises ValueError rather than return a
+    silent 0 or a subnormal; quadrature non-convergence propagates.
     """
     if not m_star > 0.0:
         raise ValueError("m_star must be positive")
-    if u0 is None:
-        u0 = 0.5 * (spec_i.center + spec_f.center)
-    width = 1.0 / math.sqrt(2.0 * min(spec_i.alpha, spec_f.alpha))
-    hi = max(spec_i.center, spec_f.center) + 12.0 * width
-    if hi <= u0:
-        raise ValueError("barrier point u0 lies above the integration window")
     ai, mi = spec_i.alpha, spec_i.center
     af, mf = spec_f.alpha, spec_f.center
+    if (ai, mi) == (af, mf):
+        return 0.0
+    u0 = 0.5 * (mi + mf)
+    width = 1.0 / math.sqrt(2.0 * min(ai, af))
+    hi = max(mi, mf) + 12.0 * width
+    if hi <= u0:
+        raise ValueError("barrier point u0 lies above the integration window")
 
     def integrand(u):
         di = u - mi
         df = u - mf
-        pi_ = eval_wavefunctional(u, spec_i)
-        pf = eval_wavefunctional(u, spec_f)
-        ppi = pi_ * (4.0 * ai * ai * di * di - 2.0 * ai)
-        ppf = pf * (4.0 * af * af * df * df - 2.0 * af)
-        return pi_ * ppf - pf * ppi
+        with np.errstate(over="ignore", invalid="ignore"):
+            pi_ = eval_wavefunctional(u, spec_i)
+            pf = eval_wavefunctional(u, spec_f)
+            ppi = pi_ * (4.0 * ai * ai * di * di - 2.0 * ai)
+            ppf = pf * (4.0 * af * af * df * df - 2.0 * af)
+            # a Gaussian that underflowed to 0 zeroes the integrand, even where its polynomial overflowed
+            return np.where((pi_ == 0.0) | (pf == 0.0), 0.0, pi_ * ppf - pf * ppi)
 
-    val = integrate_adaptive(integrand, float(u0), float(hi), float(tol))
-    return abs(val) / (2.0 * float(m_star))
+    t = abs(integrate_adaptive(integrand, u0, hi, float(tol))) / (2.0 * float(m_star))
+    if t < sys.float_info.min:
+        raise ValueError(
+            f"overlap |T| = {t:.3g} of the states centered at {mi!r} and {mf!r}"
+            " lies below the normal double range"
+        )
+    return t

@@ -4,6 +4,9 @@ The functional integral over field configurations is reduced to one
 retained momentum-mode amplitude u, so a wavefunctional here is a
 normalized Gaussian in a single collective coordinate.  The thin-wall box
 and its momentum-space amplitude use the unit-height convention.
+A state's width and normalization are positive and finite, so a separation
+where alpha = 1/L or the normalization integral leaves the double range is a
+ValueError, never a division by zero or a zero norm.
 """
 
 import math
@@ -70,10 +73,10 @@ class WavefunctionalSpec:
     norm_c: float
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise ValueError("alpha must be positive")
-        if not self.norm_c > 0.0:
-            raise ValueError("norm_c must be positive")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
+        if not 0.0 < self.norm_c < math.inf:
+            raise ValueError("norm_c must be positive and finite")
         if not math.isfinite(self.center):
             raise ValueError("center must be finite")
 
@@ -119,16 +122,16 @@ def thin_wall_ft(k, l):
     return _SQRT_TWO_OVER_PI * math.sin(0.5 * k * l) / k
 
 
-def thin_wall_ft_oracle(k, l, tol=1e-11):
+def thin_wall_ft_oracle(k, l):
     """Direct cosine-transform quadrature of the unit box (independent route).
 
     (1/sqrt(2 pi)) * integral of cos(k x) over [-l/2, l/2], by adaptive
-    Gauss-Kronrod quadrature on node arrays.
+    Gauss-Kronrod quadrature on node arrays to an absolute 1e-12.
     """
     if not l > 0.0:
         raise ValueError("box width must be positive")
     k, l = float(k), float(l)
-    val = integrate_adaptive(lambda x: np.cos(k * x), -0.5 * l, 0.5 * l, float(tol))
+    val = integrate_adaptive(lambda x: np.cos(k * x), -0.5 * l, 0.5 * l, 1e-12)
     return val / math.sqrt(2.0 * math.pi)
 
 
@@ -136,15 +139,18 @@ def norm_constant(alpha, l):
     """C with integral_0^{L/sqrt(2 pi)} C^2 e^(-2 alpha u^2) du = 1.
 
     Uses the closed form integral_0^b e^(-a x^2) dx
-    = (1/2) sqrt(pi/a) erf(b sqrt(a)) with a = 2 alpha.
+    = (1/2) sqrt(pi/a) erf(b sqrt(a)) with a = 2 alpha.  Raises ValueError
+    unless alpha, L and the integral are positive and finite.
     """
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
-    if not l > 0.0:
-        raise ValueError("separation L must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
+    if not 0.0 < l < math.inf:
+        raise ValueError(f"separation L must be positive and finite, got {l!r}")
     u_max = float(l) / math.sqrt(2.0 * math.pi)
     a = 2.0 * float(alpha)
     integral = 0.5 * math.sqrt(math.pi / a) * math.erf(u_max * math.sqrt(a))
+    if not 0.0 < integral < math.inf:
+        raise ValueError(f"normalization integral is {integral!r} at alpha = {alpha!r}, L = {l!r}")
     return 1.0 / math.sqrt(integral)
 
 

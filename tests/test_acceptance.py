@@ -102,7 +102,7 @@ def test_criterion_07_zener_comparison_regression():
     second = verify.fig2b_fit()
     deterministic = (
         np.array_equal(first[0].params, second[0].params)
-        and first[4].rms_rel == second[4].rms_rel
+        and first[3] == second[3]
     )
     assert report("criterion-7 [fig2b-determinism]", deterministic, "two runs bit-identical")
     check_to_line(7, verify.run_check("fig2b-fit"))

@@ -346,6 +346,79 @@ def test_any_fit_data_file_runs_or_exits_cleanly(tmp_path, monkeypatch, capsys):
     run()
 
 
+def test_any_matrix_element_magnitudes_run_or_exit_cleanly(tmp_path, monkeypatch, capsys):
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings, strategies as st
+
+    monkeypatch.setenv("HYPOTHESIS_STORAGE_DIRECTORY", str(tmp_path))
+    # log-uniform over the double range, subnormals included; few such draws
+    # give a finite overlap, so the examples pin runs that write a table
+    magnitudes = st.floats(-323.0, 308.0).map(lambda p: 10.0**p)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @example(ends=(2.0, 12.0), x_bar=1.0, eps_plus=1e-3, delta_s=1.0, over="l", grid_n=4)
+    @example(ends=(0.2, 2.0), x_bar=3.0, eps_plus=0.5, delta_s=1.0, over="e", grid_n=4)
+    @example(ends=(2.0, 12.0), x_bar=1.0, eps_plus=1e6, delta_s=1.0, over="l", grid_n=3)
+    @given(
+        ends=st.tuples(magnitudes, magnitudes),
+        x_bar=magnitudes,
+        eps_plus=magnitudes,
+        delta_s=magnitudes,
+        over=st.sampled_from(["l", "e"]),
+        grid_n=st.integers(2, 4),
+    )
+    def run(ends, x_bar, eps_plus, delta_s, over, grid_n):
+        lo, hi = sorted(ends)
+        work = tmp_path / "work"
+        work.mkdir(exist_ok=True)
+        out = work / "m.csv"
+        args = ["matrix-element", "--over", over, "--grid-lo", repr(lo), "--grid-hi", repr(hi)]
+        args += ["--grid-n", str(grid_n), "--x-bar", repr(x_bar), "--eps-plus", repr(eps_plus)]
+        if over == "e":
+            args += ["--delta-s", repr(delta_s)]
+        code = main([*args, "--out", str(out)])
+        stdout, err = capsys.readouterr()
+        assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_RUNTIME), args
+        if code == cli.EXIT_OK:
+            assert stdout == err == ""
+            t_oracle = [float(line.rsplit(",", 1)[1]) for line in read_lines(out)[1:]]
+            assert all(abs(t) >= sys.float_info.min for t in t_oracle), (args, t_oracle)
+            out.unlink()
+        else:
+            assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1, (args, err)
+            assert list(work.iterdir()) == []
+
+    run()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["matrix-element", "--grid-lo", "1e-320", "--grid-n", "3"], "alpha must be positive and finite"),
+        (
+            ["matrix-element", "--over", "e", "--delta-s", "1e-320", "--grid-n", "3"],
+            "alpha must be positive and finite",
+        ),
+        (["matrix-element", "--eps-plus", "1e6", "--grid-n", "3"], "overlap |T| = 0 of the states"),
+        (
+            ["matrix-element", "--over", "e", "--grid-hi", "100", "--grid-n", "5"],
+            "overlap |T| = 4.29e-320 of the states",
+        ),
+        (
+            ["curve", "--grid-lo", "1e-3", "--grid-hi", "1e6"],
+            "currents must be finite and non-negative; the first bad one is I = inf at E = 258261.876068",
+        ),
+    ],
+    ids=["tiny-l", "tiny-delta-s", "far-final-state", "subnormal-overlap", "sge-overflow"],
+)
+def test_domain_edge_is_runtime_error(tmp_path, capsys, args, message):
+    code = main([*args, "--out", str(tmp_path / "out.csv")])
+    assert code == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_profile_sidecar_charge(tmp_path):
     out = tmp_path / "prof.csv"
     code = main(["profile", "--x-a", "-5", "--x-b", "5", "--steepness", "1", "--out", str(out)])

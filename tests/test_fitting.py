@@ -33,8 +33,7 @@ def test_compare_identical_series():
     tp = TransportParams()
     es = np.linspace(1.2, 5.0, 30)
     a = _sge_series(tp, es)
-    m = compare_series(a, a, (1.2, 5.0))
-    assert m.rms_rel == 0.0 and m.max_rel == 0.0
+    assert compare_series(a, a, (1.2, 5.0)) == 0.0
 
 
 def test_compare_uniform_offset():
@@ -42,9 +41,7 @@ def test_compare_uniform_offset():
     base = np.linspace(0.5, 2.0, 20)
     a = CurveSeries(es, 1.1 * base)
     b = CurveSeries(es, base)
-    m = compare_series(a, b, (1.0, 3.0))
-    assert m.rms_rel == pytest.approx(0.1, abs=1e-12)
-    assert m.max_rel == pytest.approx(0.1, abs=1e-12)
+    assert compare_series(a, b, (1.0, 3.0)) == pytest.approx(0.1, abs=1e-12)
 
 
 def test_compare_is_b_normalized_not_symmetric():
@@ -53,9 +50,18 @@ def test_compare_is_b_normalized_not_symmetric():
     b = CurveSeries(es, np.full(10, 1.0))
     ab = compare_series(a, b, (1.0, 3.0))
     ba = compare_series(b, a, (1.0, 3.0))
-    assert ab.max_rel == pytest.approx(1.0)
-    assert ba.max_rel == pytest.approx(0.5)
-    assert ab.rms_rel != ba.rms_rel
+    assert ab == pytest.approx(1.0)
+    assert ba == pytest.approx(0.5)
+
+
+def test_compare_is_the_b_normalized_relative_rms():
+    rng = np.random.default_rng(23)
+    es = np.linspace(1.0, 4.0, 31)
+    a = CurveSeries(es, rng.uniform(0.1, 3.0, es.size))
+    b = CurveSeries(es, rng.uniform(0.1, 3.0, es.size))
+    inside = (es >= 1.5) & (es <= 3.5)
+    ya, yb = a.currents[inside], b.currents[inside]
+    assert compare_series(a, b, (1.5, 3.5)) == float(np.sqrt(np.mean(((ya - yb) / yb) ** 2)))
 
 
 def test_compare_rejects_grid_mismatch():
@@ -136,10 +142,8 @@ def test_zener_target_fit_reproduces_recorded_rms():
     es = np.linspace(lo, hi, 100)
     fit = fit_sge_to_zener(tp, es, free={"c_tilde1", "c_v"}, start=tp)
     fitted = transport_with(tp, ("c_tilde1", "c_v"), fit.params)
-    metrics = compare_series(
-        curve_series("sge", fitted, es), curve_series("zener", tp, es), (lo, hi)
-    )
-    assert abs(metrics.rms_rel - FIG2B_REFERENCE_RMS_REL) <= 0.01 * FIG2B_REFERENCE_RMS_REL
+    rms_rel = compare_series(curve_series("sge", fitted, es), curve_series("zener", tp, es), (lo, hi))
+    assert abs(rms_rel - FIG2B_REFERENCE_RMS_REL) <= 0.01 * FIG2B_REFERENCE_RMS_REL
 
 
 def test_fit_rejects_grid_at_or_below_threshold():
@@ -173,7 +177,7 @@ def test_residual_invariant_under_joint_rescale():
         fitted = transport_with(target_tp, ("c_tilde1", "c_v"), fit.params)
         return compare_series(
             curve_series("sge", fitted, es), curve_series("zener", target_tp, es), (lo, hi)
-        ).rms_rel
+        )
 
     assert rel_rms(fit_a, tp) == pytest.approx(rel_rms(fit_b, tp_scaled), rel=1e-8)
 

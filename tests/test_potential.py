@@ -8,7 +8,6 @@ from cdwtunnel.potential import (
     PotentialParams,
     alpha_from_separation,
     bogomolnyi_check,
-    bound_braces,
     delta_e_gap,
     eval_extended_potential,
     topological_charge,
@@ -67,7 +66,6 @@ def test_gap_energy():
     p = PotentialParams(c1=1.0, c2=0.0, phi0=0.0)
     assert delta_e_gap(p, 1.0, 2.0) == pytest.approx(-3.0)
     assert delta_e_gap(p, 0.7, 0.7) == 0.0
-    assert bound_braces(p, 1.0, 2.0) == pytest.approx(2.0 * delta_e_gap(p, 1.0, 2.0))
 
 
 def test_gap_energy_antisymmetry():

@@ -152,6 +152,14 @@ def test_curve_series_validation():
         CurveSeries([1.0, 2.0], [0.5, -0.5])
 
 
+def test_curve_series_names_its_first_bad_current():
+    with pytest.raises(ValueError) as info:
+        CurveSeries([1.0, 2.0, 3.0, 4.0], [0.5, math.nan, -1.0, math.inf])
+    assert str(info.value) == "currents must be finite and non-negative; the first bad one is I = nan at E = 2"
+    with pytest.raises(ValueError, match="the first bad one is I = -1 at E = 3"):
+        CurveSeries([1.0, 2.0, 3.0], [0.5, 1.0, -1.0])
+
+
 def test_transport_params_validation():
     with pytest.raises(ValueError):
         TransportParams(e_t=0.0)

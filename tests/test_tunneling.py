@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -115,6 +116,26 @@ def test_oracle_vanishes_for_identical_states():
     assert t_if_single_mode_oracle(spec, spec) <= 1e-12
 
 
+def test_oracle_is_zero_for_proportional_states():
+    spec = WavefunctionalSpec.normalized(0.5, 2.0, center=1.0)
+    for scale in (3.0, 7.3, 1e-200):
+        other = dataclasses.replace(spec, norm_c=scale * spec.norm_c)
+        assert t_if_single_mode_oracle(spec, other) == t_if_single_mode_oracle(other, spec) == 0.0
+
+
+@pytest.mark.parametrize(
+    "l, eps_plus, shown",
+    [
+        (2.0, 1e6, "|T| = 0 "),  # the final state sits far above the initial one
+        (2.0 / 75.5, 1e-3, "|T| = 4.29e-320 "),  # narrow states: a subnormal overlap
+    ],
+)
+def test_oracle_rejects_overlap_below_normal_range(l, eps_plus, shown):
+    with pytest.raises(ValueError, match="lies below the normal double range") as info:
+        t_if_single_mode_oracle(*transport_pair_specs(l, eps_plus))
+    assert shown in str(info.value)
+
+
 def test_oracle_symmetric_under_state_swap():
     spec_i = WavefunctionalSpec.normalized(0.4, 2.5, center=0.0)
     spec_f = WavefunctionalSpec.normalized(0.4, 2.5, center=TWO_PI)
@@ -178,11 +199,11 @@ def test_oracle_decay_slope_fixed_widths():
     assert slope == pytest.approx(-1.0, abs=0.05)
 
 
-def test_oracle_custom_barrier_point():
-    spec_i = WavefunctionalSpec.normalized(0.5, 2.0, center=0.0)
-    spec_f = WavefunctionalSpec.normalized(0.5, 2.0, center=4.0)
-    default = t_if_single_mode_oracle(spec_i, spec_f)
-    shifted = t_if_single_mode_oracle(spec_i, spec_f, u0=1.0)
-    assert default != shifted
-    with pytest.raises(ValueError):
-        t_if_single_mode_oracle(spec_i, spec_f, u0=1e9)
+def test_oracle_rejects_barrier_point_above_window():
+    # adjacent doubles near 1e20: the 12-width margin is lost to rounding and
+    # the rounded midpoint lands on the upper limit
+    lo = math.nextafter(1e20, math.inf)
+    spec_i = WavefunctionalSpec.normalized(0.5, 2.0, center=lo)
+    spec_f = WavefunctionalSpec.normalized(0.5, 2.0, center=math.nextafter(lo, math.inf))
+    with pytest.raises(ValueError, match="barrier point u0 lies above the integration window"):
+        t_if_single_mode_oracle(spec_i, spec_f)

@@ -43,3 +43,8 @@ def test_tolerance_override_changes_only_tolerance_and_passed(defaults, name):
     overridden = verify.run_check(name, -1.0)
     assert overridden.tolerance == -1.0 and not overridden.passed
     assert dataclasses.replace(overridden, tolerance=DEFAULT_TOLERANCES[name], passed=True) == defaults[name]
+
+
+def test_bogomolnyi_sweep_covers_its_whole_grid(defaults):
+    # 4 steepnesses x 4 separations x 3 C1 x 3 C2, every one with a positive gap
+    assert defaults["bogomolnyi-sweep"].detail == "bound violations across 144 grid profiles"

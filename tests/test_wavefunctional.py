@@ -197,7 +197,7 @@ def test_ft_matches_box_transform_quadrature():
     for l in (1.0, 2.0, 5.0, 10.0):
         for k in np.linspace(0.01, 20.0, 12):
             closed = thin_wall_ft(float(k), l)
-            direct = thin_wall_ft_oracle(float(k), l, tol=1e-12)
+            direct = thin_wall_ft_oracle(float(k), l)
             assert abs(closed - direct) <= 1e-6 * abs(closed)
 
 
@@ -205,7 +205,7 @@ def test_ft_oracle_agrees_with_generic_quadrature():
     # the fused oracle must be the same computation as integrate_adaptive
     k, l = 3.3, 4.0
     direct = integrate_adaptive(lambda x: np.cos(k * x), -l / 2, l / 2, 1e-12)
-    assert thin_wall_ft_oracle(k, l, tol=1e-12) == pytest.approx(
+    assert thin_wall_ft_oracle(k, l) == pytest.approx(
         direct / math.sqrt(TWO_PI), rel=1e-12
     )
 
@@ -239,6 +239,23 @@ def test_norm_constant_rejects_bad_inputs():
         norm_constant(0.0, 1.0)
     with pytest.raises(ValueError):
         norm_constant(1.0, -1.0)
+
+
+@pytest.mark.parametrize(
+    "alpha, l, message",
+    [
+        (math.inf, 1e-320, "alpha must be positive and finite"),
+        (math.nan, 1.0, "alpha must be positive and finite"),
+        (1.0, math.inf, "separation L must be positive and finite"),
+        # 2 alpha overflows, so sqrt(pi / a) is 0
+        (1e308, 1.0, "normalization integral is 0.0"),
+        # pi / (2 alpha) overflows at a subnormal alpha
+        (8.231995621339854e-309, 1.214772269081016e308, "normalization integral is inf"),
+    ],
+)
+def test_norm_constant_rejects_out_of_range_normalization(alpha, l, message):
+    with pytest.raises(ValueError, match=message):
+        norm_constant(alpha, l)
 
 
 def test_wavefunctional_peak_and_symmetry():
@@ -280,3 +297,10 @@ def test_spec_validation():
         WavefunctionalSpec(alpha=0.0, center=0.0, norm_c=1.0)
     with pytest.raises(ValueError):
         WavefunctionalSpec(alpha=1.0, center=0.0, norm_c=-1.0)
+
+
+def test_spec_requires_finite_alpha_and_norm():
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        WavefunctionalSpec(alpha=math.inf, center=0.0, norm_c=1.0)
+    with pytest.raises(ValueError, match="norm_c must be positive and finite"):
+        WavefunctionalSpec(alpha=1.0, center=0.0, norm_c=math.inf)
