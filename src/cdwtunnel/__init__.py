@@ -17,6 +17,7 @@ from .numerics import (
     FitResult,
     QuadratureError,
     integrate_adaptive,
+    integrate_family,
     least_squares_fit,
 )
 from .potential import (
@@ -42,6 +43,7 @@ from .tunneling import (
     t_if_analytic,
     t_if_simplified,
     t_if_single_mode_oracle,
+    t_if_single_mode_oracles,
 )
 from .wavefunctional import (
     KinkPairProfile,
@@ -80,6 +82,7 @@ __all__ = [
     "fit_sge_to_points",
     "fit_sge_to_zener",
     "integrate_adaptive",
+    "integrate_family",
     "kink_pair_profile",
     "least_squares_fit",
     "norm_constant",
@@ -88,6 +91,7 @@ __all__ = [
     "t_if_analytic",
     "t_if_simplified",
     "t_if_single_mode_oracle",
+    "t_if_single_mode_oracles",
     "thin_wall_ft",
     "topological_charge",
 ]

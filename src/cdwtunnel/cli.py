@@ -340,26 +340,29 @@ def _cmd_matrix_element(o):
         wavefunctional.transport_pair_specs(1.0, o.eps_plus)
 
     header = (["e", "l"] if o.over == "e" else ["l"]) + ["t_analytic", "t_simplified", "t_oracle"]
-    rows = []
-    for g in grid:
-        l = transport.pair_separation(float(g), tp) if o.over == "e" else float(g)
-        spec_i, spec_f = wavefunctional.transport_pair_specs(l, o.eps_plus)
-        inputs = tunneling.MatrixElementInputs(
-            x_bar=o.x_bar,
-            l=l,
-            alpha=spec_i.alpha,
-            n1=o.n1,
-            c1_norm=spec_i.norm_c,
-            c2_norm=spec_f.norm_c,
-            m_star=o.m_star,
-        )
-        values = (
-            tunneling.t_if_analytic(inputs),
-            tunneling.t_if_simplified(inputs),
-            tunneling.t_if_single_mode_oracle(spec_i, spec_f, m_star=o.m_star),
-        )
-        rows.append(((float(g), l) if o.over == "e" else (l,)) + values)
-    _write({out: _csv_text(header, rows)})
+    rows, specs_i, specs_f = [], [], []
+    for g in grid.tolist():
+        label = f"E = {g!r}" if o.over == "e" else f"L = {g!r}"
+        try:
+            l = transport.pair_separation(g, tp) if o.over == "e" else g
+            spec_i, spec_f = wavefunctional.transport_pair_specs(l, o.eps_plus)
+            inputs = tunneling.MatrixElementInputs(
+                x_bar=o.x_bar,
+                l=l,
+                alpha=spec_i.alpha,
+                n1=o.n1,
+                c1_norm=spec_i.norm_c,
+                c2_norm=spec_f.norm_c,
+                m_star=o.m_star,
+            )
+            values = (tunneling.t_if_analytic(inputs), tunneling.t_if_simplified(inputs))
+        except ValueError as exc:
+            raise ValueError(f"at {label}: {exc}") from exc
+        rows.append(((g, l) if o.over == "e" else (l,)) + values)
+        specs_i.append(spec_i)
+        specs_f.append(spec_f)
+    t_oracle = tunneling.t_if_single_mode_oracles(specs_i, specs_f, m_star=o.m_star)
+    _write({out: _csv_text(header, [row + (t,) for row, t in zip(rows, t_oracle.tolist())])})
     return EXIT_OK
 
 

@@ -1,11 +1,13 @@
 """Self-contained numerics: adaptive quadrature, least squares, cosh * exp.
 
 Everything downstream (potentials, wavefunctionals, transport, fitting and
-the verification oracles) builds on these operations.  ``integrate_adaptive``
+the verification oracles) builds on these operations.  ``integrate_family``
 is an interval-batched adaptive Gauss-Kronrod (G10K21, QUADPACK's qk21) rule
-and ``least_squares_fit`` a Levenberg-Marquardt fitter that needs the
-model's Jacobian; both call their callables on whole numpy arrays and
-check the shape of what comes back.  The overflow-safe
+over m integrals at once, one integrand call per round for every member,
+and ``integrate_adaptive`` its one-member front; ``least_squares_fit`` is a
+Levenberg-Marquardt fitter that needs the model's Jacobian.  Both engines
+call their callables on whole numpy arrays and check the shape of what
+comes back.  The overflow-safe
 cosh(arg) * exp(expo) product has a scalar form on ``math``, for the
 per-point matrix elements, and an array form on numpy's cosh/exp, for the
 current laws.  The error function is ``math.erf``.  All functions are pure;
@@ -22,6 +24,7 @@ __all__ = [
     "FitResult",
     "QuadratureError",
     "integrate_adaptive",
+    "integrate_family",
     "least_squares_fit",
 ]
 
@@ -39,7 +42,7 @@ _EXP_UNSHIFT = math.exp(-_EXP_SHIFT)
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature hit its refinement depth limit before converging."""
+    """Adaptive quadrature stopped before converging: a depth or interval limit, or a non-finite integrand."""
 
 
 def _cosh_times_exp(arg, expo):
@@ -100,63 +103,123 @@ _WG_POS[1::2] = [
 _GK_NODES = np.concatenate([-_XK_POS, [0.0], _XK_POS[::-1]])
 _WK = np.concatenate([_WK_POS, [_WK_MID], _WK_POS[::-1]])
 _WG = np.concatenate([_WG_POS, [0.0], _WG_POS[::-1]])
-# columns: Kronrod estimate, and Kronrod minus Gauss (the error estimate)
-_GK_WEIGHTS = np.column_stack([_WK, _WK - _WG])
+# the Kronrod weights, and Kronrod minus Gauss (the error estimate)
+_WK_MINUS_WG = _WK - _WG
 
 # The engine holds every unconverged interval of a round at once; beyond this
-# many it stops rather than let memory grow with 2^depth.
+# many intervals of one member it stops that member rather than let memory
+# grow with 2^depth.
 _MAX_ACTIVE = 1 << 14
 
 
 def integrate_adaptive(f, a, b, tol, max_depth=48):
     """Integral of ``f`` over [a, b] with absolute error <= ``tol``.
 
-    Adaptive Gauss-Kronrod (G10K21) with interval bisection: each round
-    evaluates ``f`` once on a numpy array of the 21 nodes of every
-    unconverged interval, and accepts an interval when |K21 - G10| is within
-    its tolerance share, which halves with each bisection, so the absolute
-    error of the sum stays at or below ``tol``.  ``f`` maps the float node
-    array to a float array of the same shape (``np.exp``-style); any other
-    shape raises ValueError naming it.
-
-    Raises QuadratureError when an interval still misses its tolerance
-    share after ``max_depth`` bisections, or when more than ``_MAX_ACTIVE``
-    intervals stay unconverged at once, and ValueError for a > b or a
-    non-positive tolerance.
+    The one-member form of ``integrate_family``: ``f`` maps the float node
+    array to a float array of the same shape (``np.exp``-style), and the
+    result and every error are those of member 0 of that family, without
+    the member prefix in the message.
     """
-    a, b, tol = float(a), float(b), float(tol)
-    if not (a <= b):
+    (value,), failures = _integrate_members(
+        lambda x, member: f(x), np.array([float(a)]), np.array([float(b)]), tol, max_depth
+    )
+    if failures:
+        raise QuadratureError(failures[0])
+    return value
+
+
+def integrate_family(f, a, b, tol, max_depth=48):
+    """Integrals of ``f(x, i)`` over [a_i, b_i] for every member i, each to an absolute ``tol``.
+
+    ``a`` and ``b`` broadcast to one dimension, shape (m,); the result is a
+    float array of shape (m,).  Adaptive Gauss-Kronrod (G10K21) with
+    interval bisection: each round calls ``f`` once, on the float array of
+    the 21 nodes of every unconverged interval of every member and the int
+    array of the member each node belongs to, and ``f`` returns a float
+    array of that shape; any other shape raises ValueError naming it.  An
+    interval is accepted when |K21 - G10| is within its tolerance share,
+    tol / 2^depth, so each member's absolute error stays at or below
+    ``tol``; a member's accepted estimates are summed with ``math.fsum``,
+    and a == b gives 0.0.  Each interval's K21 and G10 sums are per-row
+    reductions, so every member is bit for bit its own one-member call.
+
+    A member fails, as its one-member call would, when an interval still
+    misses its share after ``max_depth`` bisections, when more than
+    ``_MAX_ACTIVE`` of its intervals stay unconverged at once, or when
+    ``f`` returns a non-finite value on one of its nodes.  A failed member
+    is dropped and the others run on; then QuadratureError names the
+    lowest-index failed member and gives its one-member message.  ValueError
+    for a > b, a non-positive tolerance or bounds that are not one-dimensional.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    if a.ndim != 1:
+        raise ValueError(f"integration bounds must be one-dimensional, got shape {a.shape}")
+    values, failures = _integrate_members(f, a, b, tol, max_depth)
+    if failures:
+        member = min(failures)
+        raise QuadratureError(f"member {member}: {failures[member]}")
+    return np.array(values)
+
+
+def _integrate_members(f, a, b, tol, max_depth):
+    """The engine of ``integrate_family``: (list of m integrals, {member: failure message})."""
+    tol = float(tol)
+    if not np.all(a <= b):
         raise ValueError("integration bounds must satisfy a <= b")
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
-    if a == b:
-        return 0.0
-    lo = np.array([a])
-    hi = np.array([b])
-    accepted = []
+    failures = {}
+    member = np.flatnonzero(a < b)
+    lo, hi = a[member], b[member]
+    accepted_members, accepted = [member[:0]], [lo[:0]]
     depth = 0
-    while True:
+    while member.size:
         half = 0.5 * (hi - lo)
         x = ((0.5 * (lo + hi))[:, None] + half[:, None] * _GK_NODES).ravel()
-        y = _evaluate(f, "integrand", x.shape, x)
-        est, diff = (y.reshape(-1, 21) @ _GK_WEIGHTS).T
-        est *= half
-        err = np.abs(diff * half)
+        node_members = np.repeat(member, _GK_NODES.size)
+        y = _evaluate(f, "integrand", x.shape, x, node_members).reshape(-1, _GK_NODES.size)
+        finite = np.isfinite(y)
+        if not finite.all():
+            # nodes stay grouped by member and ordered left to right, so a
+            # member's first bad node is its leftmost
+            bad_nodes = np.flatnonzero(~finite)
+            bad_members = node_members[bad_nodes]
+            failed = np.flatnonzero(np.bincount(bad_members))
+            for i, j in zip(failed.tolist(), bad_nodes[np.searchsorted(bad_members, failed)].tolist()):
+                failures[i] = f"integrand returned {float(y.flat[j])!r} at x = {float(x[j])!r}"
+            keep = member < min(failures)
+            member, lo, hi, half, y = member[keep], lo[keep], hi[keep], half[keep], y[keep]
+        est = np.einsum("ij,j->i", y, _WK) * half
+        err = np.abs(np.einsum("ij,j->i", y, _WK_MINUS_WG) * half)
         share = math.ldexp(tol, -depth)
         ok = err <= share
+        accepted_members.append(member[ok])
         accepted.append(est[ok])
-        if ok.all():
-            return math.fsum(np.concatenate(accepted).tolist())
         bad = ~ok
-        lo, hi = lo[bad], hi[bad]
-        if depth >= max_depth or 2 * lo.size > _MAX_ACTIVE:
-            reason = "refinement depth limit" if depth >= max_depth else "active interval limit"
-            raise QuadratureError(
-                "%s reached on [%g, %g] (residual %g > %g)" % (reason, lo[0], hi[0], err[bad][0], share)
-            )
+        member, lo, hi, err = member[bad], lo[bad], hi[bad], err[bad]
+        at_depth = depth >= max_depth
+        if member.size and (at_depth or 2 * member.size > _MAX_ACTIVE):
+            reason = "refinement depth limit" if at_depth else "active interval limit"
+            failed = np.flatnonzero(2 * np.bincount(member) > (0 if at_depth else _MAX_ACTIVE))
+            for i, j in zip(failed.tolist(), np.searchsorted(member, failed).tolist()):
+                failures[i] = "%s reached on [%g, %g] (residual %g > %g)" % (
+                    reason, lo[j], hi[j], err[j], share
+                )
+        if failures:
+            # drop the failed members, and those above the lowest failure,
+            # which can no longer change the outcome
+            keep = member < min(failures)
+            member, lo, hi = member[keep], lo[keep], hi[keep]
         mid = 0.5 * (lo + hi)
         lo, hi = np.column_stack([lo, mid]).ravel(), np.column_stack([mid, hi]).ravel()
+        member = np.repeat(member, 2)
         depth += 1
+    members = np.concatenate(accepted_members)
+    order = np.argsort(members, kind="stable")
+    ends = np.searchsorted(members[order], np.arange(a.size + 1))
+    estimates = np.concatenate(accepted)[order].tolist()
+    values = [math.fsum(estimates[start:end]) for start, end in zip(ends[:-1].tolist(), ends[1:].tolist())]
+    return values, failures
 
 
 def _evaluate(fn, what, shape, *args):

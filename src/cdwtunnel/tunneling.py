@@ -5,8 +5,10 @@ occupation factor n1 everywhere and ``t_if_simplified`` is the reduced
 form feeding the transport current; at n1 = 1 the analytic form is exactly
 half the simplified one (the dropped prefactor is preserved and tested,
 not silently fixed).  The independent route is a single-mode quadrature
-oracle over the collective coordinate; where the overlap of two distinct
-states falls below the normal double range it raises, never returning a silent 0.
+oracle over the collective coordinate, which integrates a whole list of
+state pairs in one quadrature-family call; where the overlap of two
+distinct states falls below the normal double range it raises, never
+returning a silent 0.
 """
 
 import math
@@ -15,14 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _cosh_times_exp, integrate_adaptive
-from .wavefunctional import eval_wavefunctional
+from .numerics import _cosh_times_exp, integrate_family
 
 __all__ = [
     "MatrixElementInputs",
     "t_if_analytic",
     "t_if_simplified",
     "t_if_single_mode_oracle",
+    "t_if_single_mode_oracles",
 ]
 
 @dataclass(frozen=True)
@@ -71,43 +73,60 @@ def t_if_simplified(inputs):
 
 
 def t_if_single_mode_oracle(spec_i, spec_f, m_star=1.0, tol=1e-11):
-    """|T| by adaptive quadrature over the retained mode amplitude u.
+    """|T| of one pair of states: the one-pair form of ``t_if_single_mode_oracles``."""
+    return float(t_if_single_mode_oracles([spec_i], [spec_f], m_star, tol)[0])
+
+
+def t_if_single_mode_oracles(specs_i, specs_f, m_star=1.0, tol=1e-11):
+    """|T| by adaptive quadrature over the retained mode amplitude u, for each pair (specs_i[n], specs_f[n]).
 
     Integrates (1/2m*) [psi_i psi_f'' - psi_f psi_i''] theta(u - u0) with
     the Gaussian second derivatives taken analytically, from the barrier
     point u0, the midpoint of the two centers, to 12 Gaussian widths above
-    the higher center, where the integrand is long dead.  States with equal
-    (alpha, center) are proportional and give exactly 0.  For any other pair
-    a |T| below ``sys.float_info.min`` raises ValueError rather than return a
-    silent 0 or a subnormal; quadrature non-convergence propagates.
+    the higher center, where the integrand is long dead.  All pairs are the
+    members of one ``integrate_family`` call, and the result is an array.
+    States with equal (alpha, center) are proportional and give exactly 0.
+    For any other pair a |T| below ``sys.float_info.min`` raises ValueError
+    rather than return a silent 0 or a subnormal, naming the first such pair
+    in input order; quadrature non-convergence propagates.
     """
     if not m_star > 0.0:
         raise ValueError("m_star must be positive")
-    ai, mi = spec_i.alpha, spec_i.center
-    af, mf = spec_f.alpha, spec_f.center
-    if (ai, mi) == (af, mf):
-        return 0.0
+    if len(specs_i) != len(specs_f):
+        raise ValueError(f"got {len(specs_i)} initial and {len(specs_f)} final states")
+    fields = ("alpha", "center", "norm_c")
+    ai, mi, ci = (np.array([getattr(s, name) for s in specs_i], dtype=float) for name in fields)
+    af, mf, cf = (np.array([getattr(s, name) for s in specs_f], dtype=float) for name in fields)
+    distinct = (ai != af) | (mi != mf)
     u0 = 0.5 * (mi + mf)
-    width = 1.0 / math.sqrt(2.0 * min(ai, af))
-    hi = max(mi, mf) + 12.0 * width
-    if hi <= u0:
+    hi = np.maximum(mi, mf) + 12.0 * (1.0 / np.sqrt(2.0 * np.minimum(ai, af)))
+    if np.any(distinct & (hi <= u0)):
         raise ValueError("barrier point u0 lies above the integration window")
+    # a proportional pair integrates over the empty interval [u0, u0]
+    hi = np.where(distinct, hi, u0)
+    # the Gaussians' second-derivative polynomials are 4 a^2 d^2 - 2 a, whose
+    # coefficients overflow to inf for a huge a
+    with np.errstate(over="ignore"):
+        ai_sq4, af_sq4 = 4.0 * ai * ai, 4.0 * af * af
+        ai2, af2 = 2.0 * ai, 2.0 * af
 
-    def integrand(u):
-        di = u - mi
-        df = u - mf
+    def integrand(u, n):
+        di = u - mi[n]
+        df = u - mf[n]
         with np.errstate(over="ignore", invalid="ignore"):
-            pi_ = eval_wavefunctional(u, spec_i)
-            pf = eval_wavefunctional(u, spec_f)
-            ppi = pi_ * (4.0 * ai * ai * di * di - 2.0 * ai)
-            ppf = pf * (4.0 * af * af * df * df - 2.0 * af)
+            pi_ = ci[n] * np.exp(-ai[n] * di * di)
+            pf = cf[n] * np.exp(-af[n] * df * df)
+            ppi = pi_ * (ai_sq4[n] * di * di - ai2[n])
+            ppf = pf * (af_sq4[n] * df * df - af2[n])
             # a Gaussian that underflowed to 0 zeroes the integrand, even where its polynomial overflowed
             return np.where((pi_ == 0.0) | (pf == 0.0), 0.0, pi_ * ppf - pf * ppi)
 
-    t = abs(integrate_adaptive(integrand, u0, hi, float(tol))) / (2.0 * float(m_star))
-    if t < sys.float_info.min:
+    t = np.abs(integrate_family(integrand, u0, hi, float(tol))) / (2.0 * float(m_star))
+    low = np.flatnonzero(distinct & (t < sys.float_info.min))
+    if low.size:
+        n = low[0]
         raise ValueError(
-            f"overlap |T| = {t:.3g} of the states centered at {mi!r} and {mf!r}"
+            f"overlap |T| = {t[n]:.3g} of the states centered at {float(mi[n])!r} and {float(mf[n])!r}"
             " lies below the normal double range"
         )
     return t

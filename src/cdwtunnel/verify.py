@@ -40,37 +40,33 @@ class CheckResult:
 
 def check_erf_quadrature():
     """erf against (2/sqrt(pi)) * adaptive quadrature of e^(-t^2) on [0, x]."""
-    worst = 0.0
     pref = 2.0 / math.sqrt(math.pi)
-    for x in np.linspace(0.25, 6.0, 24):
-        quad = numerics.integrate_adaptive(lambda t: np.exp(-t * t), 0.0, float(x), 1e-14)
-        worst = max(worst, abs(math.erf(x) - pref * quad))
+    xs = np.linspace(0.25, 6.0, 24)
+    quads = numerics.integrate_family(lambda t, i: np.exp(-t * t), 0.0, xs, 1e-14)
+    worst = max(abs(math.erf(x) - pref * q) for x, q in zip(xs.tolist(), quads.tolist()))
     return worst, 1e-12, "max |erf - quadrature| on x in [0.25, 6]"
 
 
 def check_normalization():
     """One-sided Gaussian normalization round trip on a 5x5 log grid."""
-    worst = 0.0
-    for alpha in np.geomspace(0.1, 100.0, 5):
-        for l in np.geomspace(0.5, 50.0, 5):
-            c = wavefunctional.norm_constant(float(alpha), float(l))
-            u_max = float(l) / math.sqrt(TWO_PI)
-            a = float(alpha)
-            val = numerics.integrate_adaptive(
-                lambda u: c * c * np.exp(-2.0 * a * u * u), 0.0, u_max, 1e-11
-            )
-            worst = max(worst, abs(val - 1.0))
+    pairs = list(itertools.product(np.geomspace(0.1, 100.0, 5).tolist(), np.geomspace(0.5, 50.0, 5).tolist()))
+    alphas = np.array([alpha for alpha, _ in pairs])
+    cs = np.array([wavefunctional.norm_constant(alpha, l) for alpha, l in pairs])
+    u_max = np.array([l / math.sqrt(TWO_PI) for _, l in pairs])
+    vals = numerics.integrate_family(
+        lambda u, i: cs[i] * cs[i] * np.exp(-2.0 * alphas[i] * u * u), 0.0, u_max, 1e-11
+    )
+    worst = float(np.max(np.abs(vals - 1.0)))
     return worst, 1e-8, "max |integral - 1| on (alpha, L) log grid"
 
 
 def check_thin_wall_ft():
     """Closed-form box amplitude vs direct cosine-transform quadrature."""
-    worst = 0.0
-    for l in (1.0, 2.0, 5.0, 10.0):
-        for k in np.linspace(0.01, 20.0, 50):
-            closed = wavefunctional.thin_wall_ft(float(k), l)
-            direct = wavefunctional.thin_wall_ft_oracle(float(k), l)
-            worst = max(worst, abs(closed - direct) / abs(closed))
+    ls = (1.0, 2.0, 5.0, 10.0)
+    ks = np.linspace(0.01, 20.0, 50)
+    closed = np.array([[wavefunctional.thin_wall_ft(k, l) for k in ks.tolist()] for l in ls])
+    direct = wavefunctional.thin_wall_ft_oracle(ks, np.array(ls)[:, None])
+    worst = float(np.max(np.abs(closed - direct) / np.abs(closed)))
     return worst, 1e-6, "max relative error, k in [0.01, 20], L in {1,2,5,10}"
 
 
@@ -131,16 +127,19 @@ def check_zener_threshold():
 def check_bogomolnyi_sweep():
     """Energy bound holds on every pair profile of the (b, L, C1, C2 > 0) grid, where the gap is positive."""
     bs, ls, coefficients = (0.5, 1.0, 2.0, 4.0), (5.0, 8.0, 10.0, 15.0), (0.5, 1.0, 2.0)
-    grid = list(itertools.product(bs, ls, coefficients, coefficients))
+    pairs = list(itertools.product(coefficients, coefficients))
     failures = 0
-    for b, l, c1, c2 in grid:
-        p = potential.PotentialParams(c1=c1, c2=c2, phi0=TWO_PI)
+    for b, l in itertools.product(bs, ls):
+        # the profile depends on (b, L) only; every (C1, C2) pair reads the same samples
         kp = wavefunctional.KinkPairProfile(x_a=-0.5 * l, x_b=0.5 * l, b=b)
         prof = wavefunctional.sample_profile(kp, half_width=25.0, n=4001)
-        report = potential.bogomolnyi_check(prof, p, phi_c=0.0, phi_f=0.0, phi_t=TWO_PI)
-        if not report.satisfied:
-            failures += 1
-    return float(failures), 0.0, f"bound violations across {len(grid)} grid profiles"
+        for c1, c2 in pairs:
+            p = potential.PotentialParams(c1=c1, c2=c2, phi0=TWO_PI)
+            report = potential.bogomolnyi_check(prof, p, phi_c=0.0, phi_f=0.0, phi_t=TWO_PI)
+            if not report.satisfied:
+                failures += 1
+    total = len(bs) * len(ls) * len(pairs)
+    return float(failures), 0.0, f"bound violations across {total} grid profiles"
 
 
 def check_topological_charge():
@@ -171,14 +170,12 @@ def oracle_shape_sweep():
     """
     delta = TWO_PI
     xs = np.linspace(2.0, 12.5, 15)
-    ln_oracle = np.empty(xs.size)
-    ln_analytic = np.empty(xs.size)
-    for i, x in enumerate(xs):
-        alpha = 2.0 * float(x) / delta**2
+    specs_i, specs_f, analytic = [], [], []
+    for x in xs.tolist():
+        alpha = 2.0 * x / delta**2
         l = 1.0 / alpha
         spec_i = wavefunctional.WavefunctionalSpec.normalized(alpha, l, center=0.0)
         spec_f = wavefunctional.WavefunctionalSpec.normalized(alpha, l, center=delta)
-        t_or = tunneling.t_if_single_mode_oracle(spec_i, spec_f, tol=1e-12)
         inputs = tunneling.MatrixElementInputs(
             x_bar=l * l / delta**2,
             l=l,
@@ -188,9 +185,11 @@ def oracle_shape_sweep():
             c2_norm=spec_f.norm_c,
             m_star=1.0,
         )
-        ln_oracle[i] = math.log(t_or)
-        ln_analytic[i] = math.log(tunneling.t_if_simplified(inputs))
-    return xs, ln_oracle, ln_analytic
+        specs_i.append(spec_i)
+        specs_f.append(spec_f)
+        analytic.append(math.log(tunneling.t_if_simplified(inputs)))
+    oracle = tunneling.t_if_single_mode_oracles(specs_i, specs_f, tol=1e-12)
+    return xs, np.array([math.log(t) for t in oracle.tolist()]), np.array(analytic)
 
 
 def decay_slope(xs, ln_t):

@@ -6,7 +6,9 @@ normalized Gaussian in a single collective coordinate.  The thin-wall box
 and its momentum-space amplitude use the unit-height convention.
 A state's width and normalization are positive and finite, so a separation
 where alpha = 1/L or the normalization integral leaves the double range is a
-ValueError, never a division by zero or a zero norm.
+ValueError, never a division by zero or a zero norm.  The box transform's
+quadrature oracle takes whole (k, L) grids and integrates them in one
+quadrature-family call.
 """
 
 import math
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import integrate_adaptive
+from .numerics import integrate_family
 from .potential import FieldProfile, alpha_from_separation
 
 __all__ = [
@@ -126,13 +128,18 @@ def thin_wall_ft_oracle(k, l):
     """Direct cosine-transform quadrature of the unit box (independent route).
 
     (1/sqrt(2 pi)) * integral of cos(k x) over [-l/2, l/2], by adaptive
-    Gauss-Kronrod quadrature on node arrays to an absolute 1e-12.
+    Gauss-Kronrod quadrature on node arrays to an absolute 1e-12.  ``k`` and
+    ``l`` are floats or arrays that broadcast together; every (k, l) pair is
+    one member of a single ``integrate_family`` call, and floats in give a
+    float out.
     """
-    if not l > 0.0:
+    k, l = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(l, dtype=float))
+    if not np.all(l > 0.0):
         raise ValueError("box width must be positive")
-    k, l = float(k), float(l)
-    val = integrate_adaptive(lambda x: np.cos(k * x), -0.5 * l, 0.5 * l, 1e-12)
-    return val / math.sqrt(2.0 * math.pi)
+    ks, ls = k.ravel(), l.ravel()
+    val = integrate_family(lambda x, i: np.cos(ks[i] * x), -0.5 * ls, 0.5 * ls, 1e-12)
+    out = (val / math.sqrt(2.0 * math.pi)).reshape(k.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def norm_constant(alpha, l):

@@ -394,10 +394,14 @@ def test_any_matrix_element_magnitudes_run_or_exit_cleanly(tmp_path, monkeypatch
 @pytest.mark.parametrize(
     "args, message",
     [
-        (["matrix-element", "--grid-lo", "1e-320", "--grid-n", "3"], "alpha must be positive and finite"),
+        (["matrix-element", "--grid-lo", "1e-320", "--grid-n", "3"], "at L = 1e-320: alpha must be positive and finite"),
         (
             ["matrix-element", "--over", "e", "--delta-s", "1e-320", "--grid-n", "3"],
-            "alpha must be positive and finite",
+            "at E = 2.0: alpha must be positive and finite, got inf",
+        ),
+        (
+            ["matrix-element", "--over", "e", "--delta-s", "1e308", "--grid-n", "3"],
+            "at E = 2.0: alpha must be positive and finite, got 0.0",
         ),
         (["matrix-element", "--eps-plus", "1e6", "--grid-n", "3"], "overlap |T| = 0 of the states"),
         (
@@ -409,7 +413,7 @@ def test_any_matrix_element_magnitudes_run_or_exit_cleanly(tmp_path, monkeypatch
             "currents must be finite and non-negative; the first bad one is I = inf at E = 258261.876068",
         ),
     ],
-    ids=["tiny-l", "tiny-delta-s", "far-final-state", "subnormal-overlap", "sge-overflow"],
+    ids=["tiny-l", "tiny-delta-s", "huge-delta-s", "far-final-state", "subnormal-overlap", "sge-overflow"],
 )
 def test_domain_edge_is_runtime_error(tmp_path, capsys, args, message):
     code = main([*args, "--out", str(tmp_path / "out.csv")])

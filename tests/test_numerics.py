@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cdwtunnel.numerics import QuadratureError, integrate_adaptive, least_squares_fit
+from cdwtunnel.numerics import QuadratureError, integrate_adaptive, integrate_family, least_squares_fit
 from oracles import finite_diff_gradient
 
 # mpmath, 40 digits
@@ -164,6 +164,104 @@ def test_quadrature_tol_ladder_monotone():
                 assert err <= prev + 2e-16 * max(1.0, abs(truth))
             prev = err
             tol /= 2.0
+
+
+def test_quadrature_names_the_first_non_finite_node_without_a_warning():
+    # the round that first sees a non-finite value stops: no bisection to the depth limit
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.where(x < 0.25, x, np.nan)
+
+    with pytest.raises(QuadratureError, match=r"^integrand returned nan at x = 0\.25\d*$"):
+        integrate_adaptive(f, 0.0, 0.5, 1e-12)
+    assert calls == [21]
+
+
+def _family_cases(kinds, ks, los, widths):
+    """Integrand of a family mixing cos(k x) and Gaussians exp(-k x^2), with its bounds."""
+    kinds, ks = np.array(kinds), np.array(ks)
+    los, his = np.array(los), np.array(los) + np.array(widths)
+
+    def f(x, i):
+        k = ks[i]
+        return np.where(kinds[i], np.cos(k * x), np.exp(-k * x * x))
+
+    return f, los, his
+
+
+def test_family_members_equal_their_one_member_calls_bit_for_bit(tmp_path, monkeypatch):
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    monkeypatch.setenv("HYPOTHESIS_STORAGE_DIRECTORY", str(tmp_path))
+    member = st.tuples(
+        st.booleans(),
+        st.floats(0.0, 60.0),
+        st.floats(-5.0, 5.0),
+        st.sampled_from([0.0, 1e-9, 0.3, 2.0, 7.5]) | st.floats(0.0, 10.0),
+    )
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(st.lists(member, min_size=1, max_size=12), st.sampled_from([1e-8, 1e-11, 1e-13]))
+    def run(members, tol):
+        f, los, his = _family_cases(*zip(*members))
+        got = integrate_family(f, los, his, tol)
+        assert got.shape == (len(members),)
+        for i, (a, b) in enumerate(zip(los.tolist(), his.tolist())):
+            alone = integrate_adaptive(lambda x: f(x, np.full(x.shape, i)), a, b, tol)
+            assert got[i] == alone, (i, got[i], alone)
+            if a == b:
+                assert got[i] == 0.0
+
+    run()
+
+
+def test_family_names_the_lowest_failing_member_with_its_own_message():
+    # members 1 and 3 oscillate too fast for 6 bisections; the lower index is named
+    ks = np.array([1.0, 1e6, 2.0, 3e6, 1.0])
+    los, his = np.zeros(ks.size), np.full(ks.size, 3.0)
+    with pytest.raises(QuadratureError) as alone:
+        integrate_adaptive(lambda x: np.sin(1e6 * x), 0.0, 3.0, 1e-14, max_depth=6)
+    with pytest.raises(QuadratureError) as family:
+        integrate_family(lambda x, i: np.sin(ks[i] * x), los, his, 1e-14, max_depth=6)
+    assert str(family.value) == f"member 1: {alone.value}"
+    # member 2 fails in round 0 on a non-finite value, member 1 only at depth 6: member 1 is still named
+    with pytest.raises(QuadratureError) as family:
+        integrate_family(lambda x, i: np.where(i == 2, np.inf, np.sin(ks[i] * x)), los, his, 1e-14, max_depth=6)
+    assert str(family.value) == f"member 1: {alone.value}"
+    with pytest.raises(QuadratureError, match=r"^member 0: integrand returned inf at x = "):
+        integrate_family(lambda x, i: np.where(i == 0, np.inf, 1.0), los[:2], his[:2], 1e-14)
+    # the active-interval limit counts each member's intervals, not the family's
+    with pytest.raises(QuadratureError) as alone:
+        integrate_adaptive(lambda x: np.sin(1e12 * x), 0.0, 3.0, 1e-14)
+    with pytest.raises(QuadratureError) as family:
+        integrate_family(lambda x, i: np.sin(1e12 * x), los[:2], his[:2], 1e-14)
+    assert "active interval limit" in str(alone.value)
+    assert str(family.value) == f"member 0: {alone.value}"
+
+
+def test_family_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="a <= b"):
+        integrate_family(lambda x, i: x, [0.0, 1.0], [1.0, 0.0], 1e-10)
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        integrate_family(lambda x, i: x, [0.0], [1.0], 0.0)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        integrate_family(lambda x, i: x, [[0.0]], [[1.0]], 1e-10)
+    with pytest.raises(ValueError, match=r"integrand returned shape \(21,\); expected \(42,\)"):
+        integrate_family(lambda x, i: x[:21], [0.0, 0.0], [1.0, 1.0], 1e-10)
+    assert integrate_family(lambda x, i: x, [], [], 1e-10).shape == (0,)
+
+
+def test_cosine_family_matches_scipy_quad_vec_and_the_closed_form():
+    integrate = pytest.importorskip("scipy.integrate")
+    ks = np.linspace(0.01, 20.0, 200)
+    got = integrate_family(lambda x, i: np.cos(ks[i] * x), np.full(ks.size, -1.0), 1.0, 1e-12)
+    want, err = integrate.quad_vec(lambda x: np.cos(ks * x), -1.0, 1.0, epsabs=1e-13, epsrel=0.0, norm="max")
+    closed = 2.0 * np.sin(ks) / ks
+    assert np.max(np.abs(got - want)) <= 1e-12 + err
+    assert np.max(np.abs(got - closed)) <= 1e-12
 
 
 def test_gradient_quadratic():

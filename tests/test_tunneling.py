@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from cdwtunnel.numerics import QuadratureError
 from cdwtunnel.tunneling import (
     MatrixElementInputs,
     t_if_analytic,
     t_if_simplified,
     t_if_single_mode_oracle,
+    t_if_single_mode_oracles,
 )
 from cdwtunnel.verify import decay_slope
 from cdwtunnel.wavefunctional import WavefunctionalSpec, transport_pair_specs
@@ -206,4 +208,33 @@ def test_oracle_rejects_barrier_point_above_window():
     spec_i = WavefunctionalSpec.normalized(0.5, 2.0, center=lo)
     spec_f = WavefunctionalSpec.normalized(0.5, 2.0, center=math.nextafter(lo, math.inf))
     with pytest.raises(ValueError, match="barrier point u0 lies above the integration window"):
+        t_if_single_mode_oracle(spec_i, spec_f)
+
+
+def test_oracle_family_equals_the_per_pair_loop_bit_for_bit():
+    # the pairs of a matrix-element L grid, plus a proportional pair
+    pairs = [transport_pair_specs(l) for l in np.linspace(2.0, 12.0, 25).tolist()]
+    spec = WavefunctionalSpec.normalized(0.5, 2.0, center=1.0)
+    pairs.insert(3, (spec, dataclasses.replace(spec, norm_c=3.0 * spec.norm_c)))
+    for m_star in (1.0, 0.37):
+        got = t_if_single_mode_oracles([p[0] for p in pairs], [p[1] for p in pairs], m_star=m_star)
+        assert got.tolist() == [t_if_single_mode_oracle(*p, m_star=m_star) for p in pairs]
+        assert got[3] == 0.0
+
+
+def test_oracle_family_names_the_first_underflowing_pair():
+    specs = [transport_pair_specs(2.0), transport_pair_specs(2.0, 1e6), transport_pair_specs(2.0 / 75.5)]
+    with pytest.raises(ValueError, match=r"^overlap \|T\| = 0 of the states centered at 0\.0 and 1000006\."):
+        t_if_single_mode_oracles([s[0] for s in specs], [s[1] for s in specs])
+    with pytest.raises(ValueError, match="got 2 initial and 1 final states"):
+        t_if_single_mode_oracles([specs[0][0]] * 2, [specs[0][1]])
+    assert t_if_single_mode_oracles([], []).shape == (0,)
+
+
+def test_oracle_stops_on_a_non_finite_integrand():
+    # norms far beyond any norm_constant value: psi_i psi_f overflows, and the
+    # quadrature names the node in its first round instead of bisecting to its depth limit
+    spec_i = WavefunctionalSpec(alpha=1.0, center=0.0, norm_c=1e288)
+    spec_f = WavefunctionalSpec(alpha=1.0, center=1.0, norm_c=1e288)
+    with pytest.raises(QuadratureError, match=r"^member 0: integrand returned nan at x = 0\.5"):
         t_if_single_mode_oracle(spec_i, spec_f)

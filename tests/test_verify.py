@@ -5,7 +5,7 @@ import inspect
 
 import pytest
 
-from cdwtunnel import verify
+from cdwtunnel import numerics, potential, tunneling, verify, wavefunctional
 
 DEFAULT_TOLERANCES = {
     "erf-quadrature": 1e-12,
@@ -45,6 +45,46 @@ def test_tolerance_override_changes_only_tolerance_and_passed(defaults, name):
     assert dataclasses.replace(overridden, tolerance=DEFAULT_TOLERANCES[name], passed=True) == defaults[name]
 
 
-def test_bogomolnyi_sweep_covers_its_whole_grid(defaults):
+def test_bogomolnyi_sweep_covers_its_whole_grid(defaults, monkeypatch):
     # 4 steepnesses x 4 separations x 3 C1 x 3 C2, every one with a positive gap
     assert defaults["bogomolnyi-sweep"].detail == "bound violations across 144 grid profiles"
+    # one profile per (b, L), read by all nine (C1, C2) pairs
+    sampled, checked = [], []
+    sample, check = wavefunctional.sample_profile, potential.bogomolnyi_check
+    monkeypatch.setattr(wavefunctional, "sample_profile", lambda *a, **k: sampled.append(a) or sample(*a, **k))
+    monkeypatch.setattr(potential, "bogomolnyi_check", lambda *a, **k: checked.append(a) or check(*a, **k))
+    assert verify.run_check("bogomolnyi-sweep") == defaults["bogomolnyi-sweep"]
+    assert (len(sampled), len(checked)) == (16, 144)
+
+
+# integrand nodes per check: one quadrature-family call each evaluates the same
+# nodes as one engine call per integral, which made 646, 79, 53 and 60 integrand calls
+QUADRATURE_WORK = {
+    "erf-quadrature": 2100,
+    "normalization": 2793,
+    "thin-wall-ft": 66738,
+    "oracle-shape": 2205,
+}
+
+
+@pytest.mark.parametrize("name", QUADRATURE_WORK)
+def test_quadrature_checks_make_one_family_call_of_few_rounds(monkeypatch, name):
+    engine = numerics.integrate_family
+    calls, nodes = [], []
+
+    def counted(f, *args, **kwargs):
+        def g(x, member):
+            nodes.append(x.size)
+            return f(x, member)
+
+        calls.append(name)
+        return engine(g, *args, **kwargs)
+
+    for module in (numerics, wavefunctional, tunneling):
+        monkeypatch.setattr(module, "integrate_family", counted)
+    # and no check falls back to one engine call per integral
+    monkeypatch.setattr(numerics, "integrate_adaptive", None)
+    assert verify.run_check(name).passed
+    assert len(calls) == 1
+    assert len(nodes) <= 10
+    assert sum(nodes) == QUADRATURE_WORK[name]

@@ -210,6 +210,17 @@ def test_ft_oracle_agrees_with_generic_quadrature():
     )
 
 
+def test_ft_oracle_broadcasts_grids_as_one_family():
+    ks = np.linspace(0.01, 20.0, 7)
+    ls = np.array([1.0, 2.0, 5.0])[:, None]
+    grid = thin_wall_ft_oracle(ks, ls)
+    assert grid.shape == (3, 7)
+    assert grid.tolist() == [[thin_wall_ft_oracle(k, l) for k in ks.tolist()] for l in (1.0, 2.0, 5.0)]
+    assert type(thin_wall_ft_oracle(3.3, 4.0)) is float
+    with pytest.raises(ValueError, match="box width must be positive"):
+        thin_wall_ft_oracle(ks, np.array([1.0, 0.0])[:, None])
+
+
 def test_norm_constant_small_alpha_limit():
     l = 3.0
     u_max = l / math.sqrt(TWO_PI)
