@@ -183,6 +183,8 @@ def _grid(o, lo, hi):
         raise CliUsageError("grid needs n >= 2")
     if not lo < hi:
         raise CliUsageError("grid needs lo < hi")
+    if not math.isfinite(hi - lo):
+        raise CliUsageError("grid span hi - lo overflows")
     if o.grid_kind == "log" and not lo > 0.0:
         raise CliUsageError("log grid needs lo > 0")
     if o.grid_kind == "log":
@@ -310,6 +312,8 @@ def _cmd_profile(o):
     out = _require_out(o)
     if o.k_n is not None and (o.k_n < 2 or not o.k_lo < o.k_hi):
         raise CliUsageError("k grid needs n >= 2 and lo < hi")
+    if o.k_n is not None and not math.isfinite(o.k_hi - o.k_lo):
+        raise CliUsageError("k grid span hi - lo overflows")
     # everything is computed before the first file is written
     with _usage_errors():
         kp = wavefunctional.KinkPairProfile(x_a=o.x_a, x_b=o.x_b, b=o.steepness)
@@ -356,6 +360,9 @@ def _cmd_matrix_element(o):
                 m_star=o.m_star,
             )
             values = (tunneling.t_if_analytic(inputs), tunneling.t_if_simplified(inputs))
+            for column, t in zip(("t_analytic", "t_simplified"), values):
+                if not sys.float_info.min <= t < math.inf:
+                    raise ValueError(f"{column} = {t!r} lies outside the normal double range")
         except ValueError as exc:
             raise ValueError(f"at {label}: {exc}") from exc
         rows.append(((g, l) if o.over == "e" else (l,)) + values)

@@ -1,9 +1,11 @@
 """The extended quartic potential, gap energies and the bound diagnostic.
 
 Nothing here solves field equations; it only evaluates energies on
-caller-supplied data.
+caller-supplied data.  A profile computes its gradient energy density once,
+on first use, so bound checks of one profile under many potentials share it.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,6 +59,11 @@ class FieldProfile:
     def __len__(self):
         return self.xs.size
 
+    @functools.cached_property
+    def gradient_energy(self):
+        """(d_x phi)^2 / 2 at every sample, from ``np.gradient``; computed on first use."""
+        return 0.5 * np.gradient(self.phis, self.xs) ** 2
+
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -97,22 +104,16 @@ def topological_charge(profile):
     return (profile.phis[-1] - profile.phis[0]) / TWO_PI
 
 
-def _profile_energy(profile, p):
-    grad = np.gradient(profile.phis, profile.xs)
-    v = eval_extended_potential(profile.phis, p)
-    return float(np.trapezoid(0.5 * grad**2 + v, profile.xs))
-
-
 def bogomolnyi_check(profile, p, phi_c, phi_f, phi_t):
     """Energy-bound diagnostic: static energy vs |Q| + (phi0-phi_C)^2/2 * braces.
 
-    The left side is the trapezoid integral of (d_x phi)^2/2 + V(phi) over
-    the supplied grid; satisfied allows a 1e-9 relative slack on the right
-    side.
+    The left side is the trapezoid integral of the profile's
+    ``gradient_energy`` plus V(phi) over the supplied grid; satisfied allows
+    a 1e-9 relative slack on the right side.
     """
     q = topological_charge(profile)
     braces = 2.0 * delta_e_gap(p, phi_f, phi_t)
-    lhs = _profile_energy(profile, p)
+    lhs = float(np.trapezoid(profile.gradient_energy + eval_extended_potential(profile.phis, p), profile.xs))
     rhs = abs(q) + 0.5 * (p.phi0 - phi_c) ** 2 * braces
     satisfied = lhs >= rhs - 1e-9 * max(1.0, abs(rhs))
     return BoundReport(lhs=lhs, q_abs=abs(q), rhs=rhs, braces=braces, satisfied=satisfied)

@@ -7,8 +7,8 @@ half the simplified one (the dropped prefactor is preserved and tested,
 not silently fixed).  The independent route is a single-mode quadrature
 oracle over the collective coordinate, which integrates a whole list of
 state pairs in one quadrature-family call; where the overlap of two
-distinct states falls below the normal double range it raises, never
-returning a silent 0.
+distinct states leaves the normal double range it raises, never
+returning a silent 0 or inf.
 """
 
 import math
@@ -86,9 +86,10 @@ def t_if_single_mode_oracles(specs_i, specs_f, m_star=1.0, tol=1e-11):
     the higher center, where the integrand is long dead.  All pairs are the
     members of one ``integrate_family`` call, and the result is an array.
     States with equal (alpha, center) are proportional and give exactly 0.
-    For any other pair a |T| below ``sys.float_info.min`` raises ValueError
-    rather than return a silent 0 or a subnormal, naming the first such pair
-    in input order; quadrature non-convergence propagates.
+    For any other pair a |T| below ``sys.float_info.min`` or not finite (the
+    division by a tiny 2 m* overflows) raises ValueError rather than return
+    a silent 0, a subnormal or inf, naming the first such pair in input
+    order; quadrature non-convergence propagates.
     """
     if not m_star > 0.0:
         raise ValueError("m_star must be positive")
@@ -121,12 +122,14 @@ def t_if_single_mode_oracles(specs_i, specs_f, m_star=1.0, tol=1e-11):
             # a Gaussian that underflowed to 0 zeroes the integrand, even where its polynomial overflowed
             return np.where((pi_ == 0.0) | (pf == 0.0), 0.0, pi_ * ppf - pf * ppi)
 
-    t = np.abs(integrate_family(integrand, u0, hi, float(tol))) / (2.0 * float(m_star))
-    low = np.flatnonzero(distinct & (t < sys.float_info.min))
-    if low.size:
-        n = low[0]
+    with np.errstate(over="ignore"):
+        t = np.abs(integrate_family(integrand, u0, hi, float(tol))) / (2.0 * float(m_star))
+    bad = np.flatnonzero(distinct & ~((t >= sys.float_info.min) & (t < math.inf)))
+    if bad.size:
+        n = bad[0]
+        side = "below" if t[n] < sys.float_info.min else "above"
         raise ValueError(
             f"overlap |T| = {t[n]:.3g} of the states centered at {float(mi[n])!r} and {float(mf[n])!r}"
-            " lies below the normal double range"
+            f" lies {side} the normal double range"
         )
     return t

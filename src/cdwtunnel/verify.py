@@ -209,7 +209,7 @@ def check_oracle_shape():
 
 
 def fig2b_fit():
-    """Reference fit to Zener samples on the declared window: (fit, sge, zener, rms_rel)."""
+    """Reference fit to Zener samples on the declared span: (fit, sge, zener, rms_rel)."""
     tp = transport.TransportParams()
     lo, hi = fitting.FIG2B_WINDOW
     es = np.linspace(lo * tp.e_t, hi * tp.e_t, 100)
@@ -217,7 +217,7 @@ def fig2b_fit():
     fitted = fitting.transport_with(tp, ("c_tilde1", "c_v"), fit.params)
     sge = transport.curve_series("sge", fitted, es)
     zener = transport.curve_series("zener", tp, es)
-    return fit, sge, zener, fitting.compare_series(sge, zener, (lo, hi))
+    return fit, sge, zener, fitting.compare_series(sge, zener)
 
 
 def check_fig2b_fit():

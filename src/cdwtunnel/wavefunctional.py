@@ -92,21 +92,26 @@ def kink_pair_profile(x, kp):
     """tanh u + tanh v = sinh(bL) / (cosh u cosh v), u = b (x - x_a), v = b (x_b - x).
 
     ``x`` is a float or a numpy array.  The form 2 e^(2 min(u, v, 0)) (1 - e^(-2bL))
-    / ((1 + e^(-2|u|)) (1 + e^(-2|v|))) neither cancels in the tails nor overflows.
+    / ((1 + e^(-2|u|)) (1 + e^(-2|v|))) neither cancels in the tails nor
+    overflows: a u or v that overflows to +-inf still gives the limit value.
     """
-    u = kp.b * (x - kp.x_a)
-    v = kp.b * (kp.x_b - x)
-    num = np.exp(2.0 * np.minimum(np.minimum(u, v), 0.0)) * -np.expm1(-2.0 * kp.b * kp.l)
-    return 2.0 * num / ((1.0 + np.exp(-2.0 * np.abs(u))) * (1.0 + np.exp(-2.0 * np.abs(v))))
+    with np.errstate(over="ignore"):
+        u = kp.b * (x - kp.x_a)
+        v = kp.b * (kp.x_b - x)
+        num = np.exp(2.0 * np.minimum(np.minimum(u, v), 0.0)) * -np.expm1(-2.0 * kp.b * kp.l)
+        return 2.0 * num / ((1.0 + np.exp(-2.0 * np.abs(u))) * (1.0 + np.exp(-2.0 * np.abs(v))))
 
 
 def sample_profile(kp, half_width, n):
-    """Uniform FieldProfile on [x_a - half_width, x_b + half_width]."""
+    """Uniform FieldProfile on [x_a - half_width, x_b + half_width], a window inside the double range."""
     if n < 2:
         raise ValueError("need at least 2 samples")
     if not half_width > 0.0:
         raise ValueError("half_width must be positive")
-    xs = np.linspace(kp.x_a - half_width, kp.x_b + half_width, int(n))
+    lo, hi = kp.x_a - half_width, kp.x_b + half_width
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"profile window [{lo!r}, {hi!r}] leaves the double range")
+    xs = np.linspace(lo, hi, int(n))
     return FieldProfile(xs, kink_pair_profile(xs, kp))
 
 

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -354,35 +356,47 @@ def test_any_matrix_element_magnitudes_run_or_exit_cleanly(tmp_path, monkeypatch
     # log-uniform over the double range, subnormals included; few such draws
     # give a finite overlap, so the examples pin runs that write a table
     magnitudes = st.floats(-323.0, 308.0).map(lambda p: 10.0**p)
+    # an occupation n1 in (0, 1], log-uniform down to the subnormals
+    occupations = st.floats(-323.0, 0.0).map(lambda p: 10.0**p)
+    defaults = dict(x_bar=1.0, n1=0.999, m_star=1.0, delta_s=1.0)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
-    @example(ends=(2.0, 12.0), x_bar=1.0, eps_plus=1e-3, delta_s=1.0, over="l", grid_n=4)
-    @example(ends=(0.2, 2.0), x_bar=3.0, eps_plus=0.5, delta_s=1.0, over="e", grid_n=4)
-    @example(ends=(2.0, 12.0), x_bar=1.0, eps_plus=1e6, delta_s=1.0, over="l", grid_n=3)
+    @example(ends=(2.0, 12.0), **defaults, eps_plus=1e-3, over="l", grid_n=4)
+    @example(ends=(0.2, 2.0), **{**defaults, "x_bar": 3.0}, eps_plus=0.5, over="e", grid_n=4)
+    @example(ends=(2.0, 12.0), **defaults, eps_plus=1e6, over="l", grid_n=3)
+    @example(ends=(2.0, 12.0), **{**defaults, "n1": 1e-3, "m_star": 1e-3}, eps_plus=1e-3, over="l", grid_n=2)
+    @example(ends=(2.0, 12.0), **{**defaults, "x_bar": 1e-26, "m_star": 1e-311}, eps_plus=1e-3, over="l", grid_n=2)
     @given(
         ends=st.tuples(magnitudes, magnitudes),
         x_bar=magnitudes,
+        n1=occupations,
+        m_star=magnitudes,
         eps_plus=magnitudes,
         delta_s=magnitudes,
         over=st.sampled_from(["l", "e"]),
         grid_n=st.integers(2, 4),
     )
-    def run(ends, x_bar, eps_plus, delta_s, over, grid_n):
+    def run(ends, x_bar, n1, m_star, eps_plus, delta_s, over, grid_n):
         lo, hi = sorted(ends)
         work = tmp_path / "work"
         work.mkdir(exist_ok=True)
         out = work / "m.csv"
         args = ["matrix-element", "--over", over, "--grid-lo", repr(lo), "--grid-hi", repr(hi)]
         args += ["--grid-n", str(grid_n), "--x-bar", repr(x_bar), "--eps-plus", repr(eps_plus)]
+        args += ["--n1", repr(n1), "--m-star", repr(m_star)]
         if over == "e":
             args += ["--delta-s", repr(delta_s)]
-        code = main([*args, "--out", str(out)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*args, "--out", str(out)])
         stdout, err = capsys.readouterr()
+        assert caught == [], (args, [str(w.message) for w in caught])
         assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_RUNTIME), args
         if code == cli.EXIT_OK:
             assert stdout == err == ""
-            t_oracle = [float(line.rsplit(",", 1)[1]) for line in read_lines(out)[1:]]
-            assert all(abs(t) >= sys.float_info.min for t in t_oracle), (args, t_oracle)
+            # t_analytic, t_simplified and t_oracle are the last three columns
+            ts = [float(t) for line in read_lines(out)[1:] for t in line.split(",")[-3:]]
+            assert all(sys.float_info.min <= t < math.inf for t in ts), (args, ts)
             out.unlink()
         else:
             assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1, (args, err)
@@ -412,15 +426,95 @@ def test_any_matrix_element_magnitudes_run_or_exit_cleanly(tmp_path, monkeypatch
             ["curve", "--grid-lo", "1e-3", "--grid-hi", "1e6"],
             "currents must be finite and non-negative; the first bad one is I = inf at E = 258261.876068",
         ),
+        (["matrix-element", "--x-bar", "1e300"], "at L = 2.0: t_analytic = inf lies outside the normal double range"),
+        (["matrix-element", "--x-bar", "1e-300"], "at L = 2.0: t_analytic = 0.0 lies outside the normal double range"),
+        (
+            ["matrix-element", "--x-bar", "1e-214", "--n1", "5e-227"],
+            "at L = 2.0: t_analytic = nan lies outside the normal double range",
+        ),
+        (
+            ["matrix-element", "--x-bar", "1e-26", "--m-star", "1e-311"],
+            "at L = 2.0: t_analytic = nan lies outside the normal double range",
+        ),
+        (
+            ["matrix-element", "--over", "e", "--x-bar", "1e300"],
+            "at E = 2.0: t_analytic = inf lies outside the normal double range",
+        ),
     ],
-    ids=["tiny-l", "tiny-delta-s", "huge-delta-s", "far-final-state", "subnormal-overlap", "sge-overflow"],
+    ids=[
+        "tiny-l",
+        "tiny-delta-s",
+        "huge-delta-s",
+        "far-final-state",
+        "subnormal-overlap",
+        "sge-overflow",
+        "huge-x-bar",
+        "tiny-x-bar",
+        "tiny-n1",
+        "tiny-m-star",
+        "huge-x-bar-over-e",
+    ],
 )
+@pytest.mark.filterwarnings("error")
 def test_domain_edge_is_runtime_error(tmp_path, capsys, args, message):
     code = main([*args, "--out", str(tmp_path / "out.csv")])
     assert code == 2
     stdout, err = capsys.readouterr()
     assert stdout == "" and err.startswith(f"error: {message}") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_any_profile_runs_or_exits_cleanly(tmp_path, monkeypatch, capsys):
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings, strategies as st
+
+    monkeypatch.setenv("HYPOTHESIS_STORAGE_DIRECTORY", str(tmp_path))
+    # log-uniform over the double range, subnormals included, and either sign
+    magnitudes = st.floats(-323.0, 308.0).map(lambda p: 10.0**p)
+    signed = st.tuples(st.booleans(), magnitudes).map(lambda t: -t[1] if t[0] else t[1])
+    k_grids = st.none() | st.tuples(signed, signed, st.integers(2, 4)).map(lambda t: (*sorted(t[:2]), t[2]))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @example(ends=(-5.0, 5.0), steepness=1.0, half_width=15.0, n=9, k_grid=(0.01, 20.0, 3))
+    @example(ends=(0.0, 1e200), steepness=1e200, half_width=15.0, n=9, k_grid=None)
+    @example(ends=(0.0, 1e-300), steepness=1.0, half_width=1e-300, n=9, k_grid=None)
+    @example(ends=(-1e308, 1e308), steepness=1.0, half_width=15.0, n=9, k_grid=None)
+    @example(ends=(-5.0, 5.0), steepness=1.0, half_width=15.0, n=9, k_grid=(-1e308, 1e308, 3))
+    @given(
+        ends=st.tuples(signed, signed),
+        steepness=magnitudes,
+        half_width=magnitudes,
+        n=st.integers(2, 40),
+        k_grid=k_grids,
+    )
+    def run(ends, steepness, half_width, n, k_grid):
+        x_a, x_b = sorted(ends)
+        work = tmp_path / "work"
+        work.mkdir(exist_ok=True)
+        out = work / "p.csv"
+        # the = form keeps a negative value from reading as a flag
+        args = ["profile", f"--x-a={x_a!r}", f"--x-b={x_b!r}", f"--steepness={steepness!r}"]
+        args += [f"--half-width={half_width!r}", f"--n={n}"]
+        if k_grid is not None:
+            args += [f"--k-lo={k_grid[0]!r}", f"--k-hi={k_grid[1]!r}", f"--k-n={k_grid[2]}"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*args, "--out", str(out)])
+        stdout, err = capsys.readouterr()
+        assert caught == [], (args, [str(w.message) for w in caught])
+        assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_RUNTIME), args
+        if code == cli.EXIT_OK:
+            assert stdout == err == ""
+            written = {"p.csv", "p.meta.json"} | ({"p.kspace.csv"} if k_grid else set())
+            assert {f.name for f in work.iterdir()} == written
+            assert len(read_lines(out)) == n + 1
+            for f in work.iterdir():
+                f.unlink()
+        else:
+            assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1, (args, err)
+            assert list(work.iterdir()) == []
+
+    run()
 
 
 def test_profile_sidecar_charge(tmp_path):
@@ -497,6 +591,9 @@ def test_non_numeric_config_is_usage_error(tmp_path, capsys, command, config, fi
         (["matrix-element", "--eps-plus", "0"], "eps_plus must be positive"),
         (["matrix-element", "--eps-plus", "-6.283185307179586"], "eps_plus must be positive"),
         (["matrix-element", "--over", "e", "--eps-plus", "-7"], "eps_plus must be positive"),
+        (["profile", "--x-a=-1e308", "--x-b=1e308"], "profile window [-1e+308, 1e+308] leaves the double range"),
+        (["profile", "--k-n", "3", "--k-lo=-1e308", "--k-hi=1e308"], "k grid span hi - lo overflows"),
+        (["curve", "--grid-lo=-1e308", "--grid-hi=1e308", "--grid-kind", "linear"], "grid span hi - lo overflows"),
     ],
     ids=[
         "profile-n",
@@ -511,8 +608,12 @@ def test_non_numeric_config_is_usage_error(tmp_path, capsys, command, config, fi
         "matrix-element-eps-plus-zero",
         "matrix-element-eps-plus-coincident-centres",
         "matrix-element-eps-plus-below-initial",
+        "profile-window-overflows",
+        "profile-k-span-overflows",
+        "curve-grid-span-overflows",
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_out_of_range_option_is_usage_error(tmp_path, capsys, args, message):
     code = main([*args, "--out", str(tmp_path / "out.csv")])
     assert code == 1
@@ -638,6 +739,40 @@ def test_matrix_element_over_field_grid(tmp_path):
     lines = read_lines(out)
     e0, l0 = (float(c) for c in lines[1].split(",")[:2])
     assert l0 == pytest.approx(2.0 * 2.0 / e0)
+
+
+# sha256 of the stdout and of every file each command writes at its defaults.
+# A change that alters a printed value on purpose updates the digest here and
+# names the field in CHANGES.md.
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+OUTPUT_DIGESTS = {
+    ("curve",): {"stdout": EMPTY, "out.csv": "aeffeee1a51a9fc4f6e5cf67be4e7a2fa97ca666384d840932df9d463bfb0711"},
+    ("fit",): {
+        "stdout": "f36401e0b188dec635196c44fd6f53c70b74f7c802bb016e959c03ab5f9db897",
+        "out.csv": "f36401e0b188dec635196c44fd6f53c70b74f7c802bb016e959c03ab5f9db897",
+    },
+    ("profile", "--k-n", "50"): {
+        "stdout": EMPTY,
+        "out.csv": "5a3bccbec9c4df656e2b40050be444120fb251a004363dd1145f4accd8e68fb9",
+        "out.kspace.csv": "99cb00f33ba4acf4e7e9834d0fb85987100d65e05d04c2e1483a630c2f34d918",
+        "out.meta.json": "4721ae9d80c58def2e3d7f8dbcfeb6b3ec5c7c05ccfccd8850b61695ca3f5f1a",
+    },
+    ("matrix-element",): {"stdout": EMPTY, "out.csv": "90ee6f78f413f67e18c142e62a392d3ceb6541f9cc0e3777e7bb2ba93a9e5d76"},
+    ("matrix-element", "--over", "e"): {
+        "stdout": EMPTY,
+        "out.csv": "955a29bcee4196470ac1516d86ddac5d39d5afaafe83b234664396db12b132c9",
+    },
+}
+
+
+@pytest.mark.parametrize("args", OUTPUT_DIGESTS, ids=" ".join)
+def test_default_outputs_keep_their_recorded_bytes(tmp_path, capsys, args):
+    code = main([*args, "--out", str(tmp_path / "out.csv")])
+    stdout, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    digests = {"stdout": hashlib.sha256(stdout.encode("utf-8")).hexdigest()}
+    digests |= {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+    assert digests == OUTPUT_DIGESTS[args]
 
 
 def test_verify_default_all_pass(capsys):

@@ -33,7 +33,7 @@ def test_compare_identical_series():
     tp = TransportParams()
     es = np.linspace(1.2, 5.0, 30)
     a = _sge_series(tp, es)
-    assert compare_series(a, a, (1.2, 5.0)) == 0.0
+    assert compare_series(a, a) == 0.0
 
 
 def test_compare_uniform_offset():
@@ -41,15 +41,15 @@ def test_compare_uniform_offset():
     base = np.linspace(0.5, 2.0, 20)
     a = CurveSeries(es, 1.1 * base)
     b = CurveSeries(es, base)
-    assert compare_series(a, b, (1.0, 3.0)) == pytest.approx(0.1, abs=1e-12)
+    assert compare_series(a, b) == pytest.approx(0.1, abs=1e-12)
 
 
 def test_compare_is_b_normalized_not_symmetric():
     es = np.linspace(1.0, 3.0, 10)
     a = CurveSeries(es, np.full(10, 2.0))
     b = CurveSeries(es, np.full(10, 1.0))
-    ab = compare_series(a, b, (1.0, 3.0))
-    ba = compare_series(b, a, (1.0, 3.0))
+    ab = compare_series(a, b)
+    ba = compare_series(b, a)
     assert ab == pytest.approx(1.0)
     assert ba == pytest.approx(0.5)
 
@@ -59,33 +59,25 @@ def test_compare_is_the_b_normalized_relative_rms():
     es = np.linspace(1.0, 4.0, 31)
     a = CurveSeries(es, rng.uniform(0.1, 3.0, es.size))
     b = CurveSeries(es, rng.uniform(0.1, 3.0, es.size))
-    inside = (es >= 1.5) & (es <= 3.5)
-    ya, yb = a.currents[inside], b.currents[inside]
-    assert compare_series(a, b, (1.5, 3.5)) == float(np.sqrt(np.mean(((ya - yb) / yb) ** 2)))
+    ya, yb = a.currents, b.currents
+    assert compare_series(a, b) == float(np.sqrt(np.mean(((ya - yb) / yb) ** 2)))
 
 
 def test_compare_rejects_grid_mismatch():
     a = CurveSeries(np.linspace(1, 3, 10), np.ones(10))
     b = CurveSeries(np.linspace(1.01, 3.01, 10), np.ones(10))
-    with pytest.raises(ValueError):
-        compare_series(a, b, (1.0, 3.0))
+    with pytest.raises(ValueError, match="grids differ"):
+        compare_series(a, b)
+    with pytest.raises(ValueError, match="grids differ"):
+        compare_series(a, CurveSeries(np.linspace(1, 3, 11), np.ones(11)))
 
 
 def test_compare_rejects_zero_denominator():
     es = np.linspace(0.5, 1.5, 5)
     a = CurveSeries(es, np.ones(5))
     b = CurveSeries(es, np.array([0.0, 1.0, 1.0, 1.0, 1.0]))
-    with pytest.raises(ValueError):
-        compare_series(a, b, (0.5, 1.5))
-
-
-def test_compare_rejects_empty_window():
-    es = np.linspace(1.0, 2.0, 5)
-    a = CurveSeries(es, np.ones(5))
-    with pytest.raises(ValueError):
-        compare_series(a, a, (5.0, 6.0))
-    with pytest.raises(ValueError):
-        compare_series(a, a, (3.0, 2.0))
+    with pytest.raises(ValueError, match="zero"):
+        compare_series(a, b)
 
 
 def test_sge_jacobian_matches_finite_differences():
@@ -142,7 +134,7 @@ def test_zener_target_fit_reproduces_recorded_rms():
     es = np.linspace(lo, hi, 100)
     fit = fit_sge_to_zener(tp, es, free={"c_tilde1", "c_v"}, start=tp)
     fitted = transport_with(tp, ("c_tilde1", "c_v"), fit.params)
-    rms_rel = compare_series(curve_series("sge", fitted, es), curve_series("zener", tp, es), (lo, hi))
+    rms_rel = compare_series(curve_series("sge", fitted, es), curve_series("zener", tp, es))
     assert abs(rms_rel - FIG2B_REFERENCE_RMS_REL) <= 0.01 * FIG2B_REFERENCE_RMS_REL
 
 
@@ -152,6 +144,32 @@ def test_fit_rejects_grid_at_or_below_threshold():
         fit_sge_to_zener(tp, np.linspace(0.5, 5.0, 20))
     with pytest.raises(ValueError):
         fit_sge_to_zener(tp, np.linspace(1.0, 5.0, 20))  # includes E_T itself
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        (np.array([]), "must not be empty"),
+        (np.array([2.0, 3.0, 3.0]), "strictly increasing"),
+        (np.array([3.0, 2.0]), "strictly increasing"),
+        (np.ones((2, 2)) * 2.0, "1-D"),
+        (np.array([2.0, np.nan]), "strictly increasing"),
+    ],
+)
+def test_zener_fit_grid_is_checked_by_its_curve_series(grid, message):
+    with pytest.raises(ValueError, match=message):
+        fit_sge_to_zener(TransportParams(), grid)
+
+
+def test_zener_fit_start_must_share_the_threshold():
+    es = np.linspace(2.5, 5.0, 20)
+    with pytest.raises(ValueError, match=r"start E_T = 2\.0 differs from the Zener E_T = 1\.0"):
+        fit_sge_to_zener(TransportParams(), es, start=TransportParams(e_t=2.0))
+    # a start with the same E_T only supplies c_tilde1 and c_v
+    start = TransportParams(c_tilde1=1.3, c_v=0.9, g_p=7.0)
+    fit = fit_sge_to_zener(TransportParams(), es, start=start)
+    ref = fit_sge_to_points(es, curve_series("zener", TransportParams(), es).currents, FREE_PARAM_ORDER, start)
+    assert np.array_equal(fit.params, ref.params) and fit.residual_rms == ref.residual_rms
 
 
 def test_fit_rejects_unknown_free_names():
@@ -175,9 +193,7 @@ def test_residual_invariant_under_joint_rescale():
 
     def rel_rms(fit, target_tp):
         fitted = transport_with(target_tp, ("c_tilde1", "c_v"), fit.params)
-        return compare_series(
-            curve_series("sge", fitted, es), curve_series("zener", target_tp, es), (lo, hi)
-        )
+        return compare_series(curve_series("sge", fitted, es), curve_series("zener", target_tp, es))
 
     assert rel_rms(fit_a, tp) == pytest.approx(rel_rms(fit_b, tp_scaled), rel=1e-8)
 

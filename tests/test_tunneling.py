@@ -138,6 +138,13 @@ def test_oracle_rejects_overlap_below_normal_range(l, eps_plus, shown):
     assert shown in str(info.value)
 
 
+@pytest.mark.filterwarnings("error")
+def test_oracle_rejects_overlap_above_normal_range():
+    # 2 m* = 2e-320 is subnormal: dividing the normal overlap by it overflows to inf
+    with pytest.raises(ValueError, match=r"\|T\| = inf .* lies above the normal double range"):
+        t_if_single_mode_oracle(*transport_pair_specs(2.0), m_star=1e-320)
+
+
 def test_oracle_symmetric_under_state_swap():
     spec_i = WavefunctionalSpec.normalized(0.4, 2.5, center=0.0)
     spec_f = WavefunctionalSpec.normalized(0.4, 2.5, center=TWO_PI)

@@ -48,13 +48,14 @@ def test_tolerance_override_changes_only_tolerance_and_passed(defaults, name):
 def test_bogomolnyi_sweep_covers_its_whole_grid(defaults, monkeypatch):
     # 4 steepnesses x 4 separations x 3 C1 x 3 C2, every one with a positive gap
     assert defaults["bogomolnyi-sweep"].detail == "bound violations across 144 grid profiles"
-    # one profile per (b, L), read by all nine (C1, C2) pairs
-    sampled, checked = [], []
-    sample, check = wavefunctional.sample_profile, potential.bogomolnyi_check
+    # one profile and one gradient per (b, L), read by all nine (C1, C2) pairs
+    sampled, checked, gradients = [], [], []
+    sample, check, gradient = wavefunctional.sample_profile, potential.bogomolnyi_check, potential.np.gradient
     monkeypatch.setattr(wavefunctional, "sample_profile", lambda *a, **k: sampled.append(a) or sample(*a, **k))
     monkeypatch.setattr(potential, "bogomolnyi_check", lambda *a, **k: checked.append(a) or check(*a, **k))
+    monkeypatch.setattr(potential.np, "gradient", lambda *a, **k: gradients.append(a) or gradient(*a, **k))
     assert verify.run_check("bogomolnyi-sweep") == defaults["bogomolnyi-sweep"]
-    assert (len(sampled), len(checked)) == (16, 144)
+    assert (len(sampled), len(checked), len(gradients)) == (16, 144, 16)
 
 
 # integrand nodes per check: one quadrature-family call each evaluates the same

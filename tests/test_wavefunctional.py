@@ -136,6 +136,21 @@ def test_sample_profile_rejects_degenerate_grid():
         sample_profile(kp, half_width=2.0, n=1)
 
 
+def test_sample_profile_rejects_a_window_outside_the_double_range():
+    with pytest.raises(ValueError, match=r"window \[-1e\+308, 1e\+308\] leaves the double range"):
+        sample_profile(KinkPairProfile(x_a=-1e308, x_b=1e308, b=1.0), half_width=15.0, n=5)
+    with pytest.raises(ValueError, match="leaves the double range"):
+        sample_profile(KinkPairProfile(x_a=0.0, x_b=1.0, b=1.0), half_width=1.7e308, n=5)
+
+
+@pytest.mark.filterwarnings("error")
+def test_kink_pair_profile_takes_its_limits_where_the_wall_argument_overflows():
+    # b (x - x_a) overflows to +-inf; the profile is still 0 outside the pair, 2 inside, 1 on a kink
+    kp = KinkPairProfile(x_a=0.0, x_b=1e200, b=1e200)
+    xs = np.array([-15.0, 0.0, 1.0, 5e199, 1e200, 1e200 + 1e185])
+    assert kink_pair_profile(xs, kp).tolist() == [0.0, 1.0, 2.0, 2.0, 1.0, 0.0]
+
+
 def test_box_values_and_boundary():
     assert thin_wall_box(0.0, 4.0, 2.0) == 2.0
     assert thin_wall_box(2.0, 4.0, 2.0) == 2.0  # closed interval at |x| = l/2
