@@ -4,7 +4,8 @@ Numerical core (adaptive quadrature, Levenberg-Marquardt least squares),
 the extended quartic potential with an energy-bound diagnostic, kink-pair
 profiles and Gaussian collective-coordinate wavefunctionals, analytic
 tunneling matrix elements with an independent quadrature oracle, the
-soliton-pair and Zener current laws, and fitting of one against the other.
+soliton-pair and Zener current laws, and variable-projection fits of one
+against the other, one target row or a lockstep family of them.
 
 Each formula is one function in the module that owns its physics; the
 scalar current laws are one-element calls of the array kernels that fits
@@ -12,7 +13,7 @@ and curve series use.  Everything is plain Python on numpy
 (``cdwtunnel.BACKEND`` is ``"pure"``).
 """
 
-from .fitting import compare_series, fit_sge_to_points, fit_sge_to_zener
+from .fitting import compare_series, fit_sge_family, fit_sge_to_points, fit_sge_to_zener
 from .numerics import (
     FitResult,
     QuadratureError,
@@ -79,6 +80,7 @@ __all__ = [
     "delta_e_gap",
     "eval_extended_potential",
     "eval_wavefunctional",
+    "fit_sge_family",
     "fit_sge_to_points",
     "fit_sge_to_zener",
     "integrate_adaptive",

@@ -23,6 +23,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -45,6 +46,13 @@ class CliUsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern reads only "-5" and "-.5"-style words as negative
+        # numbers and takes "-1e1" for an option flag; no flag here looks like a
+        # number, so every float literal after a flag is read as its value
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         raise CliUsageError(message)
 

@@ -5,9 +5,11 @@ the verification oracles) builds on these operations.  ``integrate_family``
 is an interval-batched adaptive Gauss-Kronrod (G10K21, QUADPACK's qk21) rule
 over m integrals at once, one integrand call per round for every member,
 and ``integrate_adaptive`` its one-member front; ``least_squares_fit`` is a
-Levenberg-Marquardt fitter that needs the model's Jacobian.  Both engines
-call their callables on whole numpy arrays and check the shape of what
-comes back.  The overflow-safe
+general Levenberg-Marquardt fitter that needs the model's Jacobian.  The
+library's own fits do not use it: the pair current is linear in its
+amplitude, and ``fitting`` solves it by variable projection, reporting a
+``FitResult`` like this fitter's.  Both engines call their callables on
+whole numpy arrays and check the shape of what comes back.  The overflow-safe
 cosh(arg) * exp(expo) product has a scalar form on ``math``, for the
 per-point matrix elements, and an array form on numpy's cosh/exp, for the
 current laws.  The error function is ``math.erf``.  All functions are pure;
@@ -248,12 +250,14 @@ _RESIDUAL_FLOOR = 16.0 * np.finfo(float).eps
 
 @dataclass
 class FitResult:
-    """Outcome of a Levenberg-Marquardt fit.
+    """Outcome of a fit: of ``least_squares_fit`` or of the fits in ``fitting``.
 
-    ``stop`` says why the fit ended: ``"converged"`` (one of the stop tests
-    of ``least_squares_fit`` passed), ``"max_iter"`` (the budget of trial
-    steps ran out) or ``"damping_collapse"`` (the damping grew past 1e15
-    without an accepted step).  ``converged`` is read from ``stop``.
+    ``iterations`` counts the fitter's trial steps.  ``stop`` says why the
+    fit ended: ``"converged"`` (one of the fitter's stop tests passed),
+    ``"max_iter"`` (the budget of trial steps ran out) or, for
+    ``least_squares_fit`` only, ``"damping_collapse"`` (the damping grew
+    past 1e15 without an accepted step).  ``converged`` is read from
+    ``stop``.
     """
 
     params: np.ndarray

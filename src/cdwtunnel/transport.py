@@ -10,8 +10,9 @@ both conventions are exposed through ``convention`` and the printed form is
 the default.  The printed law is ungated below threshold (it carries no
 threshold clause); the Zener law is zero at and below E_T.
 
-Each law and the pair current's Jacobian is one array kernel over a grid of
-fields; the scalar functions are one-element calls of it.
+Each law, the pair current's Jacobian and its first two c_v-derivatives
+(which the fitter reads) is one array kernel over a grid of fields; the
+scalar functions are one-element calls of it.
 """
 
 import math
@@ -160,18 +161,53 @@ def sge_jacobian(e, c_tilde1, c_v, e_t):
 
 def sge_jacobian_array(es, c_tilde1, c_v, e_t):
     """``sge_jacobian`` over the float array ``es``: two arrays, one element per field."""
+    g, dg, _ = sge_cv_derivatives_array(es, e_t, c_v)
+    over = np.isnan(dg)
+    if over.any():
+        raise _jacobian_overflow(es[over])
+    return g, c_tilde1 * dg
+
+
+def _jacobian_overflow(fields):
+    """The OverflowError of a pair-current Jacobian whose cosh argument leaves its range at ``fields``."""
+    return OverflowError(
+        f"pair-current Jacobian overflows: |cosh argument| > {_COSH_ARG_MAX:.2f} for fields in"
+        f" [{float(fields.min())!r}, {float(fields.max())!r}]"
+    )
+
+
+def sge_cv_derivatives_array(es, e_t, c_v):
+    """(g, dg/dc_v, d2g/dc_v2) of the unit-amplitude printed pair current g = I / c_tilde1.
+
+    ``es``, ``e_t`` and ``c_v`` broadcast together: fields of shape (n,)
+    against parameters of shape (m, 1) give three (m, n) arrays, each row
+    computed as its own one-row call computes it.  g is the overflow-safe
+    current; both derivatives are nan where |arg| exceeds about 710.48, the
+    range of a bare cosh and sinh, where ``sge_jacobian`` raises.
+    """
     with np.errstate(all="ignore"):
         chi = c_v * e_t / es
         a = np.sqrt(2.0 / chi)
         b = np.sqrt(chi)
         arg = a - b
+        g = _cosh_times_exp_array(arg, -chi)
+        t = np.tanh(arg)
+        # h = ln g against chi, with d arg/d chi = -(a+b)/(2 chi) and
+        # d2 arg/d chi2 = (3a+b)/(4 chi^2):
+        # chi h' = -(t (a+b)/2 + chi), chi^2 h'' = sech^2 (a+b)^2/4 + t (3a+b)/4;
+        # then g' = g chi h' / c_v and g'' = g ((chi h')^2 + chi^2 h'') / c_v^2
+        half_sum = 0.5 * (a + b)
+        d1 = -(t * half_sum + chi)
+        u = half_sum / np.cosh(arg)
+        d2 = d1 * d1 + u * u + t * (0.75 * a + 0.25 * b)
+        inv = 1.0 / c_v
+        dg = g * d1 * inv
+        d2g = g * d2 * (inv * inv)
         over = np.abs(arg) > _COSH_ARG_MAX
         if over.any():
-            msg = f"pair-current Jacobian overflows: |cosh argument| > {_COSH_ARG_MAX:.2f} for fields in"
-            raise OverflowError(f"{msg} [{float(es[over].min())!r}, {float(es[over].max())!r}]")
-        d_ct1 = _cosh_times_exp_array(arg, -chi)
-        # dI/dchi = -C~1 cosh(arg) e^-chi [tanh(arg) (a+b)/(2 chi) + 1], dchi/dc_v = chi/c_v
-        return d_ct1, d_ct1 * ((-c_tilde1 / c_v) * (np.tanh(arg) * (0.5 * (a + b)) + chi))
+            dg[over] = math.nan
+            d2g[over] = math.nan
+    return g, dg, d2g
 
 
 def current_zener(e, tp):

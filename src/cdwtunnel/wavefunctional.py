@@ -119,14 +119,20 @@ def thin_wall_ft(k, l):
     """Momentum amplitude sqrt(2/pi) sin(k L/2)/k of the unit-height box.
 
     The removable singularity at k = 0 is evaluated as sqrt(2/pi) L/2
-    for |k| < 1e-12.
+    for |k| < 1e-12.  Where k L/2 is infinite (it overflows), sin has no
+    value: ValueError naming k and L.
     """
     if not l > 0.0:
         raise ValueError("box width must be positive")
     k, l = float(k), float(l)
     if abs(k) < 1e-12:
         return _SQRT_TWO_OVER_PI * 0.5 * l
-    return _SQRT_TWO_OVER_PI * math.sin(0.5 * k * l) / k
+    try:
+        return _SQRT_TWO_OVER_PI * math.sin(0.5 * k * l) / k
+    except ValueError:
+        raise ValueError(
+            f"box amplitude sin(k L/2)/k is undefined at k = {k!r}, L = {l!r}, where k L/2 = {0.5 * k * l!r}"
+        ) from None
 
 
 def thin_wall_ft_oracle(k, l):

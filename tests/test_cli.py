@@ -304,6 +304,21 @@ def test_fit_data_whose_squared_residual_overflows_is_runtime_error(tmp_path, ca
         assert [p.name for p in tmp_path.iterdir()] == ["huge.csv"]
 
 
+def test_fit_data_with_currents_near_1e154_converges(tmp_path, capsys):
+    # a sum of two squares of these currents overflows; the fit runs on the
+    # currents scaled below 1 and reports the amplitude and rms scaled back
+    reports = []
+    for name, big in (("huge.csv", "1e154"), ("unit.csv", "1")):
+        (tmp_path / name).write_text(f"1,{big}\n1.5,0\n")
+        assert main(["fit", "--data", str(tmp_path / name)]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    huge, unit = reports
+    assert huge["converged"] is True and huge["iterations"] > 0
+    assert huge["params"]["c_v"] == pytest.approx(unit["params"]["c_v"], rel=1e-11)
+    assert huge["params"]["c_tilde1"] == pytest.approx(1e154 * unit["params"]["c_tilde1"], rel=1e-11)
+    assert huge["residual_rms"] == pytest.approx(1e154 * unit["residual_rms"], rel=1e-11)
+
+
 def test_any_fit_data_file_runs_or_exits_cleanly(tmp_path, monkeypatch, capsys):
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
@@ -550,6 +565,39 @@ def test_profile_bad_k_grid_writes_nothing(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_profile_k_grid_whose_phase_overflows_is_runtime_error(tmp_path, capsys):
+    # k L/2 overflows from the middle of the k grid on, where sin has no value
+    args = ["profile", "--x-a", "0", "--x-b", "1e10", "--k-n", "3", "--k-hi", "1e300", "--out", str(tmp_path / "p.csv")]
+    assert main(args) == 2
+    assert capsys.readouterr() == (
+        "", "error: box amplitude sin(k L/2)/k is undefined at k = 5e+299, L = 10000000000.0, where k L/2 = inf\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("literal", ["-1e1", "-1E+2", "-2.5e-3"])
+def test_negative_float_literal_parses_as_its_equals_form(literal):
+    # argparse takes "-1e1" after a flag for the value, as it does "-10"
+    parser = cli.build_parser()
+    for command, (_, _, opts) in cli.COMMANDS.items():
+        for opt in opts:
+            if opt.kind is float:
+                flag = "--" + opt.name.replace("_", "-")
+                spaced = parser.parse_args([command, flag, literal])
+                assert spaced == parser.parse_args([command, f"{flag}={literal}"])
+                assert getattr(spaced, opt.name) == float(literal)
+
+
+def test_negative_float_literal_runs_as_its_equals_form(tmp_path):
+    outputs = []
+    for args in (["--x-a", "-1e1"], ["--x-a=-1e1"]):
+        d = tmp_path / str(len(outputs))
+        d.mkdir()
+        assert main(["profile", *args, "--x-b", "5", "--k-n", "4", "--out", str(d / "p.csv")]) == 0
+        outputs.append({p.name: p.read_bytes() for p in d.iterdir()})
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize(
     "command, config, field",
     [
@@ -655,10 +703,12 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
 
 
 # Grid ends inside each subcommand's default window; any other float option is
-# scaled by 0.8.  profile runs with a k grid and matrix-element over fields, so
-# that every float option has an output to reach.
+# scaled by 0.8.  profile runs with a k grid, matrix-element over fields and
+# fit with c_v alone free (a free c_tilde1 is solved in closed form at each
+# c_v, so its start value cannot reach the output), so that every float
+# option has an output to reach.
 GRID_ENDS = {"curve": (1.1, 9.0), "fit": (1.3, 4.5), "matrix-element": (2.5, 11.0)}
-BASE_ARGS = {"curve": [], "fit": [], "profile": ["--k-n", "5"], "matrix-element": ["--over", "e"]}
+BASE_ARGS = {"curve": [], "fit": ["--free", "c_v"], "profile": ["--k-n", "5"], "matrix-element": ["--over", "e"]}
 
 
 @pytest.mark.parametrize(
@@ -748,8 +798,8 @@ EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 OUTPUT_DIGESTS = {
     ("curve",): {"stdout": EMPTY, "out.csv": "aeffeee1a51a9fc4f6e5cf67be4e7a2fa97ca666384d840932df9d463bfb0711"},
     ("fit",): {
-        "stdout": "f36401e0b188dec635196c44fd6f53c70b74f7c802bb016e959c03ab5f9db897",
-        "out.csv": "f36401e0b188dec635196c44fd6f53c70b74f7c802bb016e959c03ab5f9db897",
+        "stdout": "b18c84a329035af595a4de9e7f81f71a39656da9c3fee74e17cae89af549847f",
+        "out.csv": "b18c84a329035af595a4de9e7f81f71a39656da9c3fee74e17cae89af549847f",
     },
     ("profile", "--k-n", "50"): {
         "stdout": EMPTY,

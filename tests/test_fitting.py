@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,12 @@ from cdwtunnel.fitting import (
     FIG2B_WINDOW,
     FREE_PARAM_ORDER,
     compare_series,
+    fit_sge_family,
     fit_sge_to_points,
     fit_sge_to_zener,
     sge_model_jacobian,
     transport_with,
 )
-from cdwtunnel.numerics import least_squares_fit
 from cdwtunnel.transport import (
     CurveSeries,
     TransportParams,
@@ -200,17 +202,23 @@ def test_residual_invariant_under_joint_rescale():
 
 def test_fit_invariant_under_joint_rescale_of_targets_and_amplitude(tmp_path, monkeypatch):
     pytest.importorskip("hypothesis")
-    from hypothesis import given, settings, strategies as st
+    from hypothesis import example, given, settings, strategies as st
 
     # hypothesis caches source constants in a storage directory even without a database
     monkeypatch.setenv("HYPOTHESIS_STORAGE_DIRECTORY", str(tmp_path))
     es = np.linspace(1.2, 5.0, 40)
     factor = st.floats(0.8, 1.2)
 
+    # scales out to 10^+-150, where the squares of the targets reach the ends of
+    # the double range: the fit runs on targets scaled to below 1
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(
-        st.booleans(), st.floats(-3.0, 3.0), st.floats(0.2, 5.0), st.floats(0.5, 2.0), factor, factor
+        st.booleans(), st.floats(-150.0, 150.0), st.floats(0.2, 5.0), st.floats(0.5, 2.0), factor, factor
     )
+    @example(True, 150.0, 1.0, 1.0, 1.0, 1.0)
+    @example(False, 150.0, 1.3, 0.7, 1.2, 0.8)
+    @example(True, -150.0, 1.0, 1.0, 1.0, 1.0)
+    @example(False, -150.0, 4.0, 1.9, 0.8, 1.2)
     def run(zener, log_s, c_tilde1, c_v, f1, f2):
         s = 10.0**log_s
         start = TransportParams(c_tilde1=c_tilde1 * f1, c_v=c_v * f2)
@@ -222,10 +230,10 @@ def test_fit_invariant_under_joint_rescale_of_targets_and_amplitude(tmp_path, mo
             targets = curve_series("sge", TransportParams(c_tilde1=c_tilde1, c_v=c_v), es).currents
             fit = fit_sge_to_points(es, targets, FREE_PARAM_ORDER, start)
             fit_s = fit_sge_to_points(es, s * targets, FREE_PARAM_ORDER, start_s)
-        if fit.converged and fit_s.converged:
-            assert fit_s.params[0] / s == pytest.approx(fit.params[0], rel=1e-6)
-            assert fit_s.params[1] == pytest.approx(fit.params[1], rel=1e-6)
-            assert abs(fit_s.residual_rms / s - fit.residual_rms) <= 1e-9
+        assert fit.converged and fit_s.converged
+        assert fit_s.params[0] / s == pytest.approx(fit.params[0], rel=1e-6)
+        assert fit_s.params[1] == pytest.approx(fit.params[1], rel=1e-6)
+        assert abs(fit_s.residual_rms / s - fit.residual_rms) <= 1e-9
 
     run()
 
@@ -272,26 +280,10 @@ def test_array_jacobian_equals_scalar_jacobian():
         sge_jacobian_array(np.array([1e-7, 1.0, 1e-6]), 1.0, 1.0, 1.0)
 
 
-def _point_by_point_fit(es, targets, free, start):
-    """The fit as a least_squares_fit run whose model and Jacobian go point by point."""
-    names = [n for n in FREE_PARAM_ORDER if n in free]
-
-    def model(xs, p):
-        if not np.all(np.isfinite(p) & (p > 0.0)):
-            return np.full(xs.size, np.inf)
-        tp = transport_with(start, names, p)
-        return np.array([current_sge(float(x), tp) for x in xs])
-
-    def jacobian(xs, p):
-        tp = transport_with(start, names, p)
-        rows = [dict(zip(FREE_PARAM_ORDER, sge_model_jacobian(float(x), tp.c_tilde1, tp.c_v, tp.e_t))) for x in xs]
-        return np.array([[row[n] for n in names] for row in rows])
-
-    params0 = np.array([getattr(start, n) for n in names])
-    return least_squares_fit(model, params0, list(zip(es, targets)), jacobian=jacobian)
-
-
 def test_whole_grid_fit_equals_point_by_point_fit():
+    # at the returned c_v, the returned c_tilde1 is the least-squares amplitude
+    # <g, y>/<g, g> (or the held start) and the rms is the residual's, with g
+    # and the residual evaluated point by point through current_sge
     rng = np.random.default_rng(37)
     zener = TransportParams()
     cases = []
@@ -304,11 +296,21 @@ def test_whole_grid_fit_equals_point_by_point_fit():
             cases.append((es, [current_zener(float(e), zener) for e in es], free, zener))
     for es, targets, free, start in cases:
         fit = fit_sge_to_points(es, targets, free, start)
-        ref = _point_by_point_fit(es, targets, free, start)
-        assert np.array_equal(fit.params, ref.params)
-        assert fit.residual_rms == ref.residual_rms
-        assert fit.iterations == ref.iterations
-        assert fit.stop == ref.stop
+        assert fit.converged
+        values = dict(zip([n for n in FREE_PARAM_ORDER if n in free], fit.params.tolist()))
+        c_v = values.get("c_v", start.c_v)
+        unit = TransportParams(e_t=start.e_t, c_v=c_v, c_tilde1=1.0)
+        g = [current_sge(float(e), unit) for e in es]
+        if "c_tilde1" in free:
+            amplitude = math.fsum(a * y for a, y in zip(g, targets)) / math.fsum(a * a for a in g)
+            assert values["c_tilde1"] == pytest.approx(amplitude, rel=1e-13)
+        else:
+            amplitude = start.c_tilde1
+        fitted = TransportParams(e_t=start.e_t, c_v=c_v, c_tilde1=values.get("c_tilde1", start.c_tilde1))
+        resid = [y - current_sge(float(e), fitted) for e, y in zip(es, targets)]
+        rms = math.sqrt(math.fsum(r * r for r in resid) / len(resid))
+        assert fit.residual_rms == pytest.approx(rms, rel=1e-12, abs=1e-14 * max(targets))
+        assert fitted.c_tilde1 == pytest.approx(amplitude, rel=1e-13)
 
 
 def test_fit_rejects_non_positive_fields():
@@ -349,3 +351,118 @@ def test_zener_fits_match_minpack():
         iterations.append(fit.iterations)
     assert np.median(iterations) <= 20
     assert max(iterations) <= 60
+
+
+def test_family_members_equal_their_one_member_fits(tmp_path, monkeypatch):
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    # hypothesis caches source constants in a storage directory even without a database
+    monkeypatch.setenv("HYPOTHESIS_STORAGE_DIRECTORY", str(tmp_path))
+    member = st.tuples(
+        st.booleans(), st.floats(0.2, 5.0), st.floats(0.5, 2.0), st.floats(0.2, 5.0), st.floats(0.3, 3.0)
+    )
+    free_sets = st.sampled_from([frozenset(FREE_PARAM_ORDER), frozenset({"c_v"}), frozenset({"c_tilde1"}), frozenset()])
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(free_sets, st.floats(1.1, 2.0), st.floats(3.0, 10.0), st.integers(5, 80), st.lists(member, min_size=1, max_size=8))
+    def run(free, lo, hi, n, members):
+        # each member fits Zener samples or a pair current of its own, from a start of its own
+        es = np.linspace(lo, hi, n)
+        targets = np.array([
+            current_zener_array(es, 1.0, 1.0) if zener else current_sge_array(es, 1.0, c_v, c_tilde1, False)
+            for zener, c_tilde1, c_v, _, _ in members
+        ])
+        starts = [TransportParams(c_tilde1=s_ct1, c_v=s_cv) for _, _, _, s_ct1, s_cv in members]
+        family = fit_sge_family(es, targets, free, starts)
+        assert len(family) == len(members)
+        for fit, row, start in zip(family, targets, starts):
+            alone = fit_sge_to_points(es, row, free, start)
+            assert np.array_equal(fit.params, alone.params)
+            assert fit.residual_rms == alone.residual_rms
+            assert (fit.iterations, fit.stop) == (alone.iterations, alone.stop)
+
+    run()
+
+
+def test_family_raises_for_its_lowest_failing_member():
+    es = np.array([1e-6, 2e-6])
+    ok = current_sge_array(es, 1.0, 1.0, 1.0, False)
+    targets = np.array([ok, [1.0, 2.0], [1.0, 2.0]])
+    starts = [TransportParams()] * 3
+    # every member's cosh argument leaves the Jacobian's range at E = 1e-6
+    with pytest.raises(OverflowError, match=r"^member 0: pair-current Jacobian overflows: .* \[1e-06, 1e-06\]$"):
+        fit_sge_family(es, targets, FREE_PARAM_ORDER, starts)
+    es = np.array([2.0, 3.0])
+    targets = np.array([[1.0, 2.0], [1e300, 1e300], [1.0, 2.0]])
+    with pytest.raises(ValueError, match=r"^member 1: sum of squared residuals overflows at the initial parameters$"):
+        fit_sge_family(es, targets, FREE_PARAM_ORDER, starts)
+    with pytest.raises(ValueError, match=r"targets must have shape \(3, 2\)"):
+        fit_sge_family(es, targets[:2], FREE_PARAM_ORDER, starts)
+
+
+def test_fit_whose_cost_derivatives_overflow_at_the_start_raises():
+    # chi is about 1, but dg/dc_v ~ g/c_v and d2g/dc_v2 ~ g/c_v^2 leave the double range
+    es, targets, start = np.array([1e-300, 2e-300]), np.array([1.0, 2.0]), TransportParams(c_v=1e-300)
+    for free in (FREE_PARAM_ORDER, ("c_v",)):
+        with pytest.raises(OverflowError, match=r"^c_v derivatives of the cost are not finite at c_v = 1e-300$"):
+            fit_sge_to_points(es, targets, free, start)
+    # the closed form for c_tilde1 alone needs no derivative
+    assert fit_sge_to_points(es, targets, ("c_tilde1",), start).converged
+
+
+def test_fits_of_c_v_alone_match_minpack():
+    """{c_v} fits, c_tilde1 held at its start, against MINPACK's lmder at
+    tolerances of 1e-15: the same rms to 1e-11 relative and c_v to 1e-6."""
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(53)
+    for k in range(40):
+        es = np.linspace(rng.uniform(1.1, 2.0), rng.uniform(3.0, 10.0), int(rng.integers(20, 200)))
+        if k % 2:
+            targets = current_zener_array(es, 1.0, 1.0)
+        else:
+            targets = current_sge_array(es, 1.0, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.2, 5.0)), False)
+        start = TransportParams(c_tilde1=float(rng.uniform(0.5, 2.0)), c_v=float(rng.uniform(0.5, 2.0)))
+        fit = fit_sge_to_points(es, targets, {"c_v"}, start)
+        assert fit.converged
+        ref = optimize.least_squares(
+            lambda p: current_sge_array(es, 1.0, p[0], start.c_tilde1, False) - targets,
+            [start.c_v],
+            jac=lambda p: sge_jacobian_array(es, start.c_tilde1, p[0], 1.0)[1][:, None],
+            method="lm",
+            xtol=1e-15,
+            ftol=1e-15,
+            gtol=1e-15,
+        )
+        ref_rms = np.sqrt(np.mean(ref.fun**2))
+        assert fit.residual_rms == pytest.approx(ref_rms, rel=1e-11)
+        np.testing.assert_allclose(fit.params, ref.x, rtol=1e-6)
+
+
+def test_fits_of_c_tilde1_alone_are_the_closed_form():
+    # c_tilde1 alone is linear least squares: <g, y>/<g, g> at the start c_v, no iteration
+    rng = np.random.default_rng(59)
+    for _ in range(20):
+        es = np.linspace(rng.uniform(1.1, 2.0), rng.uniform(3.0, 10.0), int(rng.integers(2, 200)))
+        targets = current_zener_array(es, 1.0, float(rng.uniform(0.1, 10.0)))
+        start = TransportParams(c_tilde1=float(rng.uniform(0.5, 2.0)), c_v=float(rng.uniform(0.5, 2.0)))
+        fit = fit_sge_to_points(es, targets, {"c_tilde1"}, start)
+        g = current_sge_array(es, 1.0, start.c_v, 1.0, False).tolist()
+        amplitude = math.fsum(a * y for a, y in zip(g, targets.tolist())) / math.fsum(a * a for a in g)
+        assert (fit.iterations, fit.stop) == (0, "converged")
+        assert fit.params[0] == pytest.approx(amplitude, rel=1e-13)
+        resid = targets - amplitude * np.array(g)
+        assert fit.residual_rms == pytest.approx(math.sqrt(math.fsum((resid * resid).tolist()) / es.size), rel=1e-12)
+
+
+def test_fit_with_currents_near_1e154_converges():
+    # the squares of these currents overflow in any sum of two of them; the fit
+    # is that of the currents over 1e154, with the amplitude scaled back
+    es = np.array([1.0, 1.5])
+    for free in (FREE_PARAM_ORDER, ("c_v",), ("c_tilde1",)):
+        fit = fit_sge_to_points(es, np.array([1e154, 0.0]), free, TransportParams())
+        unit = fit_sge_to_points(es, np.array([1.0, 0.0]), free, TransportParams(c_tilde1=1e-154))
+        assert fit.converged and unit.converged
+        scale = np.array([1e154 if name == "c_tilde1" else 1.0 for name in FREE_PARAM_ORDER if name in free])
+        np.testing.assert_allclose(fit.params, unit.params * scale, rtol=1e-12)
+        assert fit.residual_rms == pytest.approx(1e154 * unit.residual_rms, rel=1e-12)

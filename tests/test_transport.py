@@ -13,6 +13,7 @@ from cdwtunnel.transport import (
     current_zener_array,
     curve_series,
     pair_separation,
+    sge_cv_derivatives_array,
     sge_from_matrix_element_form,
     sge_jacobian_array,
 )
@@ -279,3 +280,39 @@ def test_kernels_match_mpmath_up_to_cosh_argument_700():
                         checked += 1
                         reach = max(reach, float(abs(a - b)))
     assert checked > 2500 and reach > 690.0
+
+
+def test_cv_derivative_kernel_matches_mpmath_and_rows_equal_their_one_row_calls():
+    """g, dg/dc_v and d2g/dc_v2 of the unit-amplitude pair current against
+    60-digit mpmath derivatives at the same float inputs, to 1e-12 relative
+    plus the rounding of chi carried through its condition number; each row
+    of an (m, n) call is its one-row call bit for bit; the derivatives are
+    nan exactly where sge_jacobian raises."""
+    mpmath = pytest.importorskip("mpmath")
+    u = 2.0**-53
+    rng = np.random.default_rng(61)
+    e_t = rng.uniform(0.3, 3.0, (6, 1))
+    c_v = rng.uniform(0.3, 3.0, (6, 1))
+    es = np.geomspace(0.05, 50.0, 40)
+    rows = sge_cv_derivatives_array(es, e_t, c_v)
+    for i in range(6):
+        alone = sge_cv_derivatives_array(es, e_t[i : i + 1], c_v[i : i + 1])
+        for got, one in zip(rows, alone):
+            assert np.array_equal(got[i : i + 1], one)
+    with mpmath.workdps(60):
+        for i in range(6):
+            for k, e in enumerate(es.tolist()):
+                def g(cv, e=e, et=float(e_t[i, 0])):
+                    chi = et * cv / mpmath.mpf(e)
+                    return mpmath.cosh(mpmath.sqrt(2 / chi) - mpmath.sqrt(chi)) * mpmath.exp(-chi)
+
+                cv = mpmath.mpf(float(c_v[i, 0]))
+                chi = float(e_t[i, 0] * c_v[i, 0] / e)
+                tol = 1e-12 + 4.0 * u * (math.sqrt(2.0 / chi) + math.sqrt(chi) + chi) ** 2
+                for order, got in enumerate(rows):
+                    ref = float(mpmath.diff(g, cv, order))
+                    assert abs(got[i, k] - ref) <= tol * abs(ref), (i, e, order, got[i, k], ref)
+    # out of the Jacobian's range: g stays the overflow-safe current, its derivatives are nan
+    g, dg, d2g = sge_cv_derivatives_array(np.array([1e-7, 1e-6, 2e-6]), 1.0, 1.0)
+    assert np.isfinite(g).all() and np.isnan(dg[:2]).all() and np.isnan(d2g[:2]).all()
+    assert np.isfinite(dg[2]) and np.isfinite(d2g[2])

@@ -5,7 +5,7 @@ import inspect
 
 import pytest
 
-from cdwtunnel import numerics, potential, tunneling, verify, wavefunctional
+from cdwtunnel import fitting, numerics, potential, tunneling, verify, wavefunctional
 
 DEFAULT_TOLERANCES = {
     "erf-quadrature": 1e-12,
@@ -89,3 +89,18 @@ def test_quadrature_checks_make_one_family_call_of_few_rounds(monkeypatch, name)
     assert len(calls) == 1
     assert len(nodes) <= 10
     assert sum(nodes) == QUADRATURE_WORK[name]
+
+
+def test_fit_roundtrip_makes_one_family_call_of_50_members(defaults, monkeypatch):
+    family = fitting.fit_sge_family
+    calls = []
+
+    def counted(es, targets, free, starts):
+        calls.append((targets.shape, len(starts), set(free)))
+        return family(es, targets, free, starts)
+
+    monkeypatch.setattr(fitting, "fit_sge_family", counted)
+    # and no self-fit goes through the one-member front
+    monkeypatch.setattr(fitting, "fit_sge_to_points", None)
+    assert verify.run_check("fit-roundtrip") == defaults["fit-roundtrip"]
+    assert calls == [((50, 40), 50, {"c_tilde1", "c_v"})]
