@@ -303,8 +303,14 @@ def _cmd_fit(o):
         fit = fitting.fit_sge_to_zener(tp, es, free=free)
 
     names = [n for n in fitting.FREE_PARAM_ORDER if n in free]
+    params = dict(zip(names, fit.params))
+    # the closed-form amplitude carries the sign of the data; the model's does not
+    if "c_tilde1" in params and not params["c_tilde1"] > 0.0:
+        raise ValueError(
+            f"fitted c_tilde1 = {_fmt(params['c_tilde1'])} is not positive; the pair current needs c_tilde1 > 0"
+        )
     report = {
-        "params": {name: _quantize(v) for name, v in zip(names, fit.params)},
+        "params": {name: _quantize(v) for name, v in params.items()},
         "residual_rms": _quantize(fit.residual_rms),
         "iterations": fit.iterations,
         "converged": bool(fit.converged),
@@ -352,7 +358,7 @@ def _cmd_matrix_element(o):
         wavefunctional.transport_pair_specs(1.0, o.eps_plus)
 
     header = (["e", "l"] if o.over == "e" else ["l"]) + ["t_analytic", "t_simplified", "t_oracle"]
-    rows, specs_i, specs_f = [], [], []
+    rows, labels, specs_i, specs_f = [], [], [], []
     for g in grid.tolist():
         label = f"E = {g!r}" if o.over == "e" else f"L = {g!r}"
         try:
@@ -374,9 +380,17 @@ def _cmd_matrix_element(o):
         except ValueError as exc:
             raise ValueError(f"at {label}: {exc}") from exc
         rows.append(((g, l) if o.over == "e" else (l,)) + values)
+        labels.append(label)
         specs_i.append(spec_i)
         specs_f.append(spec_f)
-    t_oracle = tunneling.t_if_single_mode_oracles(specs_i, specs_f, m_star=o.m_star)
+    try:
+        t_oracle = tunneling.t_if_single_mode_oracles(specs_i, specs_f, m_star=o.m_star)
+    except (ValueError, QuadratureError) as exc:
+        # the oracle names its failing pair by index; the user knows the row by its grid value
+        member = getattr(exc, "member", None)
+        if member is None:
+            raise
+        raise type(exc)(f"at {labels[member]}: {exc}") from exc
     _write({out: _csv_text(header, [row + (t,) for row, t in zip(rows, t_oracle.tolist())])})
     return EXIT_OK
 

@@ -116,7 +116,10 @@ def fit_sge_family(es, targets, free, starts):
 
     c_tilde1, where free, is the closed form <g, y>/<g, g> at each c_v,
     with g the unit-amplitude pair current; it carries the sign of <g, y>,
-    and falls back to the start value where g vanishes on every field.
+    and falls back to the start value where g vanishes on every field.  It
+    is not constrained: data whose currents are mostly negative fit a
+    negative c_tilde1, which ``TransportParams`` rejects, so a caller that
+    builds the model from the fit checks the sign.
     c_v, where free, takes safeguarded Newton steps on the cost with the
     amplitude projected out (or held, for ``{"c_v"}``), from the exact
     first and second c_v-derivatives of that cost.  The steps are taken in

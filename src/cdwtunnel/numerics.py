@@ -44,7 +44,15 @@ _EXP_UNSHIFT = math.exp(-_EXP_SHIFT)
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature stopped before converging: a depth or interval limit, or a non-finite integrand."""
+    """Adaptive quadrature stopped before converging: a depth or interval limit, or a non-finite integrand.
+
+    ``member`` is the index of the failed member of an ``integrate_family``
+    call, or None.
+    """
+
+    def __init__(self, message, member=None):
+        super().__init__(message)
+        self.member = member
 
 
 def _cosh_times_exp(arg, expo):
@@ -150,7 +158,8 @@ def integrate_family(f, a, b, tol, max_depth=48):
     ``_MAX_ACTIVE`` of its intervals stay unconverged at once, or when
     ``f`` returns a non-finite value on one of its nodes.  A failed member
     is dropped and the others run on; then QuadratureError names the
-    lowest-index failed member and gives its one-member message.  ValueError
+    lowest-index failed member, also as its ``member``, and gives its
+    one-member message.  ValueError
     for a > b, a non-positive tolerance or bounds that are not one-dimensional.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
@@ -159,7 +168,7 @@ def integrate_family(f, a, b, tol, max_depth=48):
     values, failures = _integrate_members(f, a, b, tol, max_depth)
     if failures:
         member = min(failures)
-        raise QuadratureError(f"member {member}: {failures[member]}")
+        raise QuadratureError(f"member {member}: {failures[member]}", member=member)
     return np.array(values)
 
 

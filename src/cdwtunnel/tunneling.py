@@ -89,7 +89,8 @@ def t_if_single_mode_oracles(specs_i, specs_f, m_star=1.0, tol=1e-11):
     For any other pair a |T| below ``sys.float_info.min`` or not finite (the
     division by a tiny 2 m* overflows) raises ValueError rather than return
     a silent 0, a subnormal or inf, naming the first such pair in input
-    order; quadrature non-convergence propagates.
+    order; quadrature non-convergence propagates.  Either error carries the
+    index of its pair as ``member``.
     """
     if not m_star > 0.0:
         raise ValueError("m_star must be positive")
@@ -101,8 +102,9 @@ def t_if_single_mode_oracles(specs_i, specs_f, m_star=1.0, tol=1e-11):
     distinct = (ai != af) | (mi != mf)
     u0 = 0.5 * (mi + mf)
     hi = np.maximum(mi, mf) + 12.0 * (1.0 / np.sqrt(2.0 * np.minimum(ai, af)))
-    if np.any(distinct & (hi <= u0)):
-        raise ValueError("barrier point u0 lies above the integration window")
+    beyond = np.flatnonzero(distinct & (hi <= u0))
+    if beyond.size:
+        raise _member_error(beyond[0], "barrier point u0 lies above the integration window")
     # a proportional pair integrates over the empty interval [u0, u0]
     hi = np.where(distinct, hi, u0)
     # the Gaussians' second-derivative polynomials are 4 a^2 d^2 - 2 a, whose
@@ -128,8 +130,16 @@ def t_if_single_mode_oracles(specs_i, specs_f, m_star=1.0, tol=1e-11):
     if bad.size:
         n = bad[0]
         side = "below" if t[n] < sys.float_info.min else "above"
-        raise ValueError(
+        raise _member_error(
+            n,
             f"overlap |T| = {t[n]:.3g} of the states centered at {float(mi[n])!r} and {float(mf[n])!r}"
-            f" lies {side} the normal double range"
+            f" lies {side} the normal double range",
         )
     return t
+
+
+def _member_error(n, message):
+    """ValueError about pair ``n``, with that index as its ``member``, as a family's QuadratureError has."""
+    exc = ValueError(message)
+    exc.member = int(n)
+    return exc

@@ -1,7 +1,9 @@
 """Reference routes that only the tests use as independent oracles.
 
 ``finite_diff_gradient`` checks analytic Jacobians; ``thin_wall_box`` is the
-box that a steep kink-pair profile approaches away from its walls.
+box that a steep kink-pair profile approaches away from its walls;
+``printed_potential_terms`` is the extended potential as printed, term by
+term, against the factored form the package evaluates.
 """
 
 import numpy as np
@@ -30,3 +32,16 @@ def thin_wall_box(x, l, height):
     if not l > 0.0:
         raise ValueError("box width must be positive")
     return height if abs(x) <= 0.5 * l else 0.0
+
+
+def printed_potential_terms(phi, c1, c2, phi0):
+    """C1 (phi-phi0)^2, -4 C2 phi phi0 (phi-phi0)^2 and C2 (phi^2-phi0^2)^2, phi a float or array.
+
+    Their sum is the printed potential.  phi^2 - phi0^2 is formed as
+    (phi - phi0)(phi + phi0), so each term is within a few ulp of itself and
+    the sum within a few ulp of the sum of the terms' magnitudes, the scale
+    of the printed form's cancellation.
+    """
+    d = phi - phi0
+    s = d * (phi + phi0)
+    return c1 * d * d, -4.0 * c2 * phi * phi0 * d * d, c2 * s * s

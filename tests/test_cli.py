@@ -7,10 +7,11 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cdwtunnel
-from cdwtunnel import cli
+from cdwtunnel import cli, tunneling
 from cdwtunnel.cli import main
 
 
@@ -218,6 +219,17 @@ def test_fit_jacobian_overflow_is_runtime_error(tmp_path, capsys):
     # the message names the overflowing quantity and the field
     assert "Jacobian" in err and "1e-06" in err
     assert [p.name for p in tmp_path.iterdir()] == ["tiny.csv"]
+
+
+def test_fit_negative_amplitude_is_runtime_error(tmp_path, capsys):
+    # mostly negative currents fit a negative closed-form c_tilde1, which the model rejects
+    data = tmp_path / "negative.csv"
+    data.write_text("e,i\n2,-1\n3,-2\n")
+    code = main(["fit", "--data", str(data), "--out", str(tmp_path / "report.json")])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: fitted c_tilde1 = -0.88660957679 is not positive; the pair current needs c_tilde1 > 0\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["negative.csv"]
 
 
 def test_fit_empty_free_set_reports_an_unevaluable_start(tmp_path, capsys):
@@ -432,10 +444,10 @@ def test_any_matrix_element_magnitudes_run_or_exit_cleanly(tmp_path, monkeypatch
             ["matrix-element", "--over", "e", "--delta-s", "1e308", "--grid-n", "3"],
             "at E = 2.0: alpha must be positive and finite, got 0.0",
         ),
-        (["matrix-element", "--eps-plus", "1e6", "--grid-n", "3"], "overlap |T| = 0 of the states"),
+        (["matrix-element", "--eps-plus", "1e6", "--grid-n", "3"], "at L = 2.0: overlap |T| = 0 of the states"),
         (
             ["matrix-element", "--over", "e", "--grid-hi", "100", "--grid-n", "5"],
-            "overlap |T| = 4.29e-320 of the states",
+            "at E = 75.5: overlap |T| = 4.29e-320 of the states",
         ),
         (
             ["curve", "--grid-lo", "1e-3", "--grid-hi", "1e6"],
@@ -770,6 +782,20 @@ def test_matrix_element_table(tmp_path):
     for line in lines[1:]:
         cells = [float(c) for c in line.split(",")]
         assert cells[1] > 0.0 and cells[2] > 0.0 and cells[3] > 0.0
+
+
+def test_matrix_element_quadrature_failure_names_the_row(tmp_path, capsys, monkeypatch):
+    # the oracle's integrand turns non-finite on pair 2 alone, the third row of
+    # the L grid 2, 4.5, 7, 9.5, 12; the engine names the member, the CLI its row
+    engine = tunneling.integrate_family
+    monkeypatch.setattr(
+        tunneling, "integrate_family", lambda f, *a: engine(lambda x, i: np.where(i == 2, np.nan, f(x, i)), *a)
+    )
+    code = main(["matrix-element", "--grid-n", "5", "--out", str(tmp_path / "m.csv")])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: at L = 7.0: member 2: integrand returned nan at x = ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_matrix_element_over_l_ignores_transport_options(tmp_path):

@@ -227,6 +227,7 @@ def test_family_names_the_lowest_failing_member_with_its_own_message():
     with pytest.raises(QuadratureError) as family:
         integrate_family(lambda x, i: np.sin(ks[i] * x), los, his, 1e-14, max_depth=6)
     assert str(family.value) == f"member 1: {alone.value}"
+    assert (family.value.member, alone.value.member) == (1, None)
     # member 2 fails in round 0 on a non-finite value, member 1 only at depth 6: member 1 is still named
     with pytest.raises(QuadratureError) as family:
         integrate_family(lambda x, i: np.where(i == 2, np.inf, np.sin(ks[i] * x)), los, his, 1e-14, max_depth=6)

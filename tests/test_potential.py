@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,8 +14,10 @@ from cdwtunnel.potential import (
     topological_charge,
 )
 from cdwtunnel.wavefunctional import KinkPairProfile, sample_profile
+from oracles import printed_potential_terms
 
 TWO_PI = 2.0 * math.pi
+EPS = np.finfo(float).eps
 
 
 def test_extended_potential_vanishes_at_vacuum():
@@ -36,8 +39,8 @@ def test_extended_potential_worked_values():
 
 
 def test_extended_potential_factored_form():
-    """Independent route: the three printed terms collapse to
-    (phi-phi0)^2 (C1 + C2 (phi-phi0)^2)."""
+    """The factored evaluation d^2 (C1 + C2 d^2) against the printed three terms,
+    within 8 ulp of the terms' summed magnitudes (their cancellation scale)."""
     rng = np.random.default_rng(5)
     for _ in range(500):
         p = PotentialParams(
@@ -45,11 +48,15 @@ def test_extended_potential_factored_form():
             c2=float(rng.uniform(-2, 2)),
             phi0=float(rng.uniform(-7, 7)),
         )
-        phi = float(rng.uniform(-9, 9))
-        d2 = (phi - p.phi0) ** 2
-        factored = d2 * (p.c1 + p.c2 * d2)
+        # anywhere, within 1e-6 of the vacuum, where every term is O(d^2), and at -phi0
+        phi = np.concatenate([rng.uniform(-9, 9, 8), p.phi0 * (1.0 + rng.uniform(-1e-6, 1e-6, 2)), [-p.phi0]])
+        terms = printed_potential_terms(phi, p.c1, p.c2, p.phi0)
+        scale = sum(np.abs(t) for t in terms)
         got = eval_extended_potential(phi, p)
-        assert got == pytest.approx(factored, rel=1e-10, abs=1e-10)
+        assert np.all(np.abs(got - sum(terms)) <= 8.0 * EPS * scale)
+    # the printed form cancels about 16-fold at phi = pi on the default vacuum
+    terms = printed_potential_terms(math.pi, 1.0, 1.0, TWO_PI)
+    assert sum(abs(t) for t in terms) > 15.0 * abs(sum(terms))
 
 
 def test_extended_potential_joint_sign_flip():
@@ -159,3 +166,38 @@ def test_bound_small_sweep():
                 prof = sample_profile(kp, half_width=25.0, n=3001)
                 report = bogomolnyi_check(prof, p, phi_c=0.0, phi_f=0.0, phi_t=TWO_PI)
                 assert report.satisfied
+
+
+def test_bound_lhs_is_the_trapezoid_of_the_printed_energy(tmp_path, monkeypatch):
+    """Over random profiles and coefficients of either sign, the moment-built lhs is
+    the direct trapezoid of (d_x phi)^2/2 + V_printed within a few ulp of the trapezoid
+    of the terms' magnitudes, and a profile's reports do not depend on the order of checks."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    # hypothesis caches source constants in a storage directory even without a database
+    monkeypatch.setenv("HYPOTHESIS_STORAGE_DIRECTORY", str(tmp_path))
+    coefficient = st.floats(-3.0, 3.0)
+    params = st.builds(PotentialParams, c1=coefficient, c2=coefficient, phi0=st.floats(-8.0, 8.0))
+    samples = st.lists(st.tuples(st.floats(1e-3, 2.0), st.floats(-10.0, 10.0)), min_size=2, max_size=60)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(samples=samples, p1=params, p2=params, share_phi0=st.booleans())
+    def run(samples, p1, p2, share_phi0):
+        if share_phi0:
+            p2 = PotentialParams(c1=p2.c1, c2=p2.c2, phi0=p1.phi0)
+        xs = np.cumsum([step for step, _ in samples])
+        phis = np.array([phi for _, phi in samples])
+        first, second = FieldProfile(xs, phis), FieldProfile(xs, phis)
+        args = (0.0, 0.0, TWO_PI)
+        forward = [bogomolnyi_check(first, p, *args) for p in (p1, p2)]
+        backward = [bogomolnyi_check(second, p, *args) for p in (p2, p1)][::-1]
+        assert [dataclasses.astuple(r) for r in forward] == [dataclasses.astuple(r) for r in backward]
+        for p, report in zip((p1, p2), forward):
+            terms = printed_potential_terms(phis, p.c1, p.c2, p.phi0)
+            direct = np.trapezoid(first.gradient_energy + sum(terms), xs)
+            scale = np.trapezoid(first.gradient_energy + sum(np.abs(t) for t in terms), xs)
+            # with the smallest normal double for terms that underflow
+            assert abs(report.lhs - direct) <= 8.0 * EPS * scale + np.finfo(float).tiny
+
+    run()

@@ -214,8 +214,9 @@ def test_oracle_rejects_barrier_point_above_window():
     lo = math.nextafter(1e20, math.inf)
     spec_i = WavefunctionalSpec.normalized(0.5, 2.0, center=lo)
     spec_f = WavefunctionalSpec.normalized(0.5, 2.0, center=math.nextafter(lo, math.inf))
-    with pytest.raises(ValueError, match="barrier point u0 lies above the integration window"):
+    with pytest.raises(ValueError, match="barrier point u0 lies above the integration window") as info:
         t_if_single_mode_oracle(spec_i, spec_f)
+    assert info.value.member == 0
 
 
 def test_oracle_family_equals_the_per_pair_loop_bit_for_bit():
@@ -231,8 +232,9 @@ def test_oracle_family_equals_the_per_pair_loop_bit_for_bit():
 
 def test_oracle_family_names_the_first_underflowing_pair():
     specs = [transport_pair_specs(2.0), transport_pair_specs(2.0, 1e6), transport_pair_specs(2.0 / 75.5)]
-    with pytest.raises(ValueError, match=r"^overlap \|T\| = 0 of the states centered at 0\.0 and 1000006\."):
+    with pytest.raises(ValueError, match=r"^overlap \|T\| = 0 of the states centered at 0\.0 and 1000006\.") as info:
         t_if_single_mode_oracles([s[0] for s in specs], [s[1] for s in specs])
+    assert info.value.member == 1
     with pytest.raises(ValueError, match="got 2 initial and 1 final states"):
         t_if_single_mode_oracles([specs[0][0]] * 2, [specs[0][1]])
     assert t_if_single_mode_oracles([], []).shape == (0,)
