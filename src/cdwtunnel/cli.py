@@ -3,9 +3,11 @@
 Each subcommand's options are declared once, in ``COMMANDS``: the flag
 ``--name-with-dashes`` is the config key ``name_with_dashes`` of a JSON
 config file (``--config``).  A flag wins over a config entry, which wins over
-the default; a config ``null`` counts as unset.  A command writes all of its
-data files or none, with floats rendered to 12 significant digits, and
-identical configurations produce byte-identical outputs.
+the default; a config ``null`` counts as unset.  One rule (``_typed``) types
+and checks a flag word and a config entry alike, so both report a bad value
+with the same reason.  A command writes all of its data files or none, with
+floats rendered to 12 significant digits, and identical configurations
+produce byte-identical outputs.
 
 A subcommand takes only the ``TransportParams`` fields that its output reads:
 ``curve`` takes e_t, c_v, c_tilde1 and g_p; ``fit`` takes e_t and g_p for the
@@ -13,13 +15,14 @@ Zener targets and starts from ``--start-c-tilde1``/``--start-c-v``;
 ``matrix-element`` takes delta_s and e_star, which map fields to pair
 separations under ``--over e``.
 
-Exit codes: 0 success, 1 usage/config error, 2 runtime/numeric error,
-3 verification failure.
+Exit codes: 0 success, 1 usage/config error, 2 runtime/numeric error
+(a grid too large to allocate among them), 3 verification failure.
 """
 
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -128,44 +131,41 @@ def _load_config(path):
     return cfg
 
 
-def _finite_float(text):
-    """argparse type of every ``float`` option: a float that is not inf or nan."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return value
+def _typed(opt, value, word=False):
+    """One value of ``opt`` as ``opt.kind``, checked against ``opt.choices``.
 
-
-def _typed(opt, value):
-    """A raw JSON config ``value`` as ``opt.kind``, checked against ``opt.choices``."""
+    ``value`` is a flag word (``word``: text, read as ``opt.kind`` or else as a
+    float) or a config entry (a JSON value); a list entry may be one string.
+    A bad value raises ArgumentTypeError with the reason, which argparse
+    prefixes with ``argument --flag:`` and ``_resolve`` with the config key.
+    """
+    if opt.kind is list and not word:
+        return [_typed(opt._replace(kind=str), v) for v in (value if isinstance(value, list) else [value])]
     if opt.kind in (float, int):
+        if word:
+            for read in (opt.kind, float):
+                with contextlib.suppress(ValueError):
+                    value = read(value)
+                    break
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise CliUsageError(f"{opt.name} must be a number, got {value!r}")
+            raise argparse.ArgumentTypeError(f"must be a number, got {value!r}")
         if opt.kind is int and isinstance(value, float) and not value.is_integer():
-            raise CliUsageError(f"{opt.name} must be an integer, got {value!r}")
+            raise argparse.ArgumentTypeError(f"must be an integer, got {value!r}")
         value = opt.kind(value)
         if not math.isfinite(value):
-            raise CliUsageError(f"{opt.name} must be a finite number, got {value!r}")
-    elif opt.kind is list:
-        value = [value] if isinstance(value, str) else value
-        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-            raise CliUsageError(f"{opt.name} must be a string or a list of strings, got {value!r}")
+            raise argparse.ArgumentTypeError(f"must be a finite number, got {value!r}")
     elif not isinstance(value, str):
-        raise CliUsageError(f"{opt.name} must be a string, got {value!r}")
-    for v in value if opt.kind is list else [value]:
-        if opt.choices is not None and v not in opt.choices:
-            raise CliUsageError(f"{opt.name} must be one of {', '.join(opt.choices)}, got {v!r}")
+        raise argparse.ArgumentTypeError(f"must be a string, got {value!r}")
+    if opt.choices is not None and value not in opt.choices:
+        raise argparse.ArgumentTypeError(f"must be one of {', '.join(opt.choices)}, got {value!r}")
     return value
 
 
 def _resolve(opts, args):
     """One value per option: the flag, else the config entry, else the default.
 
-    argparse has typed and checked the flags; config entries are typed and
-    checked here, a JSON ``null`` counts as unset and an unknown key is an error.
+    argparse has typed the flags through ``_typed``; config entries go through
+    it here, a JSON ``null`` counts as unset and an unknown key is an error.
     """
     config = _load_config(args.config)
     unknown = sorted(set(config) - {opt.name for opt in opts})
@@ -175,29 +175,33 @@ def _resolve(opts, args):
     resolved = argparse.Namespace()
     for opt in opts:
         value = config.get(opt.name)
-        if value is not None:
-            value = _typed(opt, value)
+        try:
+            value = None if value is None else _typed(opt, value)
+        except argparse.ArgumentTypeError as exc:
+            raise CliUsageError(f"{opt.name} {exc}") from None
         if getattr(args, opt.name) is not None:
             value = getattr(args, opt.name)
         setattr(resolved, opt.name, opt.default if value is None else value)
     return resolved
 
 
-def _grid(o, lo, hi):
-    """The ``grid_*`` options as an array; ``lo`` and ``hi`` stand in for unset ends."""
-    lo = lo if o.grid_lo is None else o.grid_lo
-    hi = hi if o.grid_hi is None else o.grid_hi
-    if o.grid_n < 2:
-        raise CliUsageError("grid needs n >= 2")
+def _grid(lo, hi, n, kind, name):
+    """An ``n``-point ``kind`` ("linear" or "log") grid on [lo, hi]; ``name`` starts each error."""
+    if n < 2:
+        raise CliUsageError(f"{name} needs n >= 2")
     if not lo < hi:
-        raise CliUsageError("grid needs lo < hi")
+        raise CliUsageError(f"{name} needs lo < hi")
     if not math.isfinite(hi - lo):
-        raise CliUsageError("grid span hi - lo overflows")
-    if o.grid_kind == "log" and not lo > 0.0:
-        raise CliUsageError("log grid needs lo > 0")
-    if o.grid_kind == "log":
-        return np.geomspace(lo, hi, o.grid_n)
-    return np.linspace(lo, hi, o.grid_n)
+        raise CliUsageError(f"{name} span hi - lo overflows")
+    if kind == "log" and not lo > 0.0:
+        raise CliUsageError(f"log {name} needs lo > 0")
+    return (np.geomspace if kind == "log" else np.linspace)(lo, hi, n)
+
+
+def _option_grid(o, lo, hi):
+    """The ``grid_*`` options' grid; ``lo`` and ``hi`` stand in for unset ends."""
+    ends = (lo if o.grid_lo is None else o.grid_lo, hi if o.grid_hi is None else o.grid_hi)
+    return _grid(*ends, o.grid_n, o.grid_kind, "grid")
 
 
 @contextlib.contextmanager
@@ -229,7 +233,7 @@ def _require_out(o):
 def _cmd_curve(o):
     out = _require_out(o)
     tp = _transport_params(o)
-    es = _grid(o, 1.05 * tp.e_t, 10.0 * tp.e_t)
+    es = _option_grid(o, 1.05 * tp.e_t, 10.0 * tp.e_t)
 
     models = ("sge", "zener") if o.model == "both" else (o.model,)
     header = ["e"] + [f"i_{model}" for model in models]
@@ -299,7 +303,7 @@ def _cmd_fit(o):
         fit = fitting.fit_sge_to_points(es, targets, free, tp)
     else:
         lo, hi = fitting.FIG2B_WINDOW
-        es = _grid(o, lo * tp.e_t, hi * tp.e_t)
+        es = _option_grid(o, lo * tp.e_t, hi * tp.e_t)
         fit = fitting.fit_sge_to_zener(tp, es, free=free)
 
     names = [n for n in fitting.FREE_PARAM_ORDER if n in free]
@@ -324,17 +328,13 @@ def _cmd_fit(o):
 
 def _cmd_profile(o):
     out = _require_out(o)
-    if o.k_n is not None and (o.k_n < 2 or not o.k_lo < o.k_hi):
-        raise CliUsageError("k grid needs n >= 2 and lo < hi")
-    if o.k_n is not None and not math.isfinite(o.k_hi - o.k_lo):
-        raise CliUsageError("k grid span hi - lo overflows")
+    ks = None if o.k_n is None else _grid(o.k_lo, o.k_hi, o.k_n, "linear", "k grid")
     # everything is computed before the first file is written
     with _usage_errors():
         kp = wavefunctional.KinkPairProfile(x_a=o.x_a, x_b=o.x_b, b=o.steepness)
         prof = wavefunctional.sample_profile(kp, o.half_width, o.n)
     files = {out: _csv_text(["x", "phi"], zip(prof.xs, prof.phis))}
-    if o.k_n is not None:
-        ks = np.linspace(o.k_lo, o.k_hi, o.k_n)
+    if ks is not None:
         amps = [wavefunctional.thin_wall_ft(float(k), kp.l) for k in ks]
         files[out.with_name(out.stem + ".kspace.csv")] = _csv_text(["k", "phi_k"], zip(ks, amps))
     sidecar = {
@@ -351,7 +351,7 @@ def _cmd_matrix_element(o):
     out = _require_out(o)
     # only an E grid maps fields to separations through delta_s and e_star
     tp = _transport_params(o) if o.over == "e" else None
-    grid = _grid(o, 2.0, 12.0)
+    grid = _option_grid(o, 2.0, 12.0)
     with _usage_errors():
         # x_bar, n1, m_star and eps_plus are checked once, before any row is computed
         tunneling.MatrixElementInputs(x_bar=o.x_bar, l=1.0, alpha=1.0, n1=o.n1, m_star=o.m_star)
@@ -403,11 +403,10 @@ def _cmd_verify(o):
             raise CliUsageError(
                 f"unknown check '{name}' in --tol; valid names: {', '.join(verify.CHECKS)}"
             )
-        try:
-            tol = float(value)
-        except ValueError as exc:
-            raise CliUsageError(f"bad tolerance for '{name}': {value!r}") from exc
-        if not (math.isfinite(tol) and tol >= 0.0):
+        tol = math.nan
+        with contextlib.suppress(argparse.ArgumentTypeError):
+            tol = _typed(Opt(name), value, word=True)  # a finite float
+        if not tol >= 0.0:
             raise CliUsageError(f"tolerance for '{name}' must be finite and >= 0, got {value!r}")
         tolerances[name] = tol
 
@@ -495,10 +494,11 @@ def build_parser():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override its entries")
         for opt in opts:
-            kind = _finite_float if opt.kind is float else opt.kind
-            kwargs = {"action": "append"} if opt.kind is list else {"type": kind}
             flag = "--" + opt.name.replace("_", "-")
-            p.add_argument(flag, choices=opt.choices, help=opt.help, **kwargs)
+            action = "append" if opt.kind is list else "store"
+            metavar = None if opt.choices is None else "{" + ",".join(opt.choices) + "}"
+            typed = functools.partial(_typed, opt, word=True)
+            p.add_argument(flag, action=action, type=typed, metavar=metavar, help=opt.help)
         p.set_defaults(func=func, opts=opts)
     return parser
 
@@ -511,7 +511,7 @@ def main(argv=None):
     except CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OverflowError, QuadratureError, OSError) as exc:
+    except (ValueError, OverflowError, MemoryError, QuadratureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -46,11 +46,14 @@ class PotentialParams:
 
 
 class FieldProfile:
-    """A sampled field configuration phi(x) on a strictly increasing grid."""
+    """A sampled field configuration phi(x) on a strictly increasing grid.
+
+    ``xs`` and ``phis`` are read-only copies, so the cached energies stay those of the samples.
+    """
 
     def __init__(self, xs, phis):
-        xs = np.asarray(xs, dtype=float)
-        phis = np.asarray(phis, dtype=float)
+        xs = np.array(xs, dtype=float)
+        phis = np.array(phis, dtype=float)
         if xs.ndim != 1 or phis.ndim != 1 or xs.size != phis.size:
             raise ValueError("xs and phis must be 1-D arrays of equal length")
         if xs.size < 2:
@@ -59,6 +62,7 @@ class FieldProfile:
             raise ValueError("xs must be strictly increasing")
         if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(phis))):
             raise ValueError("profile values must be finite")
+        xs.flags.writeable = phis.flags.writeable = False
         self.xs = xs
         self.phis = phis
         self._moments = {}

@@ -155,17 +155,11 @@ def sge_jacobian(e, c_tilde1, c_v, e_t):
     Raises OverflowError, naming the fields, where |arg| exceeds about 710.48,
     the range of a bare cosh and sinh, unlike the overflow-safe current itself.
     """
-    d_ct1, d_cv = sge_jacobian_array(_single_field(e), c_tilde1, c_v, e_t)
-    return float(d_ct1[0]), float(d_cv[0])
-
-
-def sge_jacobian_array(es, c_tilde1, c_v, e_t):
-    """``sge_jacobian`` over the float array ``es``: two arrays, one element per field."""
+    es = _single_field(e)
     g, dg, _ = sge_cv_derivatives_array(es, e_t, c_v)
-    over = np.isnan(dg)
-    if over.any():
-        raise _jacobian_overflow(es[over])
-    return g, c_tilde1 * dg
+    if np.isnan(dg[0]):
+        raise _jacobian_overflow(es)
+    return float(g[0]), float(c_tilde1 * dg[0])
 
 
 def _jacobian_overflow(fields):

@@ -682,6 +682,60 @@ def test_out_of_range_option_is_usage_error(tmp_path, capsys, args, message):
     assert list(tmp_path.iterdir()) == []
 
 
+# every float option takes nan, and every option with choices takes "zz", as a
+# flag word and as a config entry (JSON NaN for nan)
+BAD_VALUES = [
+    (command, opt, bad)
+    for command, (_, _, opts) in cli.COMMANDS.items()
+    for opt in opts
+    for bad in (["nan"] if opt.kind is float else []) + (["zz"] if opt.choices else [])
+]
+
+
+@pytest.mark.parametrize(
+    "command, opt, bad", BAD_VALUES, ids=[f"{c}-{o.name}-{b}" for c, o, b in BAD_VALUES]
+)
+def test_flag_and_config_entry_get_the_same_reason(tmp_path, capsys, command, opt, bad):
+    flag = "--" + opt.name.replace("_", "-")
+    out = [] if command == "verify" else ["--out", str(tmp_path / "out.csv")]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({opt.name: float(bad) if bad == "nan" else bad}))
+    reasons = []
+    for args, prefix in (([flag, bad], f"error: argument {flag}: "), (["--config", str(cfg)], f"error: {opt.name} ")):
+        assert main([command, *args, *out]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith(prefix) and err.count("\n") == 1
+        reasons.append(err[len(prefix) :])
+    assert reasons[0] == reasons[1]
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_help_lists_every_choice(capsys, command):
+    with pytest.raises(SystemExit) as exit:
+        main([command, "--help"])
+    assert exit.value.code == 0
+    text = capsys.readouterr().out
+    for opt in cli.COMMANDS[command][2]:
+        if opt.choices:
+            assert f"--{opt.name.replace('_', '-')} {{{','.join(opt.choices)}}}" in text
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["curve", "--grid-n"], ["fit", "--grid-n"], ["profile", "--n"], ["profile", "--k-n"], ["matrix-element", "--grid-n"]],
+    ids=" ".join,
+)
+def test_grid_too_large_to_allocate_is_runtime_error(tmp_path, capsys, args):
+    # 1e17 doubles are 711 PiB, more than any address space: numpy refuses the
+    # size at once, without allocating anything
+    code = main([*args, str(10**17), "--out", str(tmp_path / "out.csv")])
+    stdout, err = capsys.readouterr()
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("config", [{"check": [["x"]]}, {"check": {"a": 1}}, {"tol": 5}])
 def test_wrong_typed_verify_config_is_usage_error(tmp_path, capsys, config):
     cfg = tmp_path / "run.json"

@@ -22,13 +22,19 @@ from cdwtunnel.transport import (
     current_zener,
     current_zener_array,
     curve_series,
-    sge_jacobian_array,
+    sge_cv_derivatives_array,
 )
 from oracles import finite_diff_gradient
 
 
 def _sge_series(tp, es):
     return curve_series("sge", tp, es)
+
+
+def _sge_jacobian_columns(es, c_tilde1, c_v, e_t):
+    """(dI/dc_tilde1, dI/dc_v) of the printed pair current as two columns, from the c_v derivative kernel."""
+    g, dg, _ = sge_cv_derivatives_array(es, e_t, c_v)
+    return np.column_stack([g, c_tilde1 * dg])
 
 
 def test_compare_identical_series():
@@ -96,6 +102,9 @@ def test_sge_jacobian_matches_finite_differences():
 
         num = finite_diff_gradient(f, np.array([ct1, cv]), h=1e-6)
         np.testing.assert_allclose(got, num, rtol=1e-6)
+    # where the bare cosh overflows, it raises and names the field
+    with pytest.raises(OverflowError, match=r"Jacobian .* for fields in \[1e-06, 1e-06\]"):
+        sge_model_jacobian(1e-6, 1.0, 1.0, 1.0)
 
 
 def test_self_fit_round_trip():
@@ -257,29 +266,6 @@ def test_round_trip_many_random_draws():
         assert abs(fit.params[1] - truth.c_v) / truth.c_v <= 1e-5
 
 
-def test_array_jacobian_equals_scalar_jacobian():
-    rng = np.random.default_rng(31)
-    grids = [np.sort(rng.uniform(0.05, 50.0, 300)) for _ in range(4)]
-    grids.append(np.geomspace(2e-5, 1e4, 500))  # 35 < |arg| < 710 on both sides
-    far = set()
-    for es in grids:
-        for _ in range(3):
-            ct1, cv, e_t = (float(v) for v in rng.uniform(0.3, 3.0, 3))
-            chi = cv * e_t / es
-            arg = np.sqrt(2.0 / chi) - np.sqrt(chi)
-            far |= {int(np.sign(a)) for a in arg[np.abs(arg) > 35.0]}
-            d_ct1, d_cv = sge_jacobian_array(es, ct1, cv, e_t)
-            rows = [sge_model_jacobian(float(e), ct1, cv, e_t) for e in es]
-            assert np.array_equal(d_ct1, [r[0] for r in rows])
-            assert np.array_equal(d_cv, [r[1] for r in rows])
-    assert far == {-1, 1}
-    # where the bare cosh overflows, both raise
-    with pytest.raises(OverflowError, match=r"Jacobian .* for fields in \[1e-06, 1e-06\]"):
-        sge_model_jacobian(1e-6, 1.0, 1.0, 1.0)
-    with pytest.raises(OverflowError, match=r"Jacobian .* for fields in \[1e-07, 1e-06\]"):
-        sge_jacobian_array(np.array([1e-7, 1.0, 1e-6]), 1.0, 1.0, 1.0)
-
-
 def test_whole_grid_fit_equals_point_by_point_fit():
     # at the returned c_v, the returned c_tilde1 is the least-squares amplitude
     # <g, y>/<g, g> (or the held start) and the rms is the residual's, with g
@@ -339,7 +325,7 @@ def test_zener_fits_match_minpack():
         ref = optimize.least_squares(
             lambda p: current_sge_array(es, 1.0, p[1], p[0], False) - targets,
             [1.0, 1.0],
-            jac=lambda p: np.column_stack(sge_jacobian_array(es, p[0], p[1], 1.0)),
+            jac=lambda p: _sge_jacobian_columns(es, p[0], p[1], 1.0),
             method="lm",
             xtol=1e-15,
             ftol=1e-15,
@@ -428,7 +414,7 @@ def test_fits_of_c_v_alone_match_minpack():
         ref = optimize.least_squares(
             lambda p: current_sge_array(es, 1.0, p[0], start.c_tilde1, False) - targets,
             [start.c_v],
-            jac=lambda p: sge_jacobian_array(es, start.c_tilde1, p[0], 1.0)[1][:, None],
+            jac=lambda p: _sge_jacobian_columns(es, start.c_tilde1, p[0], 1.0)[:, 1:],
             method="lm",
             xtol=1e-15,
             ftol=1e-15,

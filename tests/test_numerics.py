@@ -492,7 +492,7 @@ def test_fit_rejects_non_finite_data_before_calling_the_model():
 def test_fit_round_trips_both_current_laws():
     """Noiseless synthetic data from either current law is recovered to 1e-6
     relative from 20%-perturbed starts (grids kept strictly above threshold)."""
-    from cdwtunnel.transport import TransportParams, current_sge, current_zener, sge_jacobian_array
+    from cdwtunnel.transport import TransportParams, current_sge, current_zener, sge_cv_derivatives_array
 
     es = np.linspace(1.5, 5.0, 40)
 
@@ -505,7 +505,8 @@ def test_fit_round_trips_both_current_laws():
     truth = np.array([1.4, 0.9])
     data = list(zip(es, sge_model(es, truth)))
     def sge_jac(e, p):
-        return np.column_stack(sge_jacobian_array(e, p[0], p[1], TransportParams().e_t))
+        g, dg, _ = sge_cv_derivatives_array(e, TransportParams().e_t, p[1])
+        return np.column_stack([g, p[0] * dg])
 
     fit = least_squares_fit(sge_model, truth * np.array([1.2, 0.8]), data, sge_jac)
     assert fit.converged

@@ -131,6 +131,24 @@ def test_field_profile_validation():
         FieldProfile([0.0, 1.0], [1.0, math.inf])
 
 
+def test_field_profile_keeps_read_only_copies_of_its_samples():
+    # a profile caches its gradient and energy moments; a caller that changes
+    # its own arrays afterwards must reach neither them nor the samples
+    xs = np.linspace(-10.0, 10.0, 201)
+    phis = np.sin(xs)
+    prof = FieldProfile(xs, phis)
+    fresh = FieldProfile(xs.copy(), phis.copy())
+    xs[:] = np.linspace(0.0, 1.0, 201)
+    phis[:] = TWO_PI
+    p = PotentialParams(c1=1.0, c2=1.0, phi0=TWO_PI)
+    check = dict(p=p, phi_c=0.0, phi_f=0.0, phi_t=TWO_PI)
+    assert bogomolnyi_check(prof, **check) == bogomolnyi_check(fresh, **check)
+    assert topological_charge(prof) == topological_charge(fresh)
+    for samples in (prof.xs, prof.phis):
+        with pytest.raises(ValueError, match="read-only"):
+            samples[0] = 0.0
+
+
 def test_potential_params_validation():
     with pytest.raises(ValueError):
         PotentialParams(c1=math.nan)
