@@ -102,9 +102,6 @@ def test_sge_jacobian_matches_finite_differences():
 
         num = finite_diff_gradient(f, np.array([ct1, cv]), h=1e-6)
         np.testing.assert_allclose(got, num, rtol=1e-6)
-    # where the bare cosh overflows, it raises and names the field
-    with pytest.raises(OverflowError, match=r"Jacobian .* for fields in \[1e-06, 1e-06\]"):
-        sge_model_jacobian(1e-6, 1.0, 1.0, 1.0)
 
 
 def test_self_fit_round_trip():
@@ -264,6 +261,30 @@ def test_round_trip_many_random_draws():
         assert fit.converged
         assert abs(fit.params[0] - truth.c_tilde1) / truth.c_tilde1 <= 1e-5
         assert abs(fit.params[1] - truth.c_v) / truth.c_v <= 1e-5
+
+
+def test_array_jacobian_equals_scalar_jacobian():
+    rng = np.random.default_rng(31)
+    grids = [np.sort(rng.uniform(0.05, 50.0, 300)) for _ in range(4)]
+    grids.append(np.geomspace(2e-5, 1e4, 500))  # 35 < |arg| < 710 on both sides
+    far = set()
+    for es in grids:
+        for _ in range(3):
+            ct1, cv, e_t = (float(v) for v in rng.uniform(0.3, 3.0, 3))
+            chi = cv * e_t / es
+            arg = np.sqrt(2.0 / chi) - np.sqrt(chi)
+            far |= {int(np.sign(a)) for a in arg[np.abs(arg) > 35.0]}
+            cols = _sge_jacobian_columns(es, ct1, cv, e_t)
+            rows = [sge_model_jacobian(float(e), ct1, cv, e_t) for e in es]
+            assert np.array_equal(cols[:, 0], [r[0] for r in rows])
+            assert np.array_equal(cols[:, 1], [r[1] for r in rows])
+    assert far == {-1, 1}
+    # where the bare cosh overflows, the scalar form raises and names the
+    # field, and the array form's c_v column is nan there alone
+    with pytest.raises(OverflowError, match=r"Jacobian .* for fields in \[1e-06, 1e-06\]"):
+        sge_model_jacobian(1e-6, 1.0, 1.0, 1.0)
+    cols = _sge_jacobian_columns(np.array([1e-7, 1.0, 1e-6]), 1.0, 1.0, 1.0)
+    assert np.array_equal(np.isnan(cols[:, 1]), [True, False, True])
 
 
 def test_whole_grid_fit_equals_point_by_point_fit():
