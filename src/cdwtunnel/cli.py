@@ -151,7 +151,10 @@ def _typed(opt, value, word=False):
             raise argparse.ArgumentTypeError(f"must be a number, got {value!r}")
         if opt.kind is int and isinstance(value, float) and not value.is_integer():
             raise argparse.ArgumentTypeError(f"must be an integer, got {value!r}")
-        value = opt.kind(value)
+        try:
+            value = opt.kind(value)
+        except OverflowError:  # a JSON integer beyond the double range, read as float() reads its text
+            value = math.inf if value > 0 else -math.inf
         if not math.isfinite(value):
             raise argparse.ArgumentTypeError(f"must be a finite number, got {value!r}")
     elif not isinstance(value, str):

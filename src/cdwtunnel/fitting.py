@@ -38,7 +38,6 @@ __all__ = [
     "fit_sge_family",
     "fit_sge_to_points",
     "fit_sge_to_zener",
-    "sge_model_jacobian",
     "transport_with",
 ]
 

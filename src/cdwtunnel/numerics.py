@@ -56,12 +56,17 @@ class QuadratureError(RuntimeError):
 
 
 def _cosh_times_exp(arg, expo):
-    """cosh(arg) * exp(expo) without overflow for large |arg| or -expo."""
+    """cosh(arg) * exp(expo) without overflow for large |arg| or -expo.
+
+    An ``expo`` of -inf gives 0.0, also where ``arg`` is infinite.
+    """
     a = abs(arg)
     if a <= _COSH_DIRECT_LIMIT:
         if expo < _EXP_NORMAL_MIN:
             return math.cosh(arg) * math.exp(expo + _EXP_SHIFT) * _EXP_UNSHIFT
         return math.cosh(arg) * math.exp(expo)
+    if expo == -math.inf:
+        return 0.0
     t = a + expo - _LN2
     if t > _EXP_MAX:
         return math.inf
@@ -81,8 +86,9 @@ def _cosh_times_exp_array(arg, expo):
     out[direct] = np.cosh(arg[direct]) * np.exp(expo[direct])
     out[deep] = np.cosh(arg[deep]) * np.exp(expo[deep] + _EXP_SHIFT) * _EXP_UNSHIFT
     far = ~near
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         out[far] = np.exp(a[far] + expo[far] - _LN2)
+    out[expo == -np.inf] = 0.0
     return out
 
 

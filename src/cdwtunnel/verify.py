@@ -22,8 +22,6 @@ from . import fitting, numerics, potential, transport, tunneling, wavefunctional
 
 __all__ = ["CHECKS", "CheckResult", "run_check", "run_checks"]
 
-TWO_PI = 2.0 * math.pi
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -52,7 +50,7 @@ def check_normalization():
     pairs = list(itertools.product(np.geomspace(0.1, 100.0, 5).tolist(), np.geomspace(0.5, 50.0, 5).tolist()))
     alphas = np.array([alpha for alpha, _ in pairs])
     cs = np.array([wavefunctional.norm_constant(alpha, l) for alpha, l in pairs])
-    u_max = np.array([l / math.sqrt(TWO_PI) for _, l in pairs])
+    u_max = np.array([l / math.sqrt(potential.TWO_PI) for _, l in pairs])
     vals = numerics.integrate_family(
         lambda u, i: cs[i] * cs[i] * np.exp(-2.0 * alphas[i] * u * u), 0.0, u_max, 1e-11
     )
@@ -134,8 +132,8 @@ def check_bogomolnyi_sweep():
         kp = wavefunctional.KinkPairProfile(x_a=-0.5 * l, x_b=0.5 * l, b=b)
         prof = wavefunctional.sample_profile(kp, half_width=25.0, n=4001)
         for c1, c2 in pairs:
-            p = potential.PotentialParams(c1=c1, c2=c2, phi0=TWO_PI)
-            report = potential.bogomolnyi_check(prof, p, phi_c=0.0, phi_f=0.0, phi_t=TWO_PI)
+            p = potential.PotentialParams(c1=c1, c2=c2, phi0=potential.TWO_PI)
+            report = potential.bogomolnyi_check(prof, p, phi_c=0.0, phi_f=0.0, phi_t=potential.TWO_PI)
             if not report.satisfied:
                 failures += 1
     total = len(bs) * len(ls) * len(pairs)
@@ -168,7 +166,7 @@ def oracle_shape_sweep():
     The analytic route is evaluated at the observer point x_bar = L^2/(4 pi^2)
     that places both routes on a common exponential scale.
     """
-    delta = TWO_PI
+    delta = potential.TWO_PI
     xs = np.linspace(2.0, 12.5, 15)
     specs_i, specs_f, analytic = [], [], []
     for x in xs.tolist():

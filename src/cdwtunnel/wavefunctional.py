@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import integrate_family
-from .potential import FieldProfile, alpha_from_separation
+from .potential import TWO_PI, FieldProfile, alpha_from_separation
 
 __all__ = [
     "DEFAULT_EPS_PLUS",
@@ -32,7 +32,6 @@ __all__ = [
     "transport_pair_specs",
 ]
 
-TWO_PI = 2.0 * math.pi
 _SQRT_TWO_OVER_PI = math.sqrt(2.0 / math.pi)
 
 # offset of the final-state center above one full winding; the physics only

@@ -684,22 +684,27 @@ def test_out_of_range_option_is_usage_error(tmp_path, capsys, args, message):
 
 # every float option takes nan, and every option with choices takes "zz", as a
 # flag word and as a config entry (JSON NaN for nan)
+# an integer beyond the double range: float() reads its text as inf but
+# raises OverflowError on the JSON integer
+HUGE_INT = "1" + "0" * 400
 BAD_VALUES = [
     (command, opt, bad)
     for command, (_, _, opts) in cli.COMMANDS.items()
     for opt in opts
-    for bad in (["nan"] if opt.kind is float else []) + (["zz"] if opt.choices else [])
+    for bad in (["nan", HUGE_INT] if opt.kind is float else []) + (["zz"] if opt.choices else [])
 ]
 
 
 @pytest.mark.parametrize(
-    "command, opt, bad", BAD_VALUES, ids=[f"{c}-{o.name}-{b}" for c, o, b in BAD_VALUES]
+    "command, opt, bad",
+    BAD_VALUES,
+    ids=[f"{c}-{o.name}-{'1e400' if b == HUGE_INT else b}" for c, o, b in BAD_VALUES],
 )
 def test_flag_and_config_entry_get_the_same_reason(tmp_path, capsys, command, opt, bad):
     flag = "--" + opt.name.replace("_", "-")
     out = [] if command == "verify" else ["--out", str(tmp_path / "out.csv")]
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({opt.name: float(bad) if bad == "nan" else bad}))
+    cfg.write_text(json.dumps({opt.name: {"nan": math.nan, HUGE_INT: int(HUGE_INT)}.get(bad, bad)}))
     reasons = []
     for args, prefix in (([flag, bad], f"error: argument {flag}: "), (["--config", str(cfg)], f"error: {opt.name} ")):
         assert main([command, *args, *out]) == 1

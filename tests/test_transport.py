@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cdwtunnel import numerics
 from cdwtunnel.transport import (
     CurveSeries,
     TransportParams,
@@ -55,6 +56,22 @@ def test_sge_reference_value():
 def test_sge_vanishes_at_small_field():
     tp = TransportParams()
     assert current_sge(1e-6, tp) == 0.0  # underflows, mathematically ~1e-433000
+
+
+@pytest.mark.parametrize("convention", ["printed", "substituted"])
+def test_sge_is_zero_where_e_t_c_v_over_e_overflows(convention):
+    # chi = E_T c_v / E leaves the double range: arg and expo are -inf, and the
+    # current is 0.0 rather than exp(inf - inf) = nan (RuntimeWarnings fail here)
+    tp = TransportParams()
+    for e, params in [(1e-300, tp), (1e-310, tp), (1e-320, tp), (1.0, TransportParams(e_t=1e300, c_v=1e10))]:
+        assert current_sge(e, params, convention) == 0.0
+    with np.errstate(divide="ignore", over="ignore"):
+        chi = 1.0 / np.array([1.0, 1e-300, 1e-310, 5e-324])
+    args = np.concatenate([np.sqrt(2.0 / chi) - np.sqrt(chi), [np.inf, np.nan, 40.0, 0.5]])
+    expos = np.concatenate([-chi, np.full(4, -np.inf)])
+    pointwise = [numerics._cosh_times_exp(a, x) for a, x in zip(args.tolist(), expos.tolist())]
+    assert numerics._cosh_times_exp_array(args, expos).tolist() == pointwise
+    assert pointwise[0] == pytest.approx(SGE_CHI_ONE, rel=1e-15) and pointwise[1:] == [0.0] * 7
 
 
 def test_sge_large_field_asymptote():
