@@ -68,34 +68,39 @@ def check_thin_wall_ft():
     return worst, 1e-6, "max relative error, k in [0.01, 20], L in {1,2,5,10}"
 
 
-def check_ratio_18_19():
-    """Full/reduced matrix-element ratio at n1 = 1 must be exactly 1/2.
+def _ratio_18_19_inputs():
+    """(inputs, draws): the 100 accepted (x_bar, l, alpha, c1_norm, c2_norm, m_star) tuples and the uniforms read.
 
-    Draws are rejected when the common exponential factor falls below the
+    A draw is rejected when the common exponential factor falls below the
     normal double range, where a quotient of subnormals cannot carry 1e-12.
+    The uniforms come from one block of seeded random() values, read in
+    stream order: lo + (hi - lo) * u is what Generator.uniform(lo, hi)
+    returns for the same u, bit for bit, so the inputs are those of one
+    uniform() call per value.  The seed needs 693 of the 1024 values.
     """
-    rng = np.random.default_rng(20240811)
-    worst = 0.0
-    accepted = 0
-    while accepted < 100:
-        x_bar = float(rng.uniform(0.1, 10.0))
-        l = float(rng.uniform(0.5, 50.0))
-        alpha = float(rng.uniform(0.02, 5.0))
+    u = np.random.default_rng(20240811).random(1024).tolist()
+    k = 0
+
+    def uniform(lo, hi):
+        nonlocal k
+        k += 1
+        return lo + (hi - lo) * u[k - 1]
+
+    inputs = []
+    while len(inputs) < 100:
+        x_bar, l, alpha = uniform(0.1, 10.0), uniform(0.5, 50.0), uniform(0.02, 5.0)
         if alpha * l * l / (2.0 * x_bar) > 600.0:
             continue
-        inputs = tunneling.MatrixElementInputs(
-            x_bar=x_bar,
-            l=l,
-            alpha=alpha,
-            n1=1.0,
-            c1_norm=float(rng.uniform(0.1, 10.0)),
-            c2_norm=float(rng.uniform(0.1, 10.0)),
-            m_star=float(rng.uniform(0.1, 10.0)),
-        )
-        accepted += 1
-        num = tunneling.t_if_analytic(inputs)
-        den = tunneling.t_if_simplified(inputs)
-        worst = max(worst, abs(num / den - 0.5))
+        inputs.append((x_bar, l, alpha, uniform(0.1, 10.0), uniform(0.1, 10.0), uniform(0.1, 10.0)))
+    return inputs, k
+
+
+def check_ratio_18_19():
+    """Full/reduced matrix-element ratio at n1 = 1 must be exactly 1/2."""
+    worst = 0.0
+    for x_bar, l, alpha, c1_norm, c2_norm, m_star in _ratio_18_19_inputs()[0]:
+        inputs = tunneling.MatrixElementInputs(x_bar, l, alpha, 1.0, c1_norm, c2_norm, m_star)
+        worst = max(worst, abs(tunneling.t_if_analytic(inputs) / tunneling.t_if_simplified(inputs) - 0.5))
     return worst, 1e-12, "max |ratio - 1/2| over 100 random inputs"
 
 

@@ -9,9 +9,15 @@ where alpha = 1/L or the normalization integral leaves the double range is a
 ValueError, never a division by zero or a zero norm.  The box transform's
 quadrature oracle takes whole (k, L) grids and integrates them in one
 quadrature-family call.
+
+``WavefunctionalSpec`` is built twice per point of an L grid (by
+``transport_pair_specs``), so, like ``tunneling.MatrixElementInputs``, it is
+a frozen dataclass with its own ``__init__`` (one chained check, one dict
+write) in place of the generated one's ``object.__setattr__`` per field.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +39,8 @@ __all__ = [
 ]
 
 _SQRT_TWO_OVER_PI = math.sqrt(2.0 / math.pi)
+_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+_MAX = sys.float_info.max
 
 # offset of the final-state center above one full winding; the physics only
 # requires it to be small and positive
@@ -60,7 +68,9 @@ class KinkPairProfile:
         return self.x_b - self.x_a
 
 
-@dataclass(frozen=True)
+# the per-field checks run only to name the first bad field; the measured cost
+# of the generated frozen __init__ is beside ``tunneling.MatrixElementInputs``
+@dataclass(frozen=True, init=False)
 class WavefunctionalSpec:
     """Gaussian collective-coordinate state: norm_c * exp(-alpha (u - center)^2).
 
@@ -73,13 +83,20 @@ class WavefunctionalSpec:
     center: float
     norm_c: float
 
-    def __post_init__(self):
-        if not 0.0 < self.alpha < math.inf:
-            raise ValueError("alpha must be positive and finite")
-        if not 0.0 < self.norm_c < math.inf:
-            raise ValueError("norm_c must be positive and finite")
-        if not math.isfinite(self.center):
-            raise ValueError("center must be finite")
+    def __init__(self, alpha, center, norm_c):
+        try:
+            # center against the largest double, so an int beyond it meets math.isfinite's OverflowError below
+            valid = 0.0 < alpha < math.inf and 0.0 < norm_c < math.inf and -_MAX <= center <= _MAX
+        except (TypeError, ValueError):  # not a real number: the checks below raise its TypeError
+            valid = False
+        if not valid:
+            if not 0.0 < alpha < math.inf:
+                raise ValueError("alpha must be positive and finite")
+            if not 0.0 < norm_c < math.inf:
+                raise ValueError("norm_c must be positive and finite")
+            if not math.isfinite(center):
+                raise ValueError("center must be finite")
+        self.__dict__.update(alpha=alpha, center=center, norm_c=norm_c)
 
     @classmethod
     def normalized(cls, alpha, l, center=0.0):
@@ -101,8 +118,8 @@ def kink_pair_profile(x, kp):
         return 2.0 * num / ((1.0 + np.exp(-2.0 * np.abs(u))) * (1.0 + np.exp(-2.0 * np.abs(v))))
 
 
-def sample_profile(kp, half_width, n):
-    """Uniform FieldProfile on [x_a - half_width, x_b + half_width], a window inside the double range."""
+def _profile_window(kp, half_width, n):
+    """``sample_profile``'s window (lo, hi), once n, half_width and the window are checked."""
     if n < 2:
         raise ValueError("need at least 2 samples")
     if not half_width > 0.0:
@@ -110,7 +127,12 @@ def sample_profile(kp, half_width, n):
     lo, hi = kp.x_a - half_width, kp.x_b + half_width
     if not math.isfinite(hi - lo):
         raise ValueError(f"profile window [{lo!r}, {hi!r}] leaves the double range")
-    xs = np.linspace(lo, hi, int(n))
+    return lo, hi
+
+
+def sample_profile(kp, half_width, n):
+    """Uniform FieldProfile on [x_a - half_width, x_b + half_width], a window inside the double range."""
+    xs = np.linspace(*_profile_window(kp, half_width, n), int(n))
     return FieldProfile(xs, kink_pair_profile(xs, kp))
 
 
@@ -148,7 +170,7 @@ def thin_wall_ft_oracle(k, l):
         raise ValueError("box width must be positive")
     ks, ls = k.ravel(), l.ravel()
     val = integrate_family(lambda x, i: np.cos(ks[i] * x), -0.5 * ls, 0.5 * ls, 1e-12)
-    out = (val / math.sqrt(2.0 * math.pi)).reshape(k.shape)
+    out = (val / _SQRT_TWO_PI).reshape(k.shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -163,7 +185,7 @@ def norm_constant(alpha, l):
         raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
     if not 0.0 < l < math.inf:
         raise ValueError(f"separation L must be positive and finite, got {l!r}")
-    u_max = float(l) / math.sqrt(2.0 * math.pi)
+    u_max = float(l) / _SQRT_TWO_PI
     a = 2.0 * float(alpha)
     integral = 0.5 * math.sqrt(math.pi / a) * math.erf(u_max * math.sqrt(a))
     if not 0.0 < integral < math.inf:
@@ -188,6 +210,5 @@ def transport_pair_specs(l, eps_plus=DEFAULT_EPS_PLUS):
     if not eps_plus > 0.0:
         raise ValueError(f"eps_plus must be positive, got {eps_plus!r}")
     alpha = alpha_from_separation(l)
-    initial = WavefunctionalSpec.normalized(alpha, l, center=0.0)
-    final = WavefunctionalSpec(alpha, TWO_PI + eps_plus, initial.norm_c)
-    return initial, final
+    norm_c = norm_constant(alpha, l)
+    return WavefunctionalSpec(alpha, 0.0, norm_c), WavefunctionalSpec(alpha, TWO_PI + eps_plus, norm_c)

@@ -3,7 +3,9 @@
 ``finite_diff_gradient`` checks analytic Jacobians; ``thin_wall_box`` is the
 box that a steep kink-pair profile approaches away from its walls;
 ``printed_potential_terms`` is the extended potential as printed, term by
-term, against the factored form the package evaluates.
+term, against the factored form the package evaluates;
+``ratio_18_19_scalar_draws`` draws the ratio check's inputs one
+``Generator.uniform`` call at a time.
 """
 
 import numpy as np
@@ -45,3 +47,22 @@ def printed_potential_terms(phi, c1, c2, phi0):
     d = phi - phi0
     s = d * (phi + phi0)
     return c1 * d * d, -4.0 * c2 * phi * phi0 * d * d, c2 * s * s
+
+
+def ratio_18_19_scalar_draws():
+    """(inputs, draws): the ratio-18-19 check's 100 accepted input tuples, one uniform() call per value.
+
+    Each tuple is (x_bar, l, alpha, c1_norm, c2_norm, m_star); a draw whose
+    exponent alpha L^2 / (2 x_bar) exceeds 600 is rejected after its first
+    three values.  ``draws`` counts the uniform() calls.
+    """
+    rng = np.random.default_rng(20240811)
+    inputs, draws = [], 0
+    while len(inputs) < 100:
+        x_bar, l, alpha = float(rng.uniform(0.1, 10.0)), float(rng.uniform(0.5, 50.0)), float(rng.uniform(0.02, 5.0))
+        draws += 3
+        if alpha * l * l / (2.0 * x_bar) > 600.0:
+            continue
+        inputs.append((x_bar, l, alpha, *(float(rng.uniform(0.1, 10.0)) for _ in range(3))))
+        draws += 3
+    return inputs, draws

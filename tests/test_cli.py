@@ -682,6 +682,25 @@ def test_out_of_range_option_is_usage_error(tmp_path, capsys, args, message):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "name, value, message",
+    [(name, value, f"{name} must be positive and finite") for name in ("x_bar", "n1", "m_star") for value in (0.0, -1.0)]
+    + [("n1", 1.5, "n1 must lie in (0, 1]")],
+)
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_matrix_element_inputs_checks_are_usage_errors(tmp_path, capsys, name, value, message, via):
+    # finite values pass the option typing and reach MatrixElementInputs, whose message the user sees
+    if via == "flag":
+        args = [f"--{name.replace('_', '-')}={value!r}"]
+    else:
+        (tmp_path / "run.json").write_text(json.dumps({name: value}))
+        args = ["--config", str(tmp_path / "run.json")]
+    code = main(["matrix-element", *args, "--out", str(tmp_path / "out.csv")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
 # every float option takes nan, and every option with choices takes "zz", as a
 # flag word and as a config entry (JSON NaN for nan)
 # an integer beyond the double range: float() reads its text as inf but
@@ -733,12 +752,14 @@ def test_help_lists_every_choice(capsys, command):
 )
 def test_grid_too_large_to_allocate_is_runtime_error(tmp_path, capsys, args):
     # 1e17 doubles are 711 PiB, more than any address space: numpy refuses the
-    # size at once, without allocating anything
-    code = main([*args, str(10**17), "--out", str(tmp_path / "out.csv")])
-    stdout, err = capsys.readouterr()
-    assert code == 2 and stdout == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert list(tmp_path.iterdir()) == []
+    # size at once, without allocating anything (a MemoryError); 2**62 and
+    # 1e30 fail its size checks with a ValueError instead
+    for count in (10**17, 2**62, 10**30):
+        code = main([*args, str(count), "--out", str(tmp_path / "out.csv")])
+        stdout, err = capsys.readouterr()
+        assert code == 2 and stdout == "", count
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("config", [{"check": [["x"]]}, {"check": {"a": 1}}, {"tol": 5}])

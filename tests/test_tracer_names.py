@@ -10,7 +10,7 @@ from pathlib import Path
 
 import cdwtunnel
 import cdwtunnel._backend
-from cdwtunnel import fitting, numerics, verify
+from cdwtunnel import fitting, numerics, transport, verify
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -46,3 +46,16 @@ def test_traced_verify_check_keeps_its_result_and_span(monkeypatch):
     assert isinstance(result, verify.CheckResult)
     assert result.name == "ratio-18-19" and result.passed
     assert [span[0] for span in tracer.spans if span[0].startswith("verify.")] == ["verify.ratio-18-19"]
+
+
+def test_traced_transport_params_are_counted(monkeypatch):
+    # the tracer counts TransportParams through __post_init__; a record that
+    # checked its fields in its own __init__ would leave the count at 0
+    assert "__post_init__" in vars(transport.TransportParams)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    tracer = Tracer()
+    with tracer.installed():
+        transport.TransportParams()
+    assert tracer.counts["transport.TransportParams.built"] == 1

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -104,13 +105,62 @@ def test_both_forms_strictly_decreasing_in_alpha():
     assert all(b < a for a, b in zip(s_vals, s_vals[1:]))
 
 
+INPUT_FIELDS = ("x_bar", "l", "alpha", "n1", "c1_norm", "c2_norm", "m_star")
+GOOD_INPUTS = dict(x_bar=1.5, l=8.0, alpha=0.125, n1=0.9, c1_norm=1.25, c2_norm=0.75, m_star=2.0)
+
+
+def _raised(build):
+    with pytest.raises(Exception) as exc:
+        build()
+    return type(exc.value), str(exc.value)
+
+
 def test_inputs_validation():
-    with pytest.raises(ValueError):
-        _inputs(n1=1.2)
-    with pytest.raises(ValueError):
-        _inputs(l=-1.0)
-    with pytest.raises(ValueError):
-        _inputs(m_star=0.0)
+    # the constructor and dataclasses.replace name each bad field with the same ValueError
+    good = MatrixElementInputs(**GOOD_INPUTS)
+    for name in INPUT_FIELDS:
+        for value in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+            expected = (ValueError, f"{name} must be positive and finite")
+            assert _raised(lambda: MatrixElementInputs(**{**GOOD_INPUTS, name: value})) == expected
+            assert _raised(lambda: dataclasses.replace(good, **{name: value})) == expected
+    expected = (ValueError, "n1 must lie in (0, 1]")
+    assert _raised(lambda: MatrixElementInputs(**{**GOOD_INPUTS, "n1": 1.5})) == expected
+    assert _raised(lambda: dataclasses.replace(good, n1=1.5)) == expected
+    # the first bad field in field order is named, and every field's sign and
+    # finiteness come before n1's upper bound
+    bad = {**GOOD_INPUTS, "alpha": 0.0, "m_star": math.nan}
+    assert _raised(lambda: MatrixElementInputs(**bad)) == (ValueError, "alpha must be positive and finite")
+    bad = {**GOOD_INPUTS, "n1": 1.5, "m_star": -1.0}
+    assert _raised(lambda: MatrixElementInputs(**bad)) == (ValueError, "m_star must be positive and finite")
+
+
+def test_inputs_reject_a_non_number_as_math_isfinite_does():
+    # a string is a TypeError, an int beyond the double range an OverflowError
+    for value in ("1.0", 10**400):
+        expected = _raised(lambda: math.isfinite(value))
+        assert expected[0] in (TypeError, OverflowError)
+        for name in INPUT_FIELDS:
+            assert _raised(lambda: MatrixElementInputs(**{**GOOD_INPUTS, name: value})) == expected
+    # an int just above the largest double converts to it, so it is finite
+    assert MatrixElementInputs(**{**GOOD_INPUTS, "x_bar": int(sys.float_info.max) + 1}).x_bar > sys.float_info.max
+
+
+def test_inputs_are_a_frozen_value_record():
+    inputs = MatrixElementInputs(**GOOD_INPUTS)
+    assert [f.name for f in dataclasses.fields(MatrixElementInputs)] == list(INPUT_FIELDS)
+    assert repr(inputs) == (
+        "MatrixElementInputs(x_bar=1.5, l=8.0, alpha=0.125, n1=0.9, c1_norm=1.25, c2_norm=0.75, m_star=2.0)"
+    )
+    twin = MatrixElementInputs(*GOOD_INPUTS.values())
+    assert twin == inputs and twin is not inputs and hash(twin) == hash(inputs)
+    assert dataclasses.replace(inputs, n1=1.0) != inputs
+    assert dataclasses.astuple(MatrixElementInputs(1.5, 8.0, 0.125)) == (1.5, 8.0, 0.125, 1.0, 1.0, 1.0, 1.0)
+    for name in INPUT_FIELDS:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(inputs, name, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(inputs, name)
+    assert dataclasses.asdict(inputs) == GOOD_INPUTS
 
 
 def test_oracle_vanishes_for_identical_states():

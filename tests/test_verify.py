@@ -6,6 +6,7 @@ import inspect
 import pytest
 
 from cdwtunnel import fitting, numerics, potential, tunneling, verify, wavefunctional
+from oracles import ratio_18_19_scalar_draws
 
 DEFAULT_TOLERANCES = {
     "erf-quadrature": 1e-12,
@@ -108,3 +109,11 @@ def test_fit_roundtrip_makes_one_family_call_of_50_members(defaults, monkeypatch
     monkeypatch.setattr(fitting, "fit_sge_to_points", None)
     assert verify.run_check("fit-roundtrip") == defaults["fit-roundtrip"]
     assert calls == [((50, 40), 50, {"c_tilde1", "c_v"})]
+
+
+def test_ratio_check_reads_the_scalar_draws_from_one_block(defaults):
+    # one random() block read in stream order gives the inputs of one uniform() call per value, bit for bit
+    inputs, draws = verify._ratio_18_19_inputs()
+    assert (inputs, draws) == ratio_18_19_scalar_draws()
+    assert len(inputs) == 100 and draws == 693
+    assert defaults["ratio-18-19"].measured == 2.220446049250313e-16

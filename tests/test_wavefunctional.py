@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -318,15 +319,66 @@ def test_transport_pair_specs():
             transport_pair_specs(l, eps_plus)
 
 
+GOOD_SPEC = dict(alpha=0.25, center=1.5, norm_c=0.875)
+
+
+def _raised(build):
+    with pytest.raises(Exception) as exc:
+        build()
+    return type(exc.value), str(exc.value)
+
+
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        WavefunctionalSpec(alpha=0.0, center=0.0, norm_c=1.0)
-    with pytest.raises(ValueError):
-        WavefunctionalSpec(alpha=1.0, center=0.0, norm_c=-1.0)
+    # the constructor and dataclasses.replace give the same ValueError; any finite center is valid
+    good = WavefunctionalSpec(**GOOD_SPEC)
+    for value in (0.0, -1.0):
+        for name in ("alpha", "norm_c"):
+            expected = (ValueError, f"{name} must be positive and finite")
+            assert _raised(lambda: WavefunctionalSpec(**{**GOOD_SPEC, name: value})) == expected
+            assert _raised(lambda: dataclasses.replace(good, **{name: value})) == expected
+        assert WavefunctionalSpec(**{**GOOD_SPEC, "center": value}).center == value
+    # alpha, then norm_c, then center
+    assert _raised(lambda: WavefunctionalSpec(alpha=math.nan, center=math.nan, norm_c=0.0)) == (
+        ValueError,
+        "alpha must be positive and finite",
+    )
+    assert _raised(lambda: WavefunctionalSpec(alpha=1.0, center=math.nan, norm_c=0.0)) == (
+        ValueError,
+        "norm_c must be positive and finite",
+    )
+    # a center that is not a real number, or an int beyond the double range, fails as math.isfinite does
+    for center in ("0.0", 10**400):
+        assert _raised(lambda: WavefunctionalSpec(alpha=1.0, center=center, norm_c=1.0)) == _raised(
+            lambda: math.isfinite(center)
+        )
 
 
 def test_spec_requires_finite_alpha_and_norm():
-    with pytest.raises(ValueError, match="alpha must be positive and finite"):
-        WavefunctionalSpec(alpha=math.inf, center=0.0, norm_c=1.0)
-    with pytest.raises(ValueError, match="norm_c must be positive and finite"):
-        WavefunctionalSpec(alpha=1.0, center=0.0, norm_c=math.inf)
+    good = WavefunctionalSpec(**GOOD_SPEC)
+    for value in (math.nan, math.inf, -math.inf):
+        for name, message in (
+            ("alpha", "alpha must be positive and finite"),
+            ("norm_c", "norm_c must be positive and finite"),
+            ("center", "center must be finite"),
+        ):
+            assert _raised(lambda: WavefunctionalSpec(**{**GOOD_SPEC, name: value})) == (ValueError, message)
+            assert _raised(lambda: dataclasses.replace(good, **{name: value})) == (ValueError, message)
+        assert _raised(lambda: WavefunctionalSpec.normalized(0.5, 2.0, center=value)) == (
+            ValueError,
+            "center must be finite",
+        )
+
+
+def test_spec_is_a_frozen_value_record():
+    spec = WavefunctionalSpec(**GOOD_SPEC)
+    assert [f.name for f in dataclasses.fields(WavefunctionalSpec)] == ["alpha", "center", "norm_c"]
+    assert repr(spec) == "WavefunctionalSpec(alpha=0.25, center=1.5, norm_c=0.875)"
+    twin = WavefunctionalSpec(0.25, 1.5, 0.875)
+    assert twin == spec and twin is not spec and hash(twin) == hash(spec)
+    assert dataclasses.replace(spec, center=0.0) != spec
+    for name in GOOD_SPEC:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(spec, name, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(spec, name)
+    assert dataclasses.asdict(spec) == GOOD_SPEC
