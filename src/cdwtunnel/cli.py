@@ -335,9 +335,7 @@ def _cmd_profile(o):
     # everything is computed before the first file is written
     with _usage_errors():
         kp = wavefunctional.KinkPairProfile(x_a=o.x_a, x_b=o.x_b, b=o.steepness)
-        wavefunctional._profile_window(kp, o.half_width, o.n)
-    # outside the usage errors: a count numpy cannot allocate is a runtime error, as for the other grids
-    prof = wavefunctional.sample_profile(kp, o.half_width, o.n)
+        prof = wavefunctional.sample_profile(kp, o.half_width, o.n)
     files = {out: _csv_text(["x", "phi"], zip(prof.xs, prof.phis))}
     if ks is not None:
         amps = [wavefunctional.thin_wall_ft(float(k), kp.l) for k in ks]

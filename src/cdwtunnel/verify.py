@@ -68,23 +68,24 @@ def check_thin_wall_ft():
     return worst, 1e-6, "max relative error, k in [0.01, 20], L in {1,2,5,10}"
 
 
+# seeded uniforms read by the ratio-18-19 check; its seed and rejection rule use 693
+_RATIO_18_19_BLOCK = 1024
+
+
 def _ratio_18_19_inputs():
-    """(inputs, draws): the 100 accepted (x_bar, l, alpha, c1_norm, c2_norm, m_star) tuples and the uniforms read.
+    """The 100 accepted (x_bar, l, alpha, c1_norm, c2_norm, m_star) tuples of the ratio check.
 
     A draw is rejected when the common exponential factor falls below the
     normal double range, where a quotient of subnormals cannot carry 1e-12.
     The uniforms come from one block of seeded random() values, read in
     stream order: lo + (hi - lo) * u is what Generator.uniform(lo, hi)
     returns for the same u, bit for bit, so the inputs are those of one
-    uniform() call per value.  The seed needs 693 of the 1024 values.
+    uniform() call per value.
     """
-    u = np.random.default_rng(20240811).random(1024).tolist()
-    k = 0
+    it = iter(np.random.default_rng(20240811).random(_RATIO_18_19_BLOCK).tolist())
 
     def uniform(lo, hi):
-        nonlocal k
-        k += 1
-        return lo + (hi - lo) * u[k - 1]
+        return lo + (hi - lo) * next(it)
 
     inputs = []
     while len(inputs) < 100:
@@ -92,13 +93,13 @@ def _ratio_18_19_inputs():
         if alpha * l * l / (2.0 * x_bar) > 600.0:
             continue
         inputs.append((x_bar, l, alpha, uniform(0.1, 10.0), uniform(0.1, 10.0), uniform(0.1, 10.0)))
-    return inputs, k
+    return inputs
 
 
 def check_ratio_18_19():
     """Full/reduced matrix-element ratio at n1 = 1 must be exactly 1/2."""
     worst = 0.0
-    for x_bar, l, alpha, c1_norm, c2_norm, m_star in _ratio_18_19_inputs()[0]:
+    for x_bar, l, alpha, c1_norm, c2_norm, m_star in _ratio_18_19_inputs():
         inputs = tunneling.MatrixElementInputs(x_bar, l, alpha, 1.0, c1_norm, c2_norm, m_star)
         worst = max(worst, abs(tunneling.t_if_analytic(inputs) / tunneling.t_if_simplified(inputs) - 0.5))
     return worst, 1e-12, "max |ratio - 1/2| over 100 random inputs"

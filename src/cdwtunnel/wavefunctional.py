@@ -12,12 +12,12 @@ quadrature-family call.
 
 ``WavefunctionalSpec`` is built twice per point of an L grid (by
 ``transport_pair_specs``), so, like ``tunneling.MatrixElementInputs``, it is
-a frozen dataclass with its own ``__init__`` (one chained check, one dict
-write) in place of the generated one's ``object.__setattr__`` per field.
+a frozen dataclass with its own ``__init__`` that stores the checked fields
+with one dict write, in place of the generated one's ``object.__setattr__``
+per field.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +40,6 @@ __all__ = [
 
 _SQRT_TWO_OVER_PI = math.sqrt(2.0 / math.pi)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-_MAX = sys.float_info.max
 
 # offset of the final-state center above one full winding; the physics only
 # requires it to be small and positive
@@ -68,8 +67,8 @@ class KinkPairProfile:
         return self.x_b - self.x_a
 
 
-# the per-field checks run only to name the first bad field; the measured cost
-# of the generated frozen __init__ is beside ``tunneling.MatrixElementInputs``
+# the measured cost of the generated frozen __init__ is beside
+# ``tunneling.MatrixElementInputs``
 @dataclass(frozen=True, init=False)
 class WavefunctionalSpec:
     """Gaussian collective-coordinate state: norm_c * exp(-alpha (u - center)^2).
@@ -84,18 +83,12 @@ class WavefunctionalSpec:
     norm_c: float
 
     def __init__(self, alpha, center, norm_c):
-        try:
-            # center against the largest double, so an int beyond it meets math.isfinite's OverflowError below
-            valid = 0.0 < alpha < math.inf and 0.0 < norm_c < math.inf and -_MAX <= center <= _MAX
-        except (TypeError, ValueError):  # not a real number: the checks below raise its TypeError
-            valid = False
-        if not valid:
-            if not 0.0 < alpha < math.inf:
-                raise ValueError("alpha must be positive and finite")
-            if not 0.0 < norm_c < math.inf:
-                raise ValueError("norm_c must be positive and finite")
-            if not math.isfinite(center):
-                raise ValueError("center must be finite")
+        if not 0.0 < alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
+        if not 0.0 < norm_c < math.inf:
+            raise ValueError("norm_c must be positive and finite")
+        if not math.isfinite(center):
+            raise ValueError("center must be finite")
         self.__dict__.update(alpha=alpha, center=center, norm_c=norm_c)
 
     @classmethod
@@ -118,8 +111,12 @@ def kink_pair_profile(x, kp):
         return 2.0 * num / ((1.0 + np.exp(-2.0 * np.abs(u))) * (1.0 + np.exp(-2.0 * np.abs(v))))
 
 
-def _profile_window(kp, half_width, n):
-    """``sample_profile``'s window (lo, hi), once n, half_width and the window are checked."""
+def sample_profile(kp, half_width, n):
+    """Uniform FieldProfile on [x_a - half_width, x_b + half_width], a window inside the double range.
+
+    A count numpy cannot allocate is a MemoryError, whichever of numpy's size
+    checks refuses it.
+    """
     if n < 2:
         raise ValueError("need at least 2 samples")
     if not half_width > 0.0:
@@ -127,12 +124,11 @@ def _profile_window(kp, half_width, n):
     lo, hi = kp.x_a - half_width, kp.x_b + half_width
     if not math.isfinite(hi - lo):
         raise ValueError(f"profile window [{lo!r}, {hi!r}] leaves the double range")
-    return lo, hi
-
-
-def sample_profile(kp, half_width, n):
-    """Uniform FieldProfile on [x_a - half_width, x_b + half_width], a window inside the double range."""
-    xs = np.linspace(*_profile_window(kp, half_width, n), int(n))
+    n = int(n)
+    try:
+        xs = np.linspace(lo, hi, n)
+    except ValueError as exc:  # "array is too big" or "Maximum allowed size exceeded"
+        raise MemoryError(f"cannot allocate {n} profile samples") from exc
     return FieldProfile(xs, kink_pair_profile(xs, kp))
 
 

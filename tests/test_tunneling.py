@@ -1,4 +1,6 @@
 import dataclasses
+import decimal
+import inspect
 import math
 import sys
 
@@ -141,6 +143,10 @@ def test_inputs_reject_a_non_number_as_math_isfinite_does():
         assert expected[0] in (TypeError, OverflowError)
         for name in INPUT_FIELDS:
             assert _raised(lambda: MatrixElementInputs(**{**GOOD_INPUTS, name: value})) == expected
+    # a Decimal nan, whose comparisons with a float raise, is named as a float nan is
+    for name in INPUT_FIELDS:
+        expected = (ValueError, f"{name} must be positive and finite")
+        assert _raised(lambda: MatrixElementInputs(**{**GOOD_INPUTS, name: decimal.Decimal("nan")})) == expected
     # an int just above the largest double converts to it, so it is finite
     assert MatrixElementInputs(**{**GOOD_INPUTS, "x_bar": int(sys.float_info.max) + 1}).x_bar > sys.float_info.max
 
@@ -148,6 +154,12 @@ def test_inputs_reject_a_non_number_as_math_isfinite_does():
 def test_inputs_are_a_frozen_value_record():
     inputs = MatrixElementInputs(**GOOD_INPUTS)
     assert [f.name for f in dataclasses.fields(MatrixElementInputs)] == list(INPUT_FIELDS)
+    # the hand-written __init__ takes the fields in order, with the fields' defaults
+    params = inspect.signature(MatrixElementInputs).parameters.values()
+    assert [(p.name, p.default) for p in params] == [
+        (f.name, inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
+        for f in dataclasses.fields(MatrixElementInputs)
+    ]
     assert repr(inputs) == (
         "MatrixElementInputs(x_bar=1.5, l=8.0, alpha=0.125, n1=0.9, c1_norm=1.25, c2_norm=0.75, m_star=2.0)"
     )

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -135,6 +136,11 @@ def test_sample_profile_rejects_degenerate_grid():
     kp = KinkPairProfile(x_a=0.0, x_b=1.0, b=1.0)
     with pytest.raises(ValueError):
         sample_profile(kp, half_width=2.0, n=1)
+    # numpy refuses 1e17 doubles with a MemoryError and 2**62 or 1e30 with a
+    # ValueError; a count too large to allocate is a MemoryError either way
+    for n in (10**17, 2**62, 10**30):
+        with pytest.raises(MemoryError):
+            sample_profile(kp, half_width=2.0, n=n)
 
 
 def test_sample_profile_rejects_a_window_outside_the_double_range():
@@ -372,6 +378,8 @@ def test_spec_requires_finite_alpha_and_norm():
 def test_spec_is_a_frozen_value_record():
     spec = WavefunctionalSpec(**GOOD_SPEC)
     assert [f.name for f in dataclasses.fields(WavefunctionalSpec)] == ["alpha", "center", "norm_c"]
+    params = inspect.signature(WavefunctionalSpec).parameters.values()
+    assert [(p.name, p.default) for p in params] == [(name, inspect.Parameter.empty) for name in GOOD_SPEC]
     assert repr(spec) == "WavefunctionalSpec(alpha=0.25, center=1.5, norm_c=0.875)"
     twin = WavefunctionalSpec(0.25, 1.5, 0.875)
     assert twin == spec and twin is not spec and hash(twin) == hash(spec)
