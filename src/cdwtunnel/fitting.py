@@ -21,8 +21,6 @@ import dataclasses
 
 import numpy as np
 
-from .numerics import FitResult
-
 # ``current_sge`` and ``sge_model_jacobian`` are not called here: they are
 # imported so that the names ``fitting.current_sge`` and
 # ``fitting.sge_model_jacobian``, which perfbench's tracer wraps to count
@@ -34,6 +32,7 @@ __all__ = [
     "FIG2B_REFERENCE_RMS_REL",
     "FIG2B_WINDOW",
     "FREE_PARAM_ORDER",
+    "FitResult",
     "compare_series",
     "fit_sge_family",
     "fit_sge_to_points",
@@ -52,6 +51,36 @@ FIG2B_WINDOW = (1.2, 5.0)
 # repository's own fitter and kept as a regression constant: later runs
 # must reproduce it to 1%.
 FIG2B_REFERENCE_RMS_REL = 0.4755059374594367
+
+_STOP_REASONS = ("converged", "max_iter")
+
+
+@dataclasses.dataclass
+class FitResult:
+    """Outcome of one fit: the free parameters in FREE_PARAM_ORDER and the residual rms.
+
+    ``iterations`` counts the fitter's trial steps.  ``stop`` says why the
+    fit ended: ``"converged"`` (one of the fitter's stop tests passed) or
+    ``"max_iter"`` (the budget of trial steps ran out).  ``converged`` is
+    read from ``stop``.
+    """
+
+    params: np.ndarray
+    residual_rms: float
+    iterations: int
+    stop: str = "converged"
+
+    def __post_init__(self):
+        self.params = np.asarray(self.params, dtype=float)
+        if self.stop not in _STOP_REASONS:
+            raise ValueError(f"stop must be one of {_STOP_REASONS}")
+        if self.converged and not (np.isfinite(self.residual_rms) and self.residual_rms >= 0.0):
+            raise ValueError("converged fit must carry a finite non-negative residual")
+
+    @property
+    def converged(self):
+        """True exactly when ``stop`` is ``"converged"``."""
+        return self.stop == "converged"
 
 
 def compare_series(a, b):
@@ -144,12 +173,15 @@ def fit_sge_family(es, targets, free, starts):
     finite; with a parameter free, a cosh argument past the range of the
     Jacobian raises OverflowError naming the fields, as does a derivative
     of the cost that is not finite.  In a family the error of the
-    lowest-index failing member is raised, prefixed with its index.
+    lowest-index failing member is raised, prefixed with its index and
+    carrying it as ``member``, as ``integrate_family``'s errors do.
     """
     results, failure = _fit_members(es, targets, free, starts)
     if failure is not None:
         member, exc = failure
-        raise type(exc)(f"member {member}: {exc}")
+        error = type(exc)(f"member {member}: {exc}")
+        error.member = member
+        raise error
     return results
 
 

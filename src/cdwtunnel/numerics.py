@@ -1,34 +1,23 @@
-"""Self-contained numerics: adaptive quadrature, least squares, cosh * exp.
+"""Self-contained numerics: adaptive quadrature and cosh * exp.
 
-Everything downstream (potentials, wavefunctionals, transport, fitting and
-the verification oracles) builds on these operations.  ``integrate_family``
+Everything downstream (potentials, wavefunctionals, transport and the
+verification oracles) builds on these operations.  ``integrate_family``
 is an interval-batched adaptive Gauss-Kronrod (G10K21, QUADPACK's qk21) rule
 over m integrals at once, one integrand call per round for every member,
-and ``integrate_adaptive`` its one-member front; ``least_squares_fit`` is a
-general Levenberg-Marquardt fitter that needs the model's Jacobian.  The
-library's own fits do not use it: the pair current is linear in its
-amplitude, and ``fitting`` solves it by variable projection, reporting a
-``FitResult`` like this fitter's.  Both engines call their callables on
-whole numpy arrays and check the shape of what comes back.  The overflow-safe
-cosh(arg) * exp(expo) product has a scalar form on ``math``, for the
-per-point matrix elements, and an array form on numpy's cosh/exp, for the
-current laws.  The error function is ``math.erf``.  All functions are pure;
-there is no module state.
+and ``integrate_adaptive`` its one-member front.  The engine calls its
+integrand on whole numpy arrays and checks the shape of what comes back.
+The overflow-safe cosh(arg) * exp(expo) product has a scalar form on
+``math``, for the per-point matrix elements, and an array form on numpy's
+cosh/exp, for the current laws.  The error function is ``math.erf``.  All
+functions are pure; there is no module state.
 """
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "FitResult",
-    "QuadratureError",
-    "integrate_adaptive",
-    "integrate_family",
-    "least_squares_fit",
-]
+__all__ = ["QuadratureError", "integrate_adaptive", "integrate_family"]
 
 # Switch from direct cosh*exp to the exp-of-sum form; at |arg| >= 35 the
 # dropped (1 + e^(-2|arg|)) factor is below double-precision resolution.
@@ -194,7 +183,10 @@ def _integrate_members(f, a, b, tol, max_depth):
         half = 0.5 * (hi - lo)
         x = ((0.5 * (lo + hi))[:, None] + half[:, None] * _GK_NODES).ravel()
         node_members = np.repeat(member, _GK_NODES.size)
-        y = _evaluate(f, "integrand", x.shape, x, node_members).reshape(-1, _GK_NODES.size)
+        y = np.asarray(f(x, node_members), dtype=float)
+        if y.shape != x.shape:
+            raise ValueError(f"integrand returned shape {y.shape}; expected {x.shape}")
+        y = y.reshape(-1, _GK_NODES.size)
         finite = np.isfinite(y)
         if not finite.all():
             # nodes stay grouped by member and ordered left to right, so a
@@ -239,212 +231,13 @@ def _integrate_members(f, a, b, tol, max_depth):
     return values, failures
 
 
-def _evaluate(fn, what, shape, *args):
-    """``fn(*args)`` as a float array, which must have ``shape``."""
-    out = np.asarray(fn(*args), dtype=float)
-    if out.shape != shape:
-        raise ValueError(f"{what} returned shape {out.shape}; expected {shape}")
-    return out
+def least_squares_fit(*args, **kwargs):
+    """Not a fitter: the library's fits are ``fitting.fit_sge_family``.
 
-
-_STOP_REASONS = ("converged", "max_iter", "damping_collapse")
-
-# Levenberg-Marquardt constants: the damping mu is relative to the Marquardt
-# scale D, starts at _MU_START and past _MU_MAX ends the fit; an extra trial
-# along an accepted step goes _REACH_MIN to _REACH_MAX step lengths; the stop
-# tests compare against _GTOL (gradient cosine), _FTOL (relative cost
-# reduction) and _RESIDUAL_FLOOR (residual norm relative to the data norm).
-_MU_START = 1e-3
-_MU_MAX = 1e15
-_REACH_MIN = 2.0
-_REACH_MAX = 100.0
-_GTOL = 1e-12
-_FTOL = 1e-14
-_RESIDUAL_FLOOR = 16.0 * np.finfo(float).eps
-
-
-@dataclass
-class FitResult:
-    """Outcome of a fit: of ``least_squares_fit`` or of the fits in ``fitting``.
-
-    ``iterations`` counts the fitter's trial steps.  ``stop`` says why the
-    fit ended: ``"converged"`` (one of the fitter's stop tests passed),
-    ``"max_iter"`` (the budget of trial steps ran out) or, for
-    ``least_squares_fit`` only, ``"damping_collapse"`` (the damping grew
-    past 1e15 without an accepted step).  ``converged`` is read from
-    ``stop``.
+    This binding is kept only because perfbench's tracer wraps
+    ``numerics.least_squares_fit`` by name; the benchmark refresh (ROADMAP
+    item 1) deletes it together with that wrap.  It is a function of its
+    own, not an alias of a live one, because the tracer rebinds every
+    module attribute that is the object it wraps.
     """
-
-    params: np.ndarray
-    residual_rms: float
-    iterations: int
-    stop: str = "converged"
-
-    def __post_init__(self):
-        self.params = np.asarray(self.params, dtype=float)
-        if self.stop not in _STOP_REASONS:
-            raise ValueError(f"stop must be one of {_STOP_REASONS}")
-        if self.converged and not (np.isfinite(self.residual_rms) and self.residual_rms >= 0.0):
-            raise ValueError("converged fit must carry a finite non-negative residual")
-
-    @property
-    def converged(self):
-        """True exactly when ``stop`` is ``"converged"``."""
-        return self.stop == "converged"
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def least_squares_fit(model, params0, data, jacobian, max_iter=200):
-    """Levenberg-Marquardt least squares for models y = model(x, params).
-
-    ``data`` is a sequence of finite (x, y) pairs, or an (n, 2) array.  The
-    model and its Jacobian evaluate the whole data set in one call: with
-    ``xs`` the float array of the n abscissae, ``model(xs, params)`` returns
-    the n model values and ``jacobian(xs, params)`` the (n, p) matrix of
-    their derivatives; any other shape raises ValueError.  Deterministic
-    for fixed inputs.
-
-    Each trial step solves (J^T J + mu D) step = J^T r, where D is the
-    running maximum of diag(J^T J) (Marquardt's scaling, as in MINPACK's
-    ``lmder``; a zero entry counts as 1).  The damping follows Nielsen's
-    gain-ratio rule: with rho the actual over the predicted cost reduction,
-    an accepted step (rho > 0) multiplies mu by max(1/3, 1 - (2 rho - 1)^3),
-    and a rejected one by 2, 4, 8, ... in turn.  Where the actual reduction
-    of an accepted step puts the minimum of the cost along it 2 to 100 step
-    lengths out, that point is tried too; on large-residual fits such as the
-    Zener fits, Gauss-Newton steps otherwise creep along a curved valley.
-    ``iterations`` counts these trials and the trial steps, rejected ones
-    included.
-
-    Converged means one of three tests passed: every Jacobian column is
-    within a cosine of 1e-12 of orthogonal to the residual (the scaled
-    gradient test); a step's actual and predicted cost reductions are both
-    at most 1e-14 of the cost (MINPACK's ``ftol`` test; that step is taken,
-    since the gradient still resolves it where the cost no longer does); or
-    the residual norm is at most 16 ulp of the data norm, so that rounding,
-    not the parameters, limits it, as on a zero-residual fit.
-    Non-convergence is reported through ``stop``
-    (``"max_iter"`` or ``"damping_collapse"``) with the best parameters
-    seen, never as an exception.  With zero parameters (``params0`` of
-    size 0) nothing is fitted: the result is the start residual, converged
-    after 0 iterations, and the Jacobian is never called.
-
-    The fit runs with numpy's overflow and invalid-value warnings off, the
-    model and Jacobian included: every value it computes is judged by
-    whether it is finite.  A trial whose sum of squared residuals or
-    predicted reduction is not finite is a rejected step.  At the start
-    parameters a sum of squares that is not finite raises ValueError, which
-    names the overflow where the residuals are finite; normal equations
-    J^T J, J^T r that are not finite raise OverflowError.
-    """
-    params = np.asarray(params0, dtype=float).copy()
-    if params.ndim != 1:
-        raise ValueError("params0 must be a vector")
-    if not np.all(np.isfinite(params)):
-        raise ValueError("params0 must be finite")
-    points = np.asarray(data, dtype=float)
-    if points.size == 0:
-        raise ValueError("data must be non-empty")
-    if points.ndim != 2 or points.shape[1] != 2:
-        raise ValueError("data must be a sequence of (x, y) pairs")
-    if not np.all(np.isfinite(points)):
-        raise ValueError("data must be finite")
-    xs = points[:, 0].copy()
-    ys = points[:, 1].copy()
-    n = ys.size
-
-    def cost_of(p):
-        """The residual and its sum of squares, which is inf wherever it is not finite."""
-        r = ys - _evaluate(model, "model", (n,), xs, p)
-        cost = float(r @ r)
-        return r, cost if math.isfinite(cost) else math.inf
-
-    resid, cost = cost_of(params)
-    if cost == math.inf:
-        if np.all(np.isfinite(resid)):
-            raise ValueError("sum of squared residuals overflows at the initial parameters")
-        raise ValueError("model is not evaluable at the initial parameters")
-
-    data_norm = float(np.linalg.norm(ys))
-    if data_norm == math.inf:  # the squares overflow; scale them by the largest |y|
-        big = float(np.max(np.abs(ys)))
-        data_norm = big * float(np.linalg.norm(ys / big))
-    try:
-        cost_floor = (_RESIDUAL_FLOOR * data_norm) ** 2
-    except OverflowError:  # a floor above every finite cost
-        cost_floor = math.inf
-    scale = np.zeros(params.size)
-    mu, nu = _MU_START, 2.0
-    stop = "max_iter"
-    iterations = 0
-    jac = None
-    while params.size and cost > cost_floor:
-        if jac is None:
-            jac = _evaluate(jacobian, "jacobian", (n, params.size), xs, params)
-            grad = jac.T @ resid
-            normal = jac.T @ jac
-            if not (np.all(np.isfinite(normal)) and np.all(np.isfinite(grad))):
-                raise OverflowError(f"normal equations J^T J, J^T r are not finite at {params.tolist()}")
-            col_sq = np.diag(normal)
-            scale = np.maximum(scale, col_sq)
-            damping = np.diag(np.where(scale > 0.0, scale, 1.0))
-            live = col_sq > 0.0
-            if np.all(np.abs(grad[live]) <= _GTOL * np.sqrt(col_sq[live]) * math.sqrt(cost)):
-                stop = "converged"
-                break
-        if iterations >= max_iter:
-            break
-        iterations += 1
-        try:
-            step = np.linalg.solve(normal + mu * damping, grad)
-        except np.linalg.LinAlgError:
-            step = np.full(params.size, math.nan)
-        # the linear model's reduction, |J step|^2 + 2 mu step^T D step, is never
-        # negative; it is not finite where the step is not or overflows
-        predicted = float(np.sum((jac @ step) ** 2) + 2.0 * mu * (step @ damping @ step))
-        rho = -math.inf
-        if math.isfinite(predicted):
-            trial_resid, trial_cost = cost_of(params + step)
-            actual = cost - trial_cost
-            if predicted > 0.0:
-                rho = actual / predicted
-            if abs(actual) <= _FTOL * cost and predicted <= _FTOL * cost and rho <= 2.0:
-                # The cost no longer resolves the step, but the gradient that
-                # made it still does: take it and stop.
-                params, resid, cost = params + step, trial_resid, trial_cost
-                stop = "converged"
-                break
-            if rho > 0.0:
-                # Along the step the cost is c - 2 t slope + t^2 curvature, with the
-                # curvature read off the actual reduction; where that puts the line
-                # minimum at _REACH_MIN steps or beyond, try it once.
-                slope = float(grad @ step)
-                curvature = 2.0 * slope - actual
-                reach = slope / curvature if curvature * _REACH_MAX > slope else _REACH_MAX
-                if reach >= _REACH_MIN and iterations < max_iter:
-                    iterations += 1
-                    far_resid, far_cost = cost_of(params + reach * step)
-                    if far_cost < trial_cost:
-                        step, trial_resid, trial_cost = reach * step, far_resid, far_cost
-                params, resid, cost = params + step, trial_resid, trial_cost
-                jac = None
-        if rho > 0.0:
-            mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
-            nu = 2.0
-        else:
-            mu *= nu
-            nu *= 2.0
-            if mu > _MU_MAX:
-                # damping has collapsed the step to nothing useful
-                stop = "damping_collapse"
-                break
-    else:
-        stop = "converged"
-
-    rms = float(np.sqrt(cost / n))
-    return FitResult(
-        params=params,
-        residual_rms=rms,
-        iterations=iterations,
-        stop=stop,
-    )
+    raise NotImplementedError("least_squares_fit was removed; fit with fitting.fit_sge_family")

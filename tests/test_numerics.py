@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cdwtunnel.numerics import QuadratureError, integrate_adaptive, integrate_family, least_squares_fit
+from cdwtunnel.numerics import QuadratureError, integrate_adaptive, integrate_family
 from oracles import finite_diff_gradient
 
 # mpmath, 40 digits
@@ -290,242 +290,3 @@ def test_gradient_multivariate():
 def test_gradient_rejects_bad_step():
     with pytest.raises(ValueError):
         finite_diff_gradient(lambda v: v[0], np.array([1.0]), h=0.0)
-
-
-def _exp_model(x, p):
-    return p[0] * np.exp(-p[1] * x)
-
-
-def _exp_jac(x, p):
-    return np.stack([np.exp(-p[1] * x), -p[0] * x * np.exp(-p[1] * x)], axis=-1)
-
-
-def _slope_jac(x, p):
-    return x[:, None]
-
-
-def test_fit_recovers_exact_data():
-    truth = np.array([2.5, 0.7])
-    xs = np.linspace(0.0, 4.0, 25)
-    data = [(x, _exp_model(x, truth)) for x in xs]
-    fit = least_squares_fit(_exp_model, truth * np.array([1.15, 0.85]), data, _exp_jac)
-    assert fit.converged
-    assert fit.stop == "converged"
-    np.testing.assert_allclose(fit.params, truth, rtol=1e-6)
-
-
-def test_fit_constant_model():
-    data = [(x, 3.25) for x in range(5)]
-    fit = least_squares_fit(
-        lambda x, p: np.full(x.size, p[0]), np.array([0.0]), data, lambda x, p: np.ones((x.size, 1))
-    )
-    assert fit.converged
-    assert fit.params[0] == pytest.approx(3.25, abs=1e-12)
-    assert fit.residual_rms <= 1e-12
-
-
-def test_fit_already_at_optimum():
-    truth = np.array([1.2, 0.4])
-    data = [(x, _exp_model(x, truth)) for x in np.linspace(0, 3, 12)]
-    fit = least_squares_fit(_exp_model, truth.copy(), data, _exp_jac)
-    assert fit.converged
-    assert fit.iterations <= 2
-    assert fit.residual_rms < 1e-12
-
-
-def test_fit_reports_nonconvergence_without_raising():
-    truth = np.array([2.0, 1.0])
-    data = [(x, _exp_model(x, truth)) for x in np.linspace(0, 3, 12)]
-    fit = least_squares_fit(_exp_model, np.array([40.0, 9.0]), data, _exp_jac, max_iter=2)
-    assert not fit.converged
-    assert fit.stop == "max_iter"
-    assert np.all(np.isfinite(fit.params))
-
-
-def test_fit_reports_damping_collapse():
-    # the model is finite only at the start, so every trial step is rejected
-    def model(x, p):
-        return x * p[0] if p[0] == 1.0 else np.full(x.size, np.inf)
-
-    data = [(x, 2.0 * x) for x in np.linspace(0.0, 1.0, 9)]
-    fit = least_squares_fit(model, np.array([1.0]), data, _slope_jac)
-    assert not fit.converged
-    assert fit.stop == "damping_collapse"
-    assert fit.iterations < 200
-    assert fit.params[0] == 1.0
-
-
-def test_fit_rejects_wrong_shapes():
-    data = [(x, 2.0 * x) for x in np.linspace(0.0, 1.0, 9)]
-    with pytest.raises(ValueError, match="model returned shape"):
-        least_squares_fit(lambda x, p: p[0] * x[:-1], np.array([1.0]), data, _slope_jac)
-    with pytest.raises(ValueError, match="model returned shape"):
-        least_squares_fit(lambda x, p: p[0] * x[:, None], np.array([1.0]), data, _slope_jac)
-    with pytest.raises(ValueError, match="jacobian returned shape"):
-        least_squares_fit(lambda x, p: p[0] * x, np.array([1.0]), data, jacobian=lambda x, p: x)
-    with pytest.raises(ValueError, match="jacobian returned shape"):
-        least_squares_fit(
-            lambda x, p: p[0] * x, np.array([1.0]), data, jacobian=lambda x, p: np.ones((x.size, 2))
-        )
-
-
-def test_fit_survives_degenerate_jacobian():
-    # second parameter never enters the model: one normal-equation column is zero
-    data = [(x, 2.0 * x) for x in np.linspace(0.0, 1.0, 9)]
-    fit = least_squares_fit(lambda x, p: p[0] * x, np.array([1.0, 5.0])[:1], data, _slope_jac)
-    assert fit.converged
-    fit2 = least_squares_fit(
-        lambda x, p: p[0] * x + 0.0 * p[1],
-        np.array([1.0, 5.0]),
-        data,
-        lambda x, p: np.column_stack([x, np.zeros(x.size)]),
-    )
-    assert fit2.params[0] == pytest.approx(2.0, rel=1e-8)
-
-
-def test_fit_stops_when_parameters_enter_only_as_a_product():
-    # J^T J is singular everywhere: the optimum is a curve p0 p1 = slope, and
-    # the fit must stop on it rather than wander along it until max_iter
-    xs = np.linspace(0.5, 2.0, 12)
-    ys = 3.0 * xs + 0.1 * (-1.0) ** np.arange(12)
-    slope = (xs @ ys) / (xs @ xs)
-    fit = least_squares_fit(
-        lambda x, p: p[0] * p[1] * x,
-        np.array([1.0, 1.0]),
-        np.column_stack([xs, ys]),
-        lambda x, p: np.column_stack([p[1] * x, p[0] * x]),
-    )
-    assert fit.converged
-    assert fit.iterations < 20
-    assert fit.params[0] * fit.params[1] == pytest.approx(slope, rel=1e-10)
-    assert fit.residual_rms == pytest.approx(math.sqrt(np.mean((ys - slope * xs) ** 2)), rel=1e-12)
-
-
-def test_fit_is_deterministic():
-    truth = np.array([1.7, 0.9])
-    data = [(x, _exp_model(x, truth)) for x in np.linspace(0, 3, 15)]
-    a = least_squares_fit(_exp_model, np.array([1.0, 1.3]), data, _exp_jac)
-    b = least_squares_fit(_exp_model, np.array([1.0, 1.3]), data, _exp_jac)
-    assert np.array_equal(a.params, b.params)
-    assert a.residual_rms == b.residual_rms
-    assert a.iterations == b.iterations
-
-
-def test_fit_analytic_jacobian_matches_numeric_gradient():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        p = rng.uniform(0.5, 2.0, size=2)
-        x = float(rng.uniform(0.0, 3.0))
-        num = finite_diff_gradient(lambda q: _exp_model(x, q), p, h=1e-6)
-        np.testing.assert_allclose(_exp_jac(x, p), num, rtol=1e-6)
-
-    truth = np.array([2.0, 0.5])
-    data = [(x, _exp_model(x, truth)) for x in np.linspace(0, 4, 20)]
-    fit = least_squares_fit(_exp_model, np.array([1.6, 0.65]), data, _exp_jac)
-    assert fit.converged
-    np.testing.assert_allclose(fit.params, truth, rtol=1e-8)
-
-
-def test_fit_rejects_a_start_whose_squared_residual_overflows():
-    # finite residuals whose squares sum past the float range
-    data = [(2.0, 1e300), (3.0, 1e300)]
-    with pytest.raises(ValueError, match="sum of squared residuals overflows"):
-        least_squares_fit(lambda x, p: p[0] * x, np.array([1.0]), data, lambda x, p: x[:, None])
-
-
-def test_fit_rejects_trial_steps_whose_squared_residual_overflows():
-    # past p = 1.5 the model jumps to 1e200, whose squared residuals overflow
-    def model(xs, p):
-        return p[0] * xs if p[0] < 1.5 else np.full(xs.size, 1e200)
-
-    data = [(x, 2.0 * x) for x in (1.0, 2.0, 3.0)]
-    fit = least_squares_fit(model, np.array([1.0]), data, lambda xs, p: xs[:, None])
-    assert fit.iterations > 1
-    assert 1.0 < fit.params[0] < 1.5
-
-
-def test_fit_iterates_on_data_whose_norm_squared_overflows():
-    # |y|^2 overflows, yet the residual floor, 16 ulp of |y|, is far below the start's residual
-    xs = np.array([1.0, 2.0, 3.0])
-    fit = least_squares_fit(
-        lambda x, p: p[0] * x, np.array([1e160 * (1.0 + 1e-10)]), np.column_stack([xs, 1e160 * xs]), lambda x, p: x[:, None]
-    )
-    assert fit.converged and fit.iterations > 0
-    assert fit.params[0] == pytest.approx(1e160, rel=1e-14)
-
-def test_fit_raises_where_the_normal_equations_overflow():
-    data = [(x, 2.0 * x) for x in (1.0, 2.0, 3.0)]
-    with pytest.raises(OverflowError, match="normal equations"):
-        least_squares_fit(lambda x, p: p[0] * x, np.array([1.0]), data, lambda x, p: 1e200 * x[:, None])
-
-def test_fit_rejects_empty_inputs():
-    with pytest.raises(ValueError):
-        least_squares_fit(_exp_model, np.array([1.0, 1.0]), [], _exp_jac)
-
-
-def test_fit_with_zero_parameters_reports_the_start_residual():
-    def jacobian(x, p):
-        raise AssertionError("jacobian called with no parameter to fit")
-
-    data = [(1.0, 1.0), (2.0, 5.0)]
-    fit = least_squares_fit(lambda x, p: 2.0 * x, np.array([]), data, jacobian)
-    assert fit.params.shape == (0,)
-    assert fit.iterations == 0 and fit.stop == "converged"
-    assert fit.residual_rms == math.sqrt((1.0 + 1.0) / 2.0)
-    # the start errors are those of a fit with parameters
-    with pytest.raises(ValueError, match="^model is not evaluable at the initial parameters$"):
-        least_squares_fit(lambda x, p: np.full(x.size, np.inf), np.array([]), data, jacobian)
-    with pytest.raises(ValueError, match="^sum of squared residuals overflows at the initial parameters$"):
-        least_squares_fit(lambda x, p: x, np.array([]), [(2.0, 1e300), (3.0, 1e300)], jacobian)
-
-
-def test_fit_rejects_non_finite_data_before_calling_the_model():
-    def model(x, p):
-        raise AssertionError("model called on non-finite data")
-
-    for bad in (math.nan, math.inf, -math.inf):
-        for data in ([(0.0, 1.0), (1.0, bad)], [(bad, 1.0), (1.0, 2.0)]):
-            with pytest.raises(ValueError, match="data must be finite"):
-                least_squares_fit(model, np.array([1.0]), data, _slope_jac)
-
-
-def test_fit_round_trips_both_current_laws():
-    """Noiseless synthetic data from either current law is recovered to 1e-6
-    relative from 20%-perturbed starts (grids kept strictly above threshold)."""
-    from cdwtunnel.transport import TransportParams, current_sge, current_zener, sge_cv_derivatives_array
-
-    es = np.linspace(1.5, 5.0, 40)
-
-    def sge_model(e, p):
-        if p[0] <= 0 or p[1] <= 0:
-            return np.full(e.size, math.inf)
-        tp = TransportParams(c_tilde1=p[0], c_v=p[1])
-        return np.array([current_sge(x, tp) for x in e])
-
-    truth = np.array([1.4, 0.9])
-    data = list(zip(es, sge_model(es, truth)))
-    def sge_jac(e, p):
-        g, dg, _ = sge_cv_derivatives_array(e, TransportParams().e_t, p[1])
-        return np.column_stack([g, p[0] * dg])
-
-    fit = least_squares_fit(sge_model, truth * np.array([1.2, 0.8]), data, sge_jac)
-    assert fit.converged
-    np.testing.assert_allclose(fit.params, truth, rtol=1e-6)
-
-    def zener_model(e, p):
-        if p[0] <= 0 or p[1] <= 0:
-            return np.full(e.size, math.inf)
-        tp = TransportParams(g_p=p[0], e_t=p[1])
-        return np.array([current_zener(x, tp) for x in e])
-
-    truth = np.array([2.0, 1.0])
-    data = list(zip(es, zener_model(es, truth)))
-    def zener_jac(e, p):
-        # d/dg_p and d/de_t of g_p (e - e_t) exp(-e_t/e) above threshold, 0 below
-        g_p, e_t = p
-        decay = np.where(e > e_t, np.exp(-e_t / e), 0.0)
-        return np.column_stack([(e - e_t) * decay, -g_p * decay * (2.0 * e - e_t) / e])
-
-    fit = least_squares_fit(zener_model, truth * np.array([0.8, 1.2]), data, zener_jac)
-    assert fit.converged
-    np.testing.assert_allclose(fit.params, truth, rtol=1e-6)

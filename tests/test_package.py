@@ -11,8 +11,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cdwtunnel
-from cdwtunnel import fitting, transport
+from cdwtunnel import fitting, numerics, transport
 
 LIBRARY = ["fitting", "numerics", "potential", "transport", "tunneling", "wavefunctional"]
 
@@ -46,3 +48,18 @@ def test_fresh_import_binds_and_loads_the_six_modules_only():
     assert names == sorted(["BACKEND", *LIBRARY])
     assert modules == ["cdwtunnel", *(f"cdwtunnel.{m}" for m in LIBRARY)]
     assert numpy_loaded
+
+
+def test_numerics_keeps_only_the_quadrature_and_a_binding_for_the_tracer():
+    assert numerics.__all__ == ["QuadratureError", "integrate_adaptive", "integrate_family"]
+    assert not hasattr(numerics, "FitResult")
+    # the name perfbench's tracer wraps is bound, but it fits nothing
+    with pytest.raises(NotImplementedError, match="fitting.fit_sge_family"):
+        numerics.least_squares_fit(lambda x, p: x, [1.0], [(1.0, 1.0)], lambda x, p: x[:, None])
+
+
+def test_fit_result_lives_in_fitting_with_two_stops():
+    assert "FitResult" in fitting.__all__
+    assert fitting.FitResult([1.0], 0.5, 3, stop="max_iter").converged is False
+    with pytest.raises(ValueError, match="stop must be one of"):
+        fitting.FitResult([1.0], 0.5, 3, stop="damping_collapse")

@@ -3,7 +3,8 @@
 The tracer patches library names by attribute lookup, so deleting or
 renaming one of them (``fitting.current_sge``, ``fitting.sge_model_jacobian``,
 ``_backend.kernels`` and the rest) fails here rather than only under
-``pytest perfbench``.
+``pytest perfbench``.  ``numerics.least_squares_fit`` is such a name: a
+binding kept only for the tracer, whose function raises NotImplementedError.
 """
 
 from pathlib import Path
