@@ -361,10 +361,9 @@ def _cmd_matrix_element(o):
         wavefunctional.transport_pair_specs(1.0, o.eps_plus)
 
     header = (["e", "l"] if o.over == "e" else ["l"]) + ["t_analytic", "t_simplified", "t_oracle"]
-    rows, labels, specs_i, specs_f = [], [], [], []
-    for g in grid.tolist():
-        label = f"E = {g!r}" if o.over == "e" else f"L = {g!r}"
-        try:
+    rows, specs_i, specs_f = [], [], []
+    try:
+        for g in grid.tolist():
             l = transport.pair_separation(g, tp) if o.over == "e" else g
             spec_i, spec_f = wavefunctional.transport_pair_specs(l, o.eps_plus)
             # positional, in field order: with keywords one record took 2.9-3.2 us
@@ -376,20 +375,16 @@ def _cmd_matrix_element(o):
             for column, t in zip(("t_analytic", "t_simplified"), values):
                 if not sys.float_info.min <= t < math.inf:
                     raise ValueError(f"{column} = {t!r} lies outside the normal double range")
-        except ValueError as exc:
-            raise ValueError(f"at {label}: {exc}") from exc
-        rows.append(((g, l) if o.over == "e" else (l,)) + values)
-        labels.append(label)
-        specs_i.append(spec_i)
-        specs_f.append(spec_f)
-    try:
+            rows.append(((g, l) if o.over == "e" else (l,)) + values)
+            specs_i.append(spec_i)
+            specs_f.append(spec_f)
         t_oracle = tunneling.t_if_single_mode_oracles(specs_i, specs_f, m_star=o.m_star)
     except (ValueError, QuadratureError) as exc:
-        # the oracle names its failing pair by index; the user knows the row by its grid value
-        member = getattr(exc, "member", None)
-        if member is None:
-            raise
-        raise type(exc)(f"at {labels[member]}: {exc}") from exc
+        # named by its grid value: the oracle's failing pair (``member``) or the row being built
+        row = getattr(exc, "member", len(rows))
+        if row == grid.size:
+            raise  # the oracle's error about no one pair
+        raise type(exc)(f"at {o.over.upper()} = {float(grid[row])!r}: {exc}") from exc
     _write({out: _csv_text(header, [row + (t,) for row, t in zip(rows, t_oracle.tolist())])})
     return EXIT_OK
 

@@ -12,14 +12,17 @@ form, and what is left is a one-dimensional problem in c_v, solved by a
 safeguarded Newton iteration on the exact first and second derivatives of
 the projected cost.  ``fit_sge_family`` fits many target rows on one field
 grid in lockstep, one ``sge_cv_derivatives_array`` call on the whole
-(members, fields) array per round; ``fit_sge_to_points`` is its one-member
-front, and each member of a family is bit for bit its own one-member fit.
+(members, fields) array per round; ``fit_sge_to_points`` is that family
+with one member, each member is bit for bit its own one-member fit, and a
+failing family raises by the batch-engine convention ``numerics`` states.
 No ``TransportParams`` is built per point or per trial.
 """
 
 import dataclasses
 
 import numpy as np
+
+from .numerics import _member_error
 
 # ``current_sge`` and ``sge_model_jacobian`` are not called here: they are
 # imported so that the names ``fitting.current_sge`` and
@@ -121,19 +124,16 @@ _LN2 = float(np.log(2.0))
 def fit_sge_to_points(es, targets, free, start):
     """Fit the printed pair current to (E, I) samples, freeing only ``free``.
 
-    The one-member front of ``fit_sge_family``: its result and errors are
-    those of that family's member 0, without the member prefix in the
-    message.
+    ``fit_sge_family`` with one member: its result and errors are that
+    member's, ``member`` 0 included.
     """
     targets = np.asarray(targets, dtype=float)
     if targets.ndim != 1:
         raise ValueError("targets must be one-dimensional")
-    results, failure = _fit_members(es, targets[None, :], free, [start])
-    if failure is not None:
-        raise failure[1]
-    return results[0]
+    return fit_sge_family(es, targets[None, :], free, [start])[0]
 
 
+@np.errstate(all="ignore")
 def fit_sge_family(es, targets, free, starts):
     """Fit each row of ``targets`` on the field grid ``es`` from its own start, in lockstep.
 
@@ -172,61 +172,9 @@ def fit_sge_family(es, targets, free, starts):
     raises ValueError, which names the overflow where the residuals are
     finite; with a parameter free, a cosh argument past the range of the
     Jacobian raises OverflowError naming the fields, as does a derivative
-    of the cost that is not finite.  In a family the error of the
-    lowest-index failing member is raised, prefixed with its index and
-    carrying it as ``member``, as ``integrate_family``'s errors do.
+    of the cost that is not finite.  The error of the lowest-index failing
+    member is raised, with its index as ``member``.
     """
-    results, failure = _fit_members(es, targets, free, starts)
-    if failure is not None:
-        member, exc = failure
-        error = type(exc)(f"member {member}: {exc}")
-        error.member = member
-        raise error
-    return results
-
-
-def _rowdot(a, b):
-    """Row sums of a * b; an axis sum, not a BLAS product, so a row does not depend on the others."""
-    return (a * b).sum(axis=1)
-
-
-def _scaled(es, e_t, c_v):
-    """g, dg/dc_v and d2g/dc_v2 per row, each divided by 2^k with k the exponent of the row's max |g|, and k."""
-    g, dg, d2g = sge_cv_derivatives_array(es, e_t[:, None], c_v[:, None])
-    k = np.frexp(np.abs(g).max(axis=1))[1]
-    shift = -k[:, None]
-    return np.ldexp(g, shift), np.ldexp(dg, shift), np.ldexp(d2g, shift), k
-
-
-def _projected(y, g, dg, d2g, amplitude, project):
-    """Amplitude, cost, and the cost's c_v-gradient and curvature, each halved, and the gradient cosine test.
-
-    ``amplitude`` is the held amplitude; with ``project`` it is replaced by
-    <g, y>/<g, g> wherever <g, g> > 0.  The c_v-gradient is -2 c <dg, r>,
-    from the residual r itself: it does not cancel on a zero-residual fit.
-    The curvature is exact (Golub and Pereyra's, where the amplitude is
-    projected).
-    """
-    gg = _rowdot(g, g)
-    if project:
-        amplitude = np.where(gg > 0.0, _rowdot(g, y) / gg, amplitude)
-    c = amplitude
-    r = y - c[:, None] * g
-    cost = _rowdot(r, r)
-    g1r, g1g1, g2r = _rowdot(dg, r), _rowdot(dg, dg), _rowdot(d2g, r)
-    grad = -c * g1r
-    curvature = c * (c * g1g1 - g2r)
-    if project:
-        # the amplitude moves with c_v at dc/dc_v = (<dg, r> - c <g, dg>)/<g, g>
-        dc = (g1r - c * _rowdot(g, dg)) / gg
-        curvature -= dc * dc * gg
-    flat = np.abs(g1r) <= _GTOL * np.sqrt(g1g1 * cost)
-    return c, cost, grad, curvature, flat
-
-
-@np.errstate(all="ignore")
-def _fit_members(es, targets, free, starts):
-    """The engine of ``fit_sge_family``: (list of m FitResults, None) or (None, (member, exception))."""
     es = np.asarray(es, dtype=float)
     targets = np.asarray(targets, dtype=float)
     names = [n for n in FREE_PARAM_ORDER if n in free]
@@ -262,12 +210,14 @@ def _fit_members(es, targets, free, starts):
     if failed.size:
         i = int(failed[0])
         if unfit[i] and np.all(np.isfinite(r0[i])):
-            return None, (i, ValueError("sum of squared residuals overflows at the initial parameters"))
-        if unfit[i]:
-            return None, (i, ValueError("model is not evaluable at the initial parameters"))
-        if out_of_range[i]:
-            return None, (i, _jacobian_overflow(es[np.isnan(dg[i])]))
-        return None, (i, OverflowError(f"c_v derivatives of the cost are not finite at c_v = {float(c_v[i])!r}"))
+            exc = ValueError("sum of squared residuals overflows at the initial parameters")
+        elif unfit[i]:
+            exc = ValueError("model is not evaluable at the initial parameters")
+        elif out_of_range[i]:
+            exc = _jacobian_overflow(es[np.isnan(dg[i])])
+        else:
+            exc = OverflowError(f"c_v derivatives of the cost are not finite at c_v = {float(c_v[i])!r}")
+        raise _member_error(exc, i)
 
     iterations = np.zeros(m, dtype=int)
     stop = ["converged"] * m
@@ -321,7 +271,46 @@ def _fit_members(es, targets, free, starts):
     values = {"c_tilde1": c_tilde1, "c_v": c_v}
     params = np.column_stack([values[name] for name in names]) if names else np.empty((m, 0))
     rms = np.ldexp(np.sqrt(cost / n), ky)
-    return [FitResult(params[i], float(rms[i]), int(iterations[i]), stop[i]) for i in range(m)], None
+    return [FitResult(params[i], float(rms[i]), int(iterations[i]), stop[i]) for i in range(m)]
+
+
+def _rowdot(a, b):
+    """Row sums of a * b; an axis sum, not a BLAS product, so a row does not depend on the others."""
+    return (a * b).sum(axis=1)
+
+
+def _scaled(es, e_t, c_v):
+    """g, dg/dc_v and d2g/dc_v2 per row, each divided by 2^k with k the exponent of the row's max |g|, and k."""
+    g, dg, d2g = sge_cv_derivatives_array(es, e_t[:, None], c_v[:, None])
+    k = np.frexp(np.abs(g).max(axis=1))[1]
+    shift = -k[:, None]
+    return np.ldexp(g, shift), np.ldexp(dg, shift), np.ldexp(d2g, shift), k
+
+
+def _projected(y, g, dg, d2g, amplitude, project):
+    """Amplitude, cost, and the cost's c_v-gradient and curvature, each halved, and the gradient cosine test.
+
+    ``amplitude`` is the held amplitude; with ``project`` it is replaced by
+    <g, y>/<g, g> wherever <g, g> > 0.  The c_v-gradient is -2 c <dg, r>,
+    from the residual r itself: it does not cancel on a zero-residual fit.
+    The curvature is exact (Golub and Pereyra's, where the amplitude is
+    projected).
+    """
+    gg = _rowdot(g, g)
+    if project:
+        amplitude = np.where(gg > 0.0, _rowdot(g, y) / gg, amplitude)
+    c = amplitude
+    r = y - c[:, None] * g
+    cost = _rowdot(r, r)
+    g1r, g1g1, g2r = _rowdot(dg, r), _rowdot(dg, dg), _rowdot(d2g, r)
+    grad = -c * g1r
+    curvature = c * (c * g1g1 - g2r)
+    if project:
+        # the amplitude moves with c_v at dc/dc_v = (<dg, r> - c <g, dg>)/<g, g>
+        dc = (g1r - c * _rowdot(g, dg)) / gg
+        curvature -= dc * dc * gg
+    flat = np.abs(g1r) <= _GTOL * np.sqrt(g1g1 * cost)
+    return c, cost, grad, curvature, flat
 
 
 def fit_sge_to_zener(tp_zener, e_grid, free=frozenset(FREE_PARAM_ORDER), start=None):

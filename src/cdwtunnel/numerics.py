@@ -4,8 +4,11 @@ Everything downstream (potentials, wavefunctionals, transport and the
 verification oracles) builds on these operations.  ``integrate_family``
 is an interval-batched adaptive Gauss-Kronrod (G10K21, QUADPACK's qk21) rule
 over m integrals at once, one integrand call per round for every member,
-and ``integrate_adaptive`` its one-member front.  The engine calls its
-integrand on whole numpy arrays and checks the shape of what comes back.
+and ``integrate_adaptive`` is that family with one member.  The engine calls
+its integrand on whole numpy arrays and checks the shape of what comes back.
+Every batch engine (this one, ``fitting.fit_sge_family`` and
+``tunneling.t_if_single_mode_oracles``) raises the error of its lowest-index
+failing member, with that member's own message and index (``_member_error``).
 The overflow-safe cosh(arg) * exp(expo) product has a scalar form on
 ``math``, for the per-point matrix elements, and an array form on numpy's
 cosh/exp, for the current laws.  The error function is ``math.erf``.  All
@@ -35,13 +38,15 @@ _EXP_UNSHIFT = math.exp(-_EXP_SHIFT)
 class QuadratureError(RuntimeError):
     """Adaptive quadrature stopped before converging: a depth or interval limit, or a non-finite integrand.
 
-    ``member`` is the index of the failed member of an ``integrate_family``
-    call, or None.
+    ``member`` is the index of the failed member of its ``integrate_family``
+    call, 0 for ``integrate_adaptive``.
     """
 
-    def __init__(self, message, member=None):
-        super().__init__(message)
-        self.member = member
+
+def _member_error(exc, member):
+    """``exc``, carrying the index of the failed member of a batch call as ``member``."""
+    exc.member = int(member)
+    return exc
 
 
 def _cosh_times_exp(arg, expo):
@@ -120,17 +125,11 @@ _MAX_ACTIVE = 1 << 14
 def integrate_adaptive(f, a, b, tol, max_depth=48):
     """Integral of ``f`` over [a, b] with absolute error <= ``tol``.
 
-    The one-member form of ``integrate_family``: ``f`` maps the float node
-    array to a float array of the same shape (``np.exp``-style), and the
-    result and every error are those of member 0 of that family, without
-    the member prefix in the message.
+    ``integrate_family`` with the one member [a, b]: ``f`` maps the float
+    node array to a float array of the same shape (``np.exp``-style), and
+    the result and every error are that member's, ``member`` 0 included.
     """
-    (value,), failures = _integrate_members(
-        lambda x, member: f(x), np.array([float(a)]), np.array([float(b)]), tol, max_depth
-    )
-    if failures:
-        raise QuadratureError(failures[0])
-    return value
+    return float(integrate_family(lambda x, i: f(x), [a], [b], tol, max_depth)[0])
 
 
 def integrate_family(f, a, b, tol, max_depth=48):
@@ -152,29 +151,20 @@ def integrate_family(f, a, b, tol, max_depth=48):
     misses its share after ``max_depth`` bisections, when more than
     ``_MAX_ACTIVE`` of its intervals stay unconverged at once, or when
     ``f`` returns a non-finite value on one of its nodes.  A failed member
-    is dropped and the others run on; then QuadratureError names the
-    lowest-index failed member, also as its ``member``, and gives its
-    one-member message.  ValueError
-    for a > b, a non-positive tolerance or bounds that are not one-dimensional.
+    is dropped and the others run on; then the QuadratureError of the
+    lowest-index failed member is raised, with its one-member message and
+    its index as ``member``.  ValueError for a > b, a non-positive
+    tolerance or bounds that are not one-dimensional.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     if a.ndim != 1:
         raise ValueError(f"integration bounds must be one-dimensional, got shape {a.shape}")
-    values, failures = _integrate_members(f, a, b, tol, max_depth)
-    if failures:
-        member = min(failures)
-        raise QuadratureError(f"member {member}: {failures[member]}", member=member)
-    return np.array(values)
-
-
-def _integrate_members(f, a, b, tol, max_depth):
-    """The engine of ``integrate_family``: (list of m integrals, {member: failure message})."""
     tol = float(tol)
     if not np.all(a <= b):
         raise ValueError("integration bounds must satisfy a <= b")
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
-    failures = {}
+    failure = None  # the QuadratureError of the lowest-index failed member so far
     member = np.flatnonzero(a < b)
     lo, hi = a[member], b[member]
     accepted_members, accepted = [member[:0]], [lo[:0]]
@@ -189,14 +179,12 @@ def _integrate_members(f, a, b, tol, max_depth):
         y = y.reshape(-1, _GK_NODES.size)
         finite = np.isfinite(y)
         if not finite.all():
-            # nodes stay grouped by member and ordered left to right, so a
-            # member's first bad node is its leftmost
-            bad_nodes = np.flatnonzero(~finite)
-            bad_members = node_members[bad_nodes]
-            failed = np.flatnonzero(np.bincount(bad_members))
-            for i, j in zip(failed.tolist(), bad_nodes[np.searchsorted(bad_members, failed)].tolist()):
-                failures[i] = f"integrand returned {float(y.flat[j])!r} at x = {float(x[j])!r}"
-            keep = member < min(failures)
+            # nodes stay grouped by member in ascending order and ordered left
+            # to right, so the first bad node is the lowest failing member's leftmost
+            j = int(np.flatnonzero(~finite)[0])
+            reason = f"integrand returned {float(y.flat[j])!r} at x = {float(x[j])!r}"
+            failure = _member_error(QuadratureError(reason), node_members[j])
+            keep = member < failure.member
             member, lo, hi, half, y = member[keep], lo[keep], hi[keep], half[keep], y[keep]
         est = np.einsum("ij,j->i", y, _WK) * half
         err = np.abs(np.einsum("ij,j->i", y, _WK_MINUS_WG) * half)
@@ -208,27 +196,28 @@ def _integrate_members(f, a, b, tol, max_depth):
         member, lo, hi, err = member[bad], lo[bad], hi[bad], err[bad]
         at_depth = depth >= max_depth
         if member.size and (at_depth or 2 * member.size > _MAX_ACTIVE):
-            reason = "refinement depth limit" if at_depth else "active interval limit"
+            limit = "refinement depth limit" if at_depth else "active interval limit"
             failed = np.flatnonzero(2 * np.bincount(member) > (0 if at_depth else _MAX_ACTIVE))
-            for i, j in zip(failed.tolist(), np.searchsorted(member, failed).tolist()):
-                failures[i] = "%s reached on [%g, %g] (residual %g > %g)" % (
-                    reason, lo[j], hi[j], err[j], share
-                )
-        if failures:
+            if failed.size:
+                j = int(np.searchsorted(member, failed[0]))
+                reason = "%s reached on [%g, %g] (residual %g > %g)" % (limit, lo[j], hi[j], err[j], share)
+                failure = _member_error(QuadratureError(reason), failed[0])
+        if failure is not None:
             # drop the failed members, and those above the lowest failure,
             # which can no longer change the outcome
-            keep = member < min(failures)
+            keep = member < failure.member
             member, lo, hi = member[keep], lo[keep], hi[keep]
         mid = 0.5 * (lo + hi)
         lo, hi = np.column_stack([lo, mid]).ravel(), np.column_stack([mid, hi]).ravel()
         member = np.repeat(member, 2)
         depth += 1
+    if failure is not None:
+        raise failure
     members = np.concatenate(accepted_members)
     order = np.argsort(members, kind="stable")
     ends = np.searchsorted(members[order], np.arange(a.size + 1))
     estimates = np.concatenate(accepted)[order].tolist()
-    values = [math.fsum(estimates[start:end]) for start, end in zip(ends[:-1].tolist(), ends[1:].tolist())]
-    return values, failures
+    return np.array([math.fsum(estimates[start:end]) for start, end in zip(ends[:-1].tolist(), ends[1:].tolist())])
 
 
 def least_squares_fit(*args, **kwargs):

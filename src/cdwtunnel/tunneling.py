@@ -8,7 +8,7 @@ not silently fixed).  The independent route is a single-mode quadrature
 oracle over the collective coordinate, which integrates a whole list of
 state pairs in one quadrature-family call; where the overlap of two
 distinct states leaves the normal double range it raises, never
-returning a silent 0 or inf.
+returning a silent 0 or inf; errors follow ``numerics``' batch-engine convention.
 
 ``MatrixElementInputs`` is built once per point of an L grid, so it is a
 frozen dataclass with its own ``__init__`` (one chained check, one dict
@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .numerics import _cosh_times_exp, integrate_family
+from .numerics import _cosh_times_exp, _member_error, integrate_family
 
 __all__ = [
     "MatrixElementInputs",
@@ -139,7 +139,7 @@ def t_if_single_mode_oracles(specs_i, specs_f, m_star=1.0, tol=1e-11):
     hi = np.maximum(mi, mf) + 12.0 * (1.0 / np.sqrt(2.0 * np.minimum(ai, af)))
     beyond = np.flatnonzero(distinct & (hi <= u0))
     if beyond.size:
-        raise _member_error(beyond[0], "barrier point u0 lies above the integration window")
+        raise _member_error(ValueError("barrier point u0 lies above the integration window"), beyond[0])
     # a proportional pair integrates over the empty interval [u0, u0]
     hi = np.where(distinct, hi, u0)
     # the Gaussians' second-derivative polynomials are 4 a^2 d^2 - 2 a, whose
@@ -165,16 +165,9 @@ def t_if_single_mode_oracles(specs_i, specs_f, m_star=1.0, tol=1e-11):
     if bad.size:
         n = bad[0]
         side = "below" if t[n] < sys.float_info.min else "above"
-        raise _member_error(
-            n,
+        message = (
             f"overlap |T| = {t[n]:.3g} of the states centered at {float(mi[n])!r} and {float(mf[n])!r}"
-            f" lies {side} the normal double range",
+            f" lies {side} the normal double range"
         )
+        raise _member_error(ValueError(message), n)
     return t
-
-
-def _member_error(n, message):
-    """ValueError about pair ``n``, with that index as its ``member``, as a family's QuadratureError has."""
-    exc = ValueError(message)
-    exc.member = int(n)
-    return exc

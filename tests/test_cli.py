@@ -866,7 +866,7 @@ def test_matrix_element_table(tmp_path):
 
 def test_matrix_element_quadrature_failure_names_the_row(tmp_path, capsys, monkeypatch):
     # the oracle's integrand turns non-finite on pair 2 alone, the third row of
-    # the L grid 2, 4.5, 7, 9.5, 12; the engine names the member, the CLI its row
+    # the L grid 2, 4.5, 7, 9.5, 12; the engine carries the member, the CLI names its row
     engine = tunneling.integrate_family
     monkeypatch.setattr(
         tunneling, "integrate_family", lambda f, *a: engine(lambda x, i: np.where(i == 2, np.nan, f(x, i)), *a)
@@ -874,7 +874,7 @@ def test_matrix_element_quadrature_failure_names_the_row(tmp_path, capsys, monke
     code = main(["matrix-element", "--grid-n", "5", "--out", str(tmp_path / "m.csv")])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
-    assert err.startswith("error: at L = 7.0: member 2: integrand returned nan at x = ") and err.count("\n") == 1
+    assert err.startswith("error: at L = 7.0: integrand returned nan at x = ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 

@@ -398,14 +398,20 @@ def test_family_raises_for_its_lowest_failing_member():
     targets = np.array([ok, [1.0, 2.0], [1.0, 2.0]])
     starts = [TransportParams()] * 3
     # every member's cosh argument leaves the Jacobian's range at E = 1e-6
-    with pytest.raises(OverflowError, match=r"^member 0: pair-current Jacobian overflows: .* \[1e-06, 1e-06\]$") as info:
+    with pytest.raises(OverflowError, match=r"^pair-current Jacobian overflows: .* \[1e-06, 1e-06\]$") as family:
         fit_sge_family(es, targets, FREE_PARAM_ORDER, starts)
-    assert info.value.member == 0
+    with pytest.raises(OverflowError) as alone:
+        fit_sge_to_points(es, targets[0], FREE_PARAM_ORDER, starts[0])
+    assert str(family.value) == str(alone.value)
+    assert (family.value.member, alone.value.member) == (0, 0)
     es = np.array([2.0, 3.0])
     targets = np.array([[1.0, 2.0], [1e300, 1e300], [1.0, 2.0]])
-    with pytest.raises(ValueError, match=r"^member 1: sum of squared residuals overflows at the initial parameters$") as info:
+    with pytest.raises(ValueError, match=r"^sum of squared residuals overflows at the initial parameters$") as family:
         fit_sge_family(es, targets, FREE_PARAM_ORDER, starts)
-    assert info.value.member == 1
+    with pytest.raises(ValueError) as alone:
+        fit_sge_to_points(es, targets[1], FREE_PARAM_ORDER, starts[1])
+    assert str(family.value) == str(alone.value)
+    assert (family.value.member, alone.value.member) == (1, 0)
     with pytest.raises(ValueError, match=r"targets must have shape \(3, 2\)"):
         fit_sge_family(es, targets[:2], FREE_PARAM_ORDER, starts)
 

@@ -226,21 +226,24 @@ def test_family_names_the_lowest_failing_member_with_its_own_message():
         integrate_adaptive(lambda x: np.sin(1e6 * x), 0.0, 3.0, 1e-14, max_depth=6)
     with pytest.raises(QuadratureError) as family:
         integrate_family(lambda x, i: np.sin(ks[i] * x), los, his, 1e-14, max_depth=6)
-    assert str(family.value) == f"member 1: {alone.value}"
-    assert (family.value.member, alone.value.member) == (1, None)
+    assert str(family.value) == str(alone.value)
+    assert (family.value.member, alone.value.member) == (1, 0)
     # member 2 fails in round 0 on a non-finite value, member 1 only at depth 6: member 1 is still named
     with pytest.raises(QuadratureError) as family:
         integrate_family(lambda x, i: np.where(i == 2, np.inf, np.sin(ks[i] * x)), los, his, 1e-14, max_depth=6)
-    assert str(family.value) == f"member 1: {alone.value}"
-    with pytest.raises(QuadratureError, match=r"^member 0: integrand returned inf at x = "):
+    assert str(family.value) == str(alone.value)
+    assert family.value.member == 1
+    with pytest.raises(QuadratureError, match=r"^integrand returned inf at x = ") as family:
         integrate_family(lambda x, i: np.where(i == 0, np.inf, 1.0), los[:2], his[:2], 1e-14)
+    assert family.value.member == 0
     # the active-interval limit counts each member's intervals, not the family's
     with pytest.raises(QuadratureError) as alone:
         integrate_adaptive(lambda x: np.sin(1e12 * x), 0.0, 3.0, 1e-14)
     with pytest.raises(QuadratureError) as family:
         integrate_family(lambda x, i: np.sin(1e12 * x), los[:2], his[:2], 1e-14)
     assert "active interval limit" in str(alone.value)
-    assert str(family.value) == f"member 0: {alone.value}"
+    assert str(family.value) == str(alone.value)
+    assert (family.value.member, alone.value.member) == (0, 0)
 
 
 def test_family_rejects_bad_arguments():

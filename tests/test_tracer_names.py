@@ -9,6 +9,9 @@ binding kept only for the tracer, whose function raises NotImplementedError.
 
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import cdwtunnel
 import cdwtunnel._backend
 from cdwtunnel import fitting, numerics, transport, verify
@@ -60,3 +63,21 @@ def test_traced_transport_params_are_counted(monkeypatch):
     with tracer.installed():
         transport.TransportParams()
     assert tracer.counts["transport.TransportParams.built"] == 1
+
+
+def test_traced_quadrature_failure_is_counted_and_every_name_restored(monkeypatch):
+    # integrate_adaptive is a family of one; the tracer wraps it, not
+    # integrate_family, and counts a QuadratureError that leaves its wrapper
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    original = numerics.integrate_adaptive
+    tracer = Tracer()
+    # restore() raises RuntimeError, not QuadratureError, if a patched name is left behind
+    with pytest.raises(numerics.QuadratureError, match="^integrand returned nan at x = ") as info:
+        with tracer.installed():
+            numerics.integrate_adaptive(lambda x: np.full(x.shape, np.nan), 0.0, 1.0, 1e-10)
+    assert info.value.member == 0
+    assert tracer.counts["numerics.integrate_adaptive.failed"] == 1
+    assert tracer.counts["numerics.integrate_adaptive.evals"] == 1
+    assert numerics.integrate_adaptive is original

@@ -307,5 +307,12 @@ def test_oracle_stops_on_a_non_finite_integrand():
     # quadrature names the node in its first round instead of bisecting to its depth limit
     spec_i = WavefunctionalSpec(alpha=1.0, center=0.0, norm_c=1e288)
     spec_f = WavefunctionalSpec(alpha=1.0, center=1.0, norm_c=1e288)
-    with pytest.raises(QuadratureError, match=r"^member 0: integrand returned nan at x = 0\.5"):
+    with pytest.raises(QuadratureError, match=r"^integrand returned nan at x = 0\.5") as alone:
         t_if_single_mode_oracle(spec_i, spec_f)
+    assert alone.value.member == 0
+    # behind a good pair, the same error names pair 1
+    good_i, good_f = transport_pair_specs(2.0)
+    with pytest.raises(QuadratureError) as family:
+        t_if_single_mode_oracles([good_i, spec_i], [good_f, spec_f])
+    assert str(family.value) == str(alone.value)
+    assert family.value.member == 1
