@@ -11,14 +11,15 @@ fit is variable projection (Golub and Pereyra, SIAM J. Numer. Anal. 10,
 form, and what is left is a one-dimensional problem in c_v, solved by a
 safeguarded Newton iteration on the exact first and second derivatives of
 the projected cost.  ``fit_sge_family`` fits many target rows on one field
-grid in lockstep, one ``sge_cv_derivatives_array`` call on the whole
-(members, fields) array per round; ``fit_sge_to_points`` is that family
+grid in lockstep, one ``sge_cv_derivatives_array`` call per round on the
+rows of the members still stepping; ``fit_sge_to_points`` is that family
 with one member, each member is bit for bit its own one-member fit, and a
 failing family raises by the batch-engine convention ``numerics`` states.
 No ``TransportParams`` is built per point or per trial.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -77,7 +78,7 @@ class FitResult:
         self.params = np.asarray(self.params, dtype=float)
         if self.stop not in _STOP_REASONS:
             raise ValueError(f"stop must be one of {_STOP_REASONS}")
-        if self.converged and not (np.isfinite(self.residual_rms) and self.residual_rms >= 0.0):
+        if self.converged and not (math.isfinite(self.residual_rms) and self.residual_rms >= 0.0):
             raise ValueError("converged fit must carry a finite non-negative residual")
 
     @property
@@ -162,11 +163,12 @@ def fit_sge_family(es, targets, free, starts):
     gain less than that or the rounding level), or the step is at most 4
     ulp of c_v; else the fit stops at ``"max_iter"`` after 200 trial steps.
 
-    Each round evaluates g and its c_v-derivatives for every unconverged
-    member in one (m, n) kernel call, and every per-member reduction is a
-    row sum, so each member is bit for bit its own one-member fit.  Targets
-    and g are scaled by powers of two to a largest magnitude below 1, so no
-    sum of squares overflows; the amplitude and rms are scaled back.
+    Each round is one kernel call on the rows of the members still
+    stepping; a member leaves when it stops, and its ``iterations`` is the
+    round it stopped in.  Every per-member reduction is a row sum, so each
+    member is bit for bit its own one-member fit.  Targets and g are
+    scaled by powers of two to a largest magnitude below 1, so no sum of
+    squares overflows; the amplitude and rms are scaled back.
 
     At the start parameters a sum of squared residuals that is not finite
     raises ValueError, which names the overflow where the residuals are
@@ -222,50 +224,51 @@ def fit_sge_family(es, targets, free, starts):
     iterations = np.zeros(m, dtype=int)
     stop = ["converged"] * m
     if "c_v" in free:
-        step, slope, used = np.zeros(m), np.zeros(m), np.zeros(m)
-
-        def plan(idx):
-            """Newton steps in ln c_v from the accepted points of ``idx``: the members that still step."""
-            cv = c_v[idx]
-            slope[idx] = gx = cv * grad[idx]
-            used[idx] = cx = cv * (cv * curvature[idx] + grad[idx])
-            # a curvature that is not positive divides by zero: the step runs
-            # downhill to the bound
-            raw = -gx / np.where(cx > 0.0, cx, 0.0)
-            step[idx] = np.minimum(np.maximum(raw, -_LN2), _LN2)
-            go = (cost[idx] > floor[idx]) & ~flat[idx] & np.isfinite(step[idx])
-            return idx[go & (np.abs(step[idx]) * cv > _STEP_ULPS * np.spacing(cv))]
-
-        todo = plan(np.arange(m))
-        while todo.size:
-            spent = iterations[todo] >= _MAX_ROUNDS
-            for i in todo[spent].tolist():
-                stop[i] = "max_iter"
-            todo = todo[~spent]
-            if not todo.size:
-                break
-            iterations[todo] += 1
-            trial = c_v[todo] * np.exp(step[todo])
-            gt, dgt, d2gt, kt = _scaled(es, e_t[todo], trial)
-            terms = _projected(y[todo], gt, dgt, d2gt, np.ldexp(held[todo], kt - ky[todo]), project)
-            now, cost_t, s = cost[todo], terms[1], step[todo]
-            actual = now - cost_t
-            predicted = -(2.0 * slope[todo] + used[todo] * s) * s
+        # The members still stepping keep their state in arrays of their own,
+        # shrunk when some member stops: its c_v, k, c and cost go back to the
+        # m-long ``fitted`` arrays (``kept`` holds the m-long held and ky).
+        # All enter at round 0 and none re-enters: each took ``rounds`` steps.
+        fitted, kept = (c_v, k, c, cost), (held, ky)
+        live, rounds = np.arange(m), 0
+        slope, used, step, go = _plan(c_v, grad, curvature, cost, floor, flat)
+        while live.size:
+            go &= np.abs(step) * c_v > _STEP_ULPS * np.spacing(c_v)
+            if rounds == _MAX_ROUNDS:
+                for i in live[go].tolist():
+                    stop[i] = "max_iter"
+                go[:] = False
+            if not go.all():
+                done = ~go
+                gone = live[done]
+                iterations[gone] = rounds
+                for out, value in zip(fitted, (c_v, k, c, cost)):
+                    out[gone] = value[done]
+                live = live[go]
+                if not live.size:
+                    break
+                c_v, e_t, y, held, ky, floor, k, c, cost, slope, used, step = (
+                    v[go] for v in (c_v, e_t, y, held, ky, floor, k, c, cost, slope, used, step)
+                )
+            rounds += 1
+            trial = c_v * np.exp(step)
+            gt, dgt, d2gt, kt = _scaled(es, e_t, trial)
+            c_t, cost_t, grad, curvature, flat = _projected(y, gt, dgt, d2gt, np.ldexp(held, kt - ky), project)
+            tol = _FTOL * cost
+            predicted = -(2.0 * slope + used * step) * step
             # the cost no longer resolves the step: converged, at the trial if it is no worse
-            unresolved = (np.abs(actual) <= _FTOL * now) & (predicted <= _FTOL * now)
-            usable = np.isfinite(terms[2]) & np.isfinite(terms[3])
-            take = usable & ((cost_t < now) | (unresolved & (cost_t <= now)))
-            moved = todo[take]
-            c_v[moved], k[moved] = trial[take], kt[take]
-            for state, value in zip((c, cost, grad, curvature, flat), terms):
-                state[moved] = value[take]
+            unresolved = (np.abs(cost - cost_t) <= tol) & (predicted <= tol)
+            take = np.isfinite(grad) & np.isfinite(curvature) & ((cost_t < cost) | (unresolved & (cost_t <= cost)))
             # a rejected step predicted to gain less than the cost resolves (1e-14 of
             # it, or the residual floor) only shrinks when halved: converged too
-            resolvable = predicted > np.maximum(_FTOL * now, floor[todo])
-            halve = todo[~take & ~unresolved & resolvable]
-            step[halve] *= 0.5
-            halve = halve[np.abs(step[halve]) * c_v[halve] > _STEP_ULPS * np.spacing(c_v[halve])]
-            todo = np.concatenate([plan(todo[take & ~unresolved]), halve])
+            resolvable = predicted > np.maximum(tol, floor)
+            # a member steps on from its trial by a new plan, or from where it was by half its step
+            slope_t, used_t, planned, onward = _plan(trial, grad, curvature, cost_t, floor, flat)
+            go = ~unresolved & np.where(take, onward, resolvable)
+            at_trial = (trial, kt, c_t, cost_t, slope_t, used_t, planned)
+            c_v, k, c, cost, slope, used, step = (
+                np.where(take, new, old) for new, old in zip(at_trial, (c_v, k, c, cost, slope, used, 0.5 * step))
+            )
+        (c_v, k, c, cost), (held, ky) = fitted, kept
 
     c_tilde1 = np.ldexp(c, ky - k) if project else held
     values = {"c_tilde1": c_tilde1, "c_v": c_v}
@@ -274,15 +277,26 @@ def fit_sge_family(es, targets, free, starts):
     return [FitResult(params[i], float(rms[i]), int(iterations[i]), stop[i]) for i in range(m)]
 
 
+def _plan(c_v, grad, curvature, cost, floor, flat):
+    """Newton steps in ln c_v: the cost's slope and the curvature used in ln c_v, the bounded step, and whether
+    to take it (the cost is above its floor, its gradient is not flat and the step is finite)."""
+    slope = c_v * grad
+    used = c_v * (c_v * curvature + grad)
+    # a curvature that is not positive divides by zero: the step runs downhill to the bound
+    raw = -slope / np.where(used > 0.0, used, 0.0)
+    step = np.minimum(np.maximum(raw, -_LN2), _LN2)
+    return slope, used, step, (cost > floor) & ~flat & np.isfinite(step)
+
+
 def _rowdot(a, b):
     """Row sums of a * b; an axis sum, not a BLAS product, so a row does not depend on the others."""
-    return (a * b).sum(axis=1)
+    return np.add.reduce(a * b, axis=1)
 
 
 def _scaled(es, e_t, c_v):
     """g, dg/dc_v and d2g/dc_v2 per row, each divided by 2^k with k the exponent of the row's max |g|, and k."""
     g, dg, d2g = sge_cv_derivatives_array(es, e_t[:, None], c_v[:, None])
-    k = np.frexp(np.abs(g).max(axis=1))[1]
+    k = np.frexp(np.maximum.reduce(np.abs(g), axis=1))[1]
     shift = -k[:, None]
     return np.ldexp(g, shift), np.ldexp(dg, shift), np.ldexp(d2g, shift), k
 

@@ -11,8 +11,9 @@ Every batch engine (this one, ``fitting.fit_sge_family`` and
 failing member, with that member's own message and index (``_member_error``).
 The overflow-safe cosh(arg) * exp(expo) product has a scalar form on
 ``math``, for the per-point matrix elements, and an array form on numpy's
-cosh/exp, for the current laws.  The error function is ``math.erf``.  All
-functions are pure; there is no module state.
+cosh/exp, which the current laws call with |arg| and cosh(arg) taken once.
+The error function is ``math.erf``.  All functions are pure; there is no
+module state.
 """
 
 import math
@@ -69,16 +70,21 @@ def _cosh_times_exp(arg, expo):
 
 def _cosh_times_exp_array(arg, expo):
     """``_cosh_times_exp`` on float arrays, element for element, with numpy's cosh/exp."""
-    a = np.abs(arg)
+    with np.errstate(over="ignore"):
+        return _cosh_times_exp_of(np.abs(arg), np.cosh(arg), expo)
+
+
+def _cosh_times_exp_of(a, cosh, expo):
+    """``_cosh_times_exp_array`` from |arg| and cosh(arg), which the current laws also use, under np.errstate."""
     near = a <= _COSH_DIRECT_LIMIT
     deep = expo < _EXP_NORMAL_MIN
     if near.all() and not deep.any():
-        return np.cosh(arg) * np.exp(expo)
+        return cosh * np.exp(expo)
     out = np.empty_like(a)
     deep &= near
     direct = near & ~deep
-    out[direct] = np.cosh(arg[direct]) * np.exp(expo[direct])
-    out[deep] = np.cosh(arg[deep]) * np.exp(expo[deep] + _EXP_SHIFT) * _EXP_UNSHIFT
+    out[direct] = cosh[direct] * np.exp(expo[direct])
+    out[deep] = cosh[deep] * np.exp(expo[deep] + _EXP_SHIFT) * _EXP_UNSHIFT
     far = ~near
     with np.errstate(over="ignore", invalid="ignore"):
         out[far] = np.exp(a[far] + expo[far] - _LN2)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _cosh_times_exp_array
+from .numerics import _cosh_times_exp_of
 
 __all__ = [
     "CurveSeries",
@@ -137,7 +137,7 @@ def current_sge_array(es, e_t, c_v, c_tilde1, substituted):
     """
     with np.errstate(all="ignore"):
         arg, expo = _sge_arg_expo(es, e_t, c_v, substituted)
-        return c_tilde1 * _cosh_times_exp_array(arg, expo)
+        return c_tilde1 * _cosh_times_exp_of(np.abs(arg), np.cosh(arg), expo)
 
 
 def current_sge_log(e, tp, convention="printed"):
@@ -184,7 +184,8 @@ def sge_cv_derivatives_array(es, e_t, c_v):
         a = np.sqrt(2.0 / chi)
         b = np.sqrt(chi)
         arg = a - b
-        g = _cosh_times_exp_array(arg, -chi)
+        size, cosh = np.abs(arg), np.cosh(arg)
+        g = _cosh_times_exp_of(size, cosh, -chi)
         t = np.tanh(arg)
         # h = ln g against chi, with d arg/d chi = -(a+b)/(2 chi) and
         # d2 arg/d chi2 = (3a+b)/(4 chi^2):
@@ -192,12 +193,12 @@ def sge_cv_derivatives_array(es, e_t, c_v):
         # then g' = g chi h' / c_v and g'' = g ((chi h')^2 + chi^2 h'') / c_v^2
         half_sum = 0.5 * (a + b)
         d1 = -(t * half_sum + chi)
-        u = half_sum / np.cosh(arg)
+        u = half_sum / cosh
         d2 = d1 * d1 + u * u + t * (0.75 * a + 0.25 * b)
         inv = 1.0 / c_v
         dg = g * d1 * inv
         d2g = g * d2 * (inv * inv)
-        over = np.abs(arg) > _COSH_ARG_MAX
+        over = size > _COSH_ARG_MAX
         if over.any():
             dg[over] = math.nan
             d2g[over] = math.nan

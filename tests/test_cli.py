@@ -257,6 +257,15 @@ def test_fit_stops_on_a_rank_deficient_problem(tmp_path, capsys):
     assert report["iterations"] < 20
 
 
+def test_fit_whose_cost_has_no_finite_minimum_reports_max_iter(tmp_path, capsys):
+    # with c_tilde1 held, the cost on zero currents only falls as c_v grows
+    data = tmp_path / "zeros.csv"
+    data.write_text("2,0\n3,0\n")
+    assert main(["fit", "--data", str(data), "--free", "c_v"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["converged"], report["iterations"]) == (False, 200)
+
+
 def test_fit_grid_below_threshold_is_runtime_error(capsys):
     code = main(["fit", "--grid-lo", "0.5", "--grid-hi", "5", "--grid-n", "30"])
     assert code == 2

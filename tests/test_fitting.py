@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -481,3 +482,86 @@ def test_fit_with_currents_near_1e154_converges():
         scale = np.array([1e154 if name == "c_tilde1" else 1.0 for name in FREE_PARAM_ORDER if name in free])
         np.testing.assert_allclose(fit.params, unit.params * scale, rtol=1e-12)
         assert fit.residual_rms == pytest.approx(1e154 * unit.residual_rms, rel=1e-12)
+
+
+def _pinned_fits():
+    """A seeded set of fits whose every result bit the engine pin hashes.
+
+    Self-fits and Zener fits over the benchmark's ranges (20 to 400 fields),
+    one at a time and as families on a shared grid; all four free sets; the
+    50-member family of the ``fit-roundtrip`` check; a self-fit that takes a
+    rejected, halved step; and the two fits that run out their budget.
+    """
+    rng = np.random.default_rng(67)
+    zener = TransportParams()
+    free_sets = [FREE_PARAM_ORDER, ("c_v",), ("c_tilde1",), ()]
+    fits = []
+    for k in range(32):
+        n = int(round(20.0 * 20.0 ** rng.uniform()))
+        es = np.linspace(rng.uniform(1.1, 2.0), rng.uniform(3.0, 10.0), n)
+        free = free_sets[k % 4 if k < 8 else 0]  # then both free, as the benchmark's fits
+        c_tilde1, c_v, f1, f2 = rng.uniform([0.2, 0.5, 0.8, 0.8], [5.0, 2.0, 1.2, 1.2])
+        if k % 3:
+            start = TransportParams(c_tilde1=c_tilde1 * f1, c_v=c_v * f2)
+            fits.append(fit_sge_to_points(es, current_sge_array(es, 1.0, c_v, c_tilde1, False), free, start))
+        else:
+            fits.append(fit_sge_to_zener(zener, es, free=free))
+    for free in free_sets:
+        # members that stop in different rounds, on one grid
+        es = np.linspace(rng.uniform(1.1, 2.0), rng.uniform(3.0, 10.0), 60)
+        draws = rng.uniform([0.2, 0.5, 0.5, 0.5], [5.0, 2.0, 2.0, 2.0], size=(7, 4))
+        targets = current_sge_array(es, 1.0, draws[:, 1:2], draws[:, :1], False)
+        targets[::3] = current_zener_array(es, 1.0, 1.0)
+        starts = [TransportParams(c_tilde1=s1, c_v=s2) for s1, s2 in draws[:, 2:].tolist()]
+        fits.extend(fit_sge_family(es, targets, free, starts))
+    # the fit-roundtrip check's family
+    draws = np.random.default_rng(20240812).uniform([0.2, 0.5, 0.8, 0.8], [5.0, 2.0, 1.2, 1.2], size=(50, 4))
+    starts = [TransportParams(c_tilde1=ct * f1, c_v=cv * f2) for ct, cv, f1, f2 in draws.tolist()]
+    es = np.linspace(1.2, 5.0, 40)
+    targets = current_sge_array(es, 1.0, draws[:, 1:2], draws[:, :1], False)
+    fits.extend(fit_sge_family(es, targets, FREE_PARAM_ORDER, starts))
+    # from c_v = 5.2 the first trial step raises the cost and is halved
+    es = np.linspace(1.2, 5.0, 60)
+    targets = current_sge_array(es, 1.0, 1.3, 2.0, False)
+    fits.append(fit_sge_to_points(es, targets, FREE_PARAM_ORDER, TransportParams(c_tilde1=2.0, c_v=5.2)))
+    # the cost of these two has no minimum at a finite c_v
+    fits.append(fit_sge_to_points(np.array([2.0, 3.0]), np.zeros(2), ("c_v",), TransportParams()))
+    es, targets = np.array([15.5535, 15.5878]), np.array([0.01784, 0.7029])
+    fits.append(fit_sge_to_points(es, targets, FREE_PARAM_ORDER, TransportParams()))
+    return fits
+
+
+def test_fit_engine_results_are_pinned_bit_for_bit():
+    """The params, rms, iterations and stop of every pinned fit, hashed: a
+    change to the engine that moves any result bit fails here.  A change that
+    moves them on purpose updates the digest and says why in CHANGES.md.  The
+    digest holds for one numpy build and CPU: numpy's exp and cosh may round
+    differently on another."""
+    digest = hashlib.sha256()
+    fits = _pinned_fits()
+    for fit in fits:
+        digest.update(fit.params.tobytes())
+        digest.update(np.float64(fit.residual_rms).tobytes())
+        digest.update(f"{fit.iterations},{fit.stop};".encode())
+    assert len(fits) == 113
+    assert sum(fit.stop == "max_iter" for fit in fits) == 2
+    assert digest.hexdigest() == "3ea964e08d5e05dd8181b474f9a84205d2e42683ff83d2c012054a47429c37e7"
+
+
+def test_fits_whose_cost_has_no_finite_minimum_stop_at_max_iter():
+    # on zero targets the held-amplitude cost only falls as c_v grows, and the
+    # ratio of the two currents below is reached only as c_v goes to 0: both
+    # fits take all 200 trial steps, in a family beside a member that converges
+    es = np.array([2.0, 3.0])
+    targets = np.array([np.zeros(2), current_sge_array(es, 1.0, 1.3, 1.0, False)])
+    starts = [TransportParams(), TransportParams()]
+    family = fit_sge_family(es, targets, ("c_v",), starts)
+    assert (family[0].iterations, family[0].stop, family[0].converged) == (200, "max_iter", False)
+    assert family[1].converged and family[1].iterations < 200
+    for fit, row, start in zip(family, targets, starts):
+        alone = fit_sge_to_points(es, row, ("c_v",), start)
+        assert np.array_equal(fit.params, alone.params) and fit.residual_rms == alone.residual_rms
+        assert (fit.iterations, fit.stop) == (alone.iterations, alone.stop)
+    es, targets = np.array([15.5535, 15.5878]), np.array([0.01784, 0.7029])
+    fit = fit_sge_to_points(es, targets, FREE_PARAM_ORDER, TransportParams())
+    assert (fit.iterations, fit.stop, fit.converged) == (200, "max_iter", False)

@@ -333,3 +333,23 @@ def test_cv_derivative_kernel_matches_mpmath_and_rows_equal_their_one_row_calls(
     g, dg, d2g = sge_cv_derivatives_array(np.array([1e-7, 1e-6, 2e-6]), 1.0, 1.0)
     assert np.isfinite(g).all() and np.isnan(dg[:2]).all() and np.isnan(d2g[:2]).all()
     assert np.isfinite(dg[2]) and np.isfinite(d2g[2])
+
+
+def test_cv_derivative_kernel_current_is_the_pair_current_on_every_branch():
+    """The g of the c_v-derivative kernel is ``current_sge_array`` at unit
+    amplitude bit for bit, on fields that reach every branch of the cosh
+    product: direct, deep underflow (exp(-chi) below the normal range), far
+    (|arg| > 35, on both sides) and chi overflowing to inf (g = 0)."""
+    es = np.concatenate([np.geomspace(5e-324, 1e-300, 50), np.geomspace(1e-5, 1e5, 2001)])
+    reached = set()
+    for e_t, c_v in [(1.0, 1.0), (0.3, 0.7), (2.5, 3.0), (1e3, 7.0)]:
+        g, _, _ = sge_cv_derivatives_array(es, e_t, c_v)
+        assert np.array_equal(g, current_sge_array(es, e_t, c_v, 1.0, False))
+        with np.errstate(over="ignore", divide="ignore"):
+            chi = e_t * c_v / es
+        near = np.abs(np.sqrt(2.0 / chi) - np.sqrt(chi)) <= 35.0
+        deep = near & (-chi < math.log(np.finfo(float).tiny))
+        branches = {"direct": near & ~deep, "deep": deep, "far": ~near & (chi < np.inf), "inf": chi == np.inf}
+        reached |= {name for name, hit in branches.items() if hit.any()}
+        assert np.all(g[chi == np.inf] == 0.0)
+    assert reached == {"direct", "deep", "far", "inf"}
