@@ -9,6 +9,14 @@ G = int (d_x phi)^2/2, M2 = int d^2 and M4 = int d^4.  A profile computes
 its gradient energy density once and the three moments once per phi0, each
 on first use, so bound checks of one profile under many potentials share
 them.
+
+A ``FieldProfile`` is a family: one phi row, or m rows on one shared grid.
+The gradient is one ``np.gradient`` along the last axis and the moments are
+per-row reductions, so every row of a family is bit for bit its own one-row
+profile; ``topological_charge`` and ``bogomolnyi_check`` give one result
+per row, and a single result for a one-row (1-D) profile.  A winding or
+energy that leaves the double range is a ValueError naming the quantity
+and, in a family, the row.
 """
 
 import functools
@@ -46,16 +54,18 @@ class PotentialParams:
 
 
 class FieldProfile:
-    """A sampled field configuration phi(x) on a strictly increasing grid.
+    """Sampled field configurations phi(x) on one strictly increasing grid.
 
-    ``xs`` and ``phis`` are read-only copies, so the cached energies stay those of the samples.
+    ``phis`` is one profile, shape (n,), or a family of m profiles, shape
+    (m, n), on the grid ``xs`` of shape (n,); ``len`` is n.  ``xs`` and
+    ``phis`` are read-only copies, so the cached energies stay those of the samples.
     """
 
     def __init__(self, xs, phis):
         xs = np.array(xs, dtype=float)
         phis = np.array(phis, dtype=float)
-        if xs.ndim != 1 or phis.ndim != 1 or xs.size != phis.size:
-            raise ValueError("xs and phis must be 1-D arrays of equal length")
+        if xs.ndim != 1 or phis.ndim not in (1, 2) or phis.shape[-1] != xs.size:
+            raise ValueError("xs must be 1-D and phis of shape (n,) or (m, n), with n = len(xs)")
         if xs.size < 2:
             raise ValueError("profile needs at least 2 samples")
         if not np.all(np.diff(xs) > 0.0):
@@ -66,31 +76,61 @@ class FieldProfile:
         self.xs = xs
         self.phis = phis
         self._moments = {}
+        # each row's (phi(x_last) - phi(x_first)) / (2 pi), checked where it is
+        # read; the step n - 1 picks the first and last sample
+        ends = phis.reshape(-1, xs.size)[:, :: xs.size - 1].tolist()
+        self._windings = [(last - first) / TWO_PI for first, last in ends]
 
     def __len__(self):
         return self.xs.size
 
     @functools.cached_property
     def gradient_energy(self):
-        """(d_x phi)^2 / 2 at every sample, from ``np.gradient``; computed on first use."""
-        return 0.5 * np.gradient(self.phis, self.xs) ** 2
+        """(d_x phi)^2 / 2 at every sample of every row, from one ``np.gradient``; computed on first use.
+
+        A slope beyond the double range reads inf (or nan), without a warning.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            return 0.5 * np.gradient(self.phis, self.xs, axis=-1) ** 2
 
     def _energy_moments(self, phi0):
-        """(G, M2, M4) for this phi0, from ``_integrate_moments`` on first use."""
+        """One (G, M2, M4) per row for this phi0, from ``_integrate_moments`` on first use."""
         if phi0 not in self._moments:
             self._moments[phi0] = self._integrate_moments(phi0)
         return self._moments[phi0]
 
     def _integrate_moments(self, phi0):
-        """Trapezoid integrals of ``gradient_energy``, d^2 and d^4, d = phi - phi0.
+        """Trapezoid integrals of ``gradient_energy``, d^2 and d^4, d = phi - phi0: one (G, M2, M4) per row.
 
-        Each is ``np.trapezoid(y, xs)`` with one ``np.diff(xs)`` shared by
-        the three and the halving taken out of the sum, which is exact away
-        from underflow.
+        Each is the float ``np.trapezoid(y, xs)`` along the last axis, with
+        one ``np.diff(xs)`` shared by the three and the halving taken out of
+        the sum, which is exact away from underflow.  A moment beyond the
+        double range reads inf.  Each integrand's pair sums are scaled in
+        place, so a family allocates few (m, n) arrays.  The moments are
+        summed on (m, n) views, so a profile is a family of one row.
         """
         dx = np.diff(self.xs)
-        d2 = (self.phis - phi0) ** 2
-        return tuple(0.5 * float((dx * (y[1:] + y[:-1])).sum()) for y in (self.gradient_energy, d2, d2 * d2))
+        rows = (-1, self.xs.size)
+        sums = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            d2 = (self.phis.reshape(rows) - phi0) ** 2
+            for y in (self.gradient_energy.reshape(rows), d2, d2 * d2):
+                pair = y[:, 1:] + y[:, :-1]
+                pair *= dx
+                sums.append(np.add.reduce(pair, axis=1).tolist())
+        return [(0.5 * g, 0.5 * m2, 0.5 * m4) for g, m2, m4 in zip(*sums)]
+
+
+def _finite_rows(name, profile, values):
+    """``values``, one float per row, if all are finite.
+
+    Else a ValueError naming the quantity ``name`` and, in a family, the first bad row.
+    """
+    for row, value in enumerate(values):
+        if not math.isfinite(value):
+            where = f" in row {row}" if profile.phis.ndim == 2 else ""
+            raise ValueError(f"{name} is {value!r}{where}, outside the double range")
+    return values
 
 
 @dataclass(frozen=True)
@@ -131,9 +171,18 @@ def alpha_from_separation(l):
     return 1.0 / l
 
 
+def _windings(profile):
+    """(phi(x_last) - phi(x_first)) / (2 pi) of every row, a list of finite floats."""
+    return _finite_rows("topological charge", profile, profile._windings)
+
+
 def topological_charge(profile):
-    """Winding (phi(x_last) - phi(x_first)) / (2 pi)."""
-    return (profile.phis[-1] - profile.phis[0]) / TWO_PI
+    """Winding (phi(x_last) - phi(x_first)) / (2 pi): a float, or an array of one per row of a family.
+
+    A winding outside the double range is a ValueError.
+    """
+    q = _windings(profile)
+    return q[0] if profile.phis.ndim == 1 else np.array(q)
 
 
 def bogomolnyi_check(profile, p, phi_c, phi_f, phi_t):
@@ -142,12 +191,18 @@ def bogomolnyi_check(profile, p, phi_c, phi_f, phi_t):
     The left side is the trapezoid integral of the profile's
     ``gradient_energy`` plus V(phi) over the supplied grid, read from the
     profile's cached moments as G + C1 M2 + C2 M4; satisfied allows a 1e-9
-    relative slack on the right side.
+    relative slack on the right side.  One ``BoundReport`` for a profile, a
+    list of one per row for a family; a winding, static energy or bound
+    outside the double range is a ValueError.
     """
-    q = topological_charge(profile)
+    q_abs = [abs(q) for q in _windings(profile)]
     braces = 2.0 * delta_e_gap(p, phi_f, phi_t)
-    g, m2, m4 = profile._energy_moments(p.phi0)
-    lhs = g + p.c1 * m2 + p.c2 * m4
-    rhs = abs(q) + 0.5 * (p.phi0 - phi_c) ** 2 * braces
-    satisfied = lhs >= rhs - 1e-9 * max(1.0, abs(rhs))
-    return BoundReport(lhs=lhs, q_abs=abs(q), rhs=rhs, braces=braces, satisfied=satisfied)
+    offset = 0.5 * (p.phi0 - phi_c) ** 2 * braces
+    moments = profile._energy_moments(p.phi0)
+    lhs = _finite_rows("static energy", profile, [g + p.c1 * m2 + p.c2 * m4 for g, m2, m4 in moments])
+    rhs = _finite_rows("bound right side", profile, [q + offset for q in q_abs])
+    reports = [
+        BoundReport(left, q, right, braces, left >= right - 1e-9 * max(1.0, abs(right)))
+        for left, q, right in zip(lhs, q_abs, rhs)
+    ]
+    return reports[0] if profile.phis.ndim == 1 else reports

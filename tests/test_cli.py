@@ -927,12 +927,14 @@ OUTPUT_DIGESTS = {
         "stdout": EMPTY,
         "out.csv": "955a29bcee4196470ac1516d86ddac5d39d5afaafe83b234664396db12b132c9",
     },
+    # verify writes no file; it takes no --out
+    ("verify",): {"stdout": "bf3acab168fc9229c2a81a0d029f5a197449863fb3f1ca36dd432c20c8afd353"},
 }
 
 
 @pytest.mark.parametrize("args", OUTPUT_DIGESTS, ids=" ".join)
 def test_default_outputs_keep_their_recorded_bytes(tmp_path, capsys, args):
-    code = main([*args, "--out", str(tmp_path / "out.csv")])
+    code = main([*args] if args == ("verify",) else [*args, "--out", str(tmp_path / "out.csv")])
     stdout, err = capsys.readouterr()
     assert (code, err) == (0, "")
     digests = {"stdout": hashlib.sha256(stdout.encode("utf-8")).hexdigest()}

@@ -219,3 +219,95 @@ def test_bound_lhs_is_the_trapezoid_of_the_printed_energy(tmp_path, monkeypatch)
             assert abs(report.lhs - direct) <= 8.0 * EPS * scale + np.finfo(float).tiny
 
     run()
+
+
+def test_field_profile_family_validation():
+    with pytest.raises(ValueError, match=r"shape \(n,\) or \(m, n\)"):
+        FieldProfile([0.0, 1.0], [[0.0, 1.0, 2.0]])
+    with pytest.raises(ValueError, match=r"shape \(n,\) or \(m, n\)"):
+        FieldProfile([0.0, 1.0], [[[0.0, 1.0]]])
+    with pytest.raises(ValueError, match="finite"):
+        FieldProfile([0.0, 1.0], [[0.0, 1.0], [math.nan, 1.0]])
+    family = FieldProfile([0.0, 1.0, 2.0], [[0.0, 1.0, 2.0], [2.0, 1.0, 0.0]])
+    assert len(family) == 3 and family.phis.shape == (2, 3)
+
+
+@pytest.mark.filterwarnings("error")
+def test_winding_and_energy_outside_the_double_range_are_value_errors():
+    p, args = PotentialParams(), (0.0, 0.0, TWO_PI)
+    # the d^4 moment overflows
+    spike = FieldProfile([0.0, 1.0, 2.0], [0.0, 1e80, 0.0])
+    with pytest.raises(ValueError, match=r"^static energy is inf, outside the double range$"):
+        bogomolnyi_check(spike, p, *args)
+    # phi(x_last) - phi(x_first) overflows
+    wide = FieldProfile([0.0, 1.0], [-1e308, 1e308])
+    with pytest.raises(ValueError, match=r"^topological charge is inf, outside the double range$"):
+        topological_charge(wide)
+    with pytest.raises(ValueError, match="^topological charge is inf"):
+        bogomolnyi_check(wide, p, *args)
+    # a slope of 1e10 / 1e-300 overflows the gradient energy
+    steep = FieldProfile([0.0, 1e-300, 1.0], [0.0, 1e10, 0.0])
+    with pytest.raises(ValueError, match="^static energy is inf"):
+        bogomolnyi_check(steep, p, *args)
+    # a false vacuum whose potential overflows leaves the bound itself infinite
+    with pytest.raises(ValueError, match=r"^bound right side is inf"):
+        bogomolnyi_check(FieldProfile([0.0, 1.0], [0.0, 0.0]), p, 0.0, 1e200, TWO_PI)
+    # in a family the error names the first bad row
+    calm = [0.0, 1.0, 0.0]
+    with pytest.raises(ValueError, match=r"^static energy is inf in row 1, outside the double range$"):
+        bogomolnyi_check(FieldProfile([0.0, 1.0, 2.0], [calm, [0.0, 1e80, 0.0], [0.0, 1e90, 0.0]]), p, *args)
+    with pytest.raises(ValueError, match=r"^topological charge is -inf in row 2, outside the double range$"):
+        topological_charge(FieldProfile([0.0, 1.0], [[0.0, 1.0], [1.0, 0.0], [1e308, -1e308]]))
+
+
+def test_bound_reports_hold_python_scalars_in_profiles_and_families():
+    p = PotentialParams(c1=1.3, c2=0.7)
+    kps = [KinkPairProfile(x_a=-3.0, x_b=3.0, b=b) for b in (0.5, 1.0, 3.0)]
+    family = bogomolnyi_check(sample_profile(kps, 10.0, 601), p, 0.0, 0.0, TWO_PI)
+    assert isinstance(family, list) and len(family) == 3
+    for kp, row in zip(kps, family):
+        single = bogomolnyi_check(sample_profile(kp, 10.0, 601), p, 0.0, 0.0, TWO_PI)
+        for report in (single, row):
+            assert [type(v) for v in dataclasses.astuple(report)] == [float, float, float, float, bool]
+        assert row == single and repr(row) == repr(single)
+    assert type(topological_charge(sample_profile(kps[0], 10.0, 601))) is float
+
+
+def test_every_row_of_a_family_is_its_own_one_row_profile(tmp_path, monkeypatch):
+    """A family from sample_profile, row by row, against the one-pair profile: the same
+    bits in xs, phis, gradient energy, energy moments, winding and every bound report."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    # hypothesis caches source constants in a storage directory even without a database
+    monkeypatch.setenv("HYPOTHESIS_STORAGE_DIRECTORY", str(tmp_path))
+    coefficient = st.floats(0.1, 3.0)
+    params = st.builds(PotentialParams, c1=coefficient, c2=coefficient, phi0=st.floats(-8.0, 8.0))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        bs=st.lists(st.floats(0.05, 20.0), min_size=1, max_size=6),
+        x_a=st.floats(-50.0, 50.0),
+        l=st.floats(1e-3, 50.0),
+        half_width=st.floats(0.1, 50.0),
+        n=st.integers(2, 5000),
+        potentials=st.lists(params, min_size=1, max_size=3),
+    )
+    def run(bs, x_a, l, half_width, n, potentials):
+        kps = [KinkPairProfile(x_a=x_a, x_b=x_a + l, b=b) for b in bs]
+        family = sample_profile(kps, half_width, n)
+        assert family.phis.shape == (len(bs), n)
+        windings = topological_charge(family)
+        reports = [bogomolnyi_check(family, p, 0.0, 0.0, TWO_PI) for p in potentials]
+        for row, kp in enumerate(kps):
+            single = sample_profile(kp, half_width, n)
+            assert single.phis.shape == (n,)
+            assert family.xs.tobytes() == single.xs.tobytes()
+            assert family.phis[row].tobytes() == single.phis.tobytes()
+            assert family.gradient_energy[row].tobytes() == single.gradient_energy.tobytes()
+            assert windings[row].tobytes() == np.float64(topological_charge(single)).tobytes()
+            for p, family_reports in zip(potentials, reports):
+                assert family._energy_moments(p.phi0)[row] == single._energy_moments(p.phi0)[0]
+                assert repr(family_reports[row]) == repr(bogomolnyi_check(single, p, 0.0, 0.0, TWO_PI))
+
+    run()

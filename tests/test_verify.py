@@ -49,26 +49,30 @@ def test_tolerance_override_changes_only_tolerance_and_passed(defaults, name):
 def test_bogomolnyi_sweep_covers_its_whole_grid(defaults, monkeypatch):
     # 4 steepnesses x 4 separations x 3 C1 x 3 C2, every one with a positive gap
     assert defaults["bogomolnyi-sweep"].detail == "bound violations across 144 grid profiles"
-    # one profile, one gradient and one integration of the energy moments per
-    # (b, L), read by all nine (C1, C2) pairs
+    # one family of the four steepnesses per L: one sampling, one gradient and
+    # one integration of the energy moments each, read by all nine (C1, C2)
+    # pairs, whose checks give one report per steepness
     sampled, checked, gradients, moments = [], [], [], []
     sample, check, gradient = wavefunctional.sample_profile, potential.bogomolnyi_check, potential.np.gradient
     integrate = potential.FieldProfile._integrate_moments
     monkeypatch.setattr(wavefunctional, "sample_profile", lambda *a, **k: sampled.append(a) or sample(*a, **k))
-    monkeypatch.setattr(potential, "bogomolnyi_check", lambda *a, **k: checked.append(a) or check(*a, **k))
+    monkeypatch.setattr(potential, "bogomolnyi_check", lambda *a, **k: checked.append(check(*a, **k)) or checked[-1])
     monkeypatch.setattr(potential.np, "gradient", lambda *a, **k: gradients.append(a) or gradient(*a, **k))
     monkeypatch.setattr(potential.FieldProfile, "_integrate_moments", lambda *a: moments.append(a) or integrate(*a))
     assert verify.run_check("bogomolnyi-sweep") == defaults["bogomolnyi-sweep"]
-    assert (len(sampled), len(checked), len(gradients)) == (16, 144, 16)
-    assert len(moments) == 16
+    assert (len(sampled), len(checked), len(gradients)) == (4, 36, 4)
+    assert [len(kps) for kps, *_ in sampled] == [4] * 4
+    assert sum(len(reports) for reports in checked) == 144
+    assert len(moments) == 4
 
 
 # integrand nodes per check: one quadrature-family call each evaluates the same
-# nodes as one engine call per integral, which made 646, 79, 53 and 60 integrand calls
+# nodes as one engine call per integral, which made 646, 79, 483 and 60 integrand
+# calls; thin-wall-ft integrates the half box [0, L/2], half the whole box's 66738 nodes
 QUADRATURE_WORK = {
     "erf-quadrature": 2100,
     "normalization": 2793,
-    "thin-wall-ft": 66738,
+    "thin-wall-ft": 32046,
     "oracle-shape": 2205,
 }
 

@@ -143,6 +143,16 @@ def test_sample_profile_rejects_degenerate_grid():
             sample_profile(kp, half_width=2.0, n=n)
 
 
+def test_sample_profile_family_shares_one_window():
+    kps = [KinkPairProfile(x_a=-1.0, x_b=2.0, b=b) for b in (0.5, 3.0)]
+    family = sample_profile(iter(kps), half_width=2.0, n=7)
+    assert family.phis.shape == (2, 7) and family.xs.tolist() == sample_profile(kps[0], 2.0, 7).xs.tolist()
+    with pytest.raises(ValueError, match="at least one kink pair"):
+        sample_profile([], half_width=2.0, n=7)
+    with pytest.raises(ValueError, match=r"share one \(x_a, x_b\)"):
+        sample_profile([kps[0], KinkPairProfile(x_a=-1.0, x_b=3.0, b=1.0)], half_width=2.0, n=7)
+
+
 def test_sample_profile_rejects_a_window_outside_the_double_range():
     with pytest.raises(ValueError, match=r"window \[-1e\+308, 1e\+308\] leaves the double range"):
         sample_profile(KinkPairProfile(x_a=-1e308, x_b=1e308, b=1.0), half_width=15.0, n=5)
@@ -230,6 +240,21 @@ def test_ft_oracle_agrees_with_generic_quadrature():
     assert thin_wall_ft_oracle(k, l) == pytest.approx(
         direct / math.sqrt(TWO_PI), rel=1e-12
     )
+
+
+def test_half_box_oracle_matches_the_whole_box_quadrature():
+    # each route is within 1e-12 of the integral, so the two within 2e-12,
+    # also where k L/2 is near a multiple of pi and the transform nearly vanishes
+    rng = np.random.default_rng(20241019)
+    ls = rng.uniform(0.5, 20.0, 40)
+    ks = rng.uniform(0.01, 40.0, 40)
+    harmonics = rng.integers(1, 20, 40)
+    near = TWO_PI * harmonics / ls * (1.0 + rng.uniform(-1e-9, 1e-9, 40))
+    ks, ls = np.concatenate([ks, near]), np.concatenate([ls, ls])
+    half_box = thin_wall_ft_oracle(ks, ls)
+    for k, l, got in zip(ks.tolist(), ls.tolist(), half_box.tolist()):
+        whole = integrate_adaptive(lambda x: np.cos(k * x), -0.5 * l, 0.5 * l, 1e-12)
+        assert abs(got - whole / math.sqrt(TWO_PI)) <= 2e-12 / math.sqrt(TWO_PI)
 
 
 def test_ft_oracle_broadcasts_grids_as_one_family():
