@@ -292,24 +292,19 @@ def _parse_data_csv(path):
 def _cmd_fit(o):
     # the Zener targets read e_t and g_p; the fit starts from c_tilde1 and c_v
     tp = _transport_params(o, c_tilde1=o.start_c_tilde1, c_v=o.start_c_v)
-    free = {name.strip() for name in o.free.split(",") if name.strip()}
-    unknown = free - set(fitting.FREE_PARAM_ORDER)
-    if unknown:
-        raise CliUsageError(
-            f"cannot free {sorted(unknown)}; allowed: {list(fitting.FREE_PARAM_ORDER)}"
-        )
+    with _usage_errors():
+        names = fitting._free_names({name.strip() for name in o.free.split(",") if name.strip()})
 
     if o.data is not None:
         es, targets = _parse_data_csv(o.data)
         order = np.argsort(es)
         es, targets = es[order], targets[order]
-        fit = fitting.fit_sge_to_points(es, targets, free, tp)
+        fit = fitting.fit_sge_to_points(es, targets, names, tp)
     else:
         lo, hi = fitting.FIG2B_WINDOW
         es = _option_grid(o, lo * tp.e_t, hi * tp.e_t)
-        fit = fitting.fit_sge_to_zener(tp, es, free=free)
+        fit = fitting.fit_sge_to_zener(tp, es, free=names)
 
-    names = [n for n in fitting.FREE_PARAM_ORDER if n in free]
     params = dict(zip(names, fit.params))
     # the closed-form amplitude carries the sign of the data; the model's does not
     if "c_tilde1" in params and not params["c_tilde1"] > 0.0:

@@ -12,7 +12,8 @@ form, and what is left is a one-dimensional problem in c_v, solved by a
 safeguarded Newton iteration on the exact first and second derivatives of
 the projected cost.  ``fit_sge_family`` fits many target rows on one field
 grid in lockstep, one ``sge_cv_derivatives_array`` call per round on the
-rows of the members still stepping; ``fit_sge_to_points`` is that family
+rows of the members still stepping, for every free set, and builds each
+member's result in the round it stops; ``fit_sge_to_points`` is that family
 with one member, each member is bit for bit its own one-member fit, and a
 failing family raises by the batch-engine convention ``numerics`` states.
 No ``TransportParams`` is built per point or per trial.
@@ -101,9 +102,17 @@ def compare_series(a, b):
     return float(np.sqrt(np.mean(rel**2)))
 
 
+def _free_names(free):
+    """The names in ``free``, in FREE_PARAM_ORDER; ValueError names any other."""
+    unknown = set(free) - set(FREE_PARAM_ORDER)
+    if unknown:
+        raise ValueError(f"cannot free {sorted(unknown)}; allowed: {list(FREE_PARAM_ORDER)}")
+    return [n for n in FREE_PARAM_ORDER if n in free]
+
+
 def transport_with(base, free, values):
     """Copy of ``base`` with the named free parameters replaced by ``values``."""
-    names = [n for n in FREE_PARAM_ORDER if n in free]
+    names = _free_names(free)
     if len(names) != len(values):
         raise ValueError("one value per free parameter required")
     return dataclasses.replace(base, **dict(zip(names, (float(v) for v in values))))
@@ -163,26 +172,24 @@ def fit_sge_family(es, targets, free, starts):
     gain less than that or the rounding level), or the step is at most 4
     ulp of c_v; else the fit stops at ``"max_iter"`` after 200 trial steps.
 
-    Each round is one kernel call on the rows of the members still
-    stepping; a member leaves when it stops, and its ``iterations`` is the
-    round it stopped in.  Every per-member reduction is a row sum, so each
+    Every free set runs one round loop (with c_v held, all stop in round
+    0), each round one kernel call on the rows of the members still
+    stepping; a member's ``FitResult`` is built in the round it stops, which
+    is its ``iterations``.  Every per-member reduction is a row sum, so each
     member is bit for bit its own one-member fit.  Targets and g are
     scaled by powers of two to a largest magnitude below 1, so no sum of
     squares overflows; the amplitude and rms are scaled back.
 
-    At the start parameters a sum of squared residuals that is not finite
-    raises ValueError, which names the overflow where the residuals are
-    finite; with a parameter free, a cosh argument past the range of the
-    Jacobian raises OverflowError naming the fields, as does a derivative
-    of the cost that is not finite.  The error of the lowest-index failing
-    member is raised, with its index as ``member``.
+    The start checks read the scaled problem: a g that is not finite, or a
+    start rms that is not finite once scaled back, raises ValueError; with
+    a parameter free, a cosh argument past the range of the Jacobian raises
+    OverflowError naming the fields, as does a derivative of the cost that
+    is not finite.  The error of the lowest-index failing member is
+    raised, with its index as ``member``.
     """
     es = np.asarray(es, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    names = [n for n in FREE_PARAM_ORDER if n in free]
-    unknown = set(free) - set(FREE_PARAM_ORDER)
-    if unknown:
-        raise ValueError(f"cannot free {sorted(unknown)}; allowed: {FREE_PARAM_ORDER}")
+    names = _free_names(free)
     if es.ndim != 1 or es.size == 0:
         raise ValueError("fields must be a non-empty one-dimensional array")
     if targets.shape != (len(starts), es.size):
@@ -200,81 +207,68 @@ def fit_sge_family(es, targets, free, starts):
     ky = np.frexp(np.abs(targets).max(axis=1))[1]
     y = np.ldexp(targets, -ky[:, None])
     floor = (_RESIDUAL_FLOOR * np.sqrt(_rowdot(y, y))) ** 2
-    project = "c_tilde1" in free
+    project = "c_tilde1" in names
     c, cost, grad, curvature, flat = _projected(y, g, dg, d2g, np.ldexp(held, k - ky), project)
 
-    # the start checks, the residual's on its unscaled sum of squares
-    r0 = targets - held[:, None] * np.ldexp(g, k[:, None])
-    unfit = ~np.isfinite(_rowdot(r0, r0))
+    # the start checks, on the scaled problem
+    unevaluable = ~np.isfinite(g).all(axis=1)
+    overflows = ~np.isfinite(np.ldexp(np.sqrt(cost / n), ky))
     out_of_range = np.isnan(dg).any(axis=1) & bool(names)
-    underived = ~(np.isfinite(grad) & np.isfinite(curvature)) & ("c_v" in free)
-    failed = np.flatnonzero(unfit | out_of_range | underived)
+    underived = ~(np.isfinite(grad) & np.isfinite(curvature)) & ("c_v" in names)
+    failed = np.flatnonzero(unevaluable | overflows | out_of_range | underived)
     if failed.size:
         i = int(failed[0])
-        if unfit[i] and np.all(np.isfinite(r0[i])):
-            exc = ValueError("sum of squared residuals overflows at the initial parameters")
-        elif unfit[i]:
+        if unevaluable[i]:
             exc = ValueError("model is not evaluable at the initial parameters")
+        elif overflows[i]:
+            exc = ValueError("sum of squared residuals overflows at the initial parameters")
         elif out_of_range[i]:
             exc = _jacobian_overflow(es[np.isnan(dg[i])])
         else:
             exc = OverflowError(f"c_v derivatives of the cost are not finite at c_v = {float(c_v[i])!r}")
         raise _member_error(exc, i)
 
-    iterations = np.zeros(m, dtype=int)
-    stop = ["converged"] * m
-    if "c_v" in free:
-        # The members still stepping keep their state in arrays of their own,
-        # shrunk when some member stops: its c_v, k, c and cost go back to the
-        # m-long ``fitted`` arrays (``kept`` holds the m-long held and ky).
-        # All enter at round 0 and none re-enters: each took ``rounds`` steps.
-        fitted, kept = (c_v, k, c, cost), (held, ky)
-        live, rounds = np.arange(m), 0
-        slope, used, step, go = _plan(c_v, grad, curvature, cost, floor, flat)
-        while live.size:
-            go &= np.abs(step) * c_v > _STEP_ULPS * np.spacing(c_v)
-            if rounds == _MAX_ROUNDS:
-                for i in live[go].tolist():
-                    stop[i] = "max_iter"
-                go[:] = False
-            if not go.all():
-                done = ~go
-                gone = live[done]
-                iterations[gone] = rounds
-                for out, value in zip(fitted, (c_v, k, c, cost)):
-                    out[gone] = value[done]
-                live = live[go]
-                if not live.size:
-                    break
-                c_v, e_t, y, held, ky, floor, k, c, cost, slope, used, step = (
-                    v[go] for v in (c_v, e_t, y, held, ky, floor, k, c, cost, slope, used, step)
-                )
-            rounds += 1
-            trial = c_v * np.exp(step)
-            gt, dgt, d2gt, kt = _scaled(es, e_t, trial)
-            c_t, cost_t, grad, curvature, flat = _projected(y, gt, dgt, d2gt, np.ldexp(held, kt - ky), project)
-            tol = _FTOL * cost
-            predicted = -(2.0 * slope + used * step) * step
-            # the cost no longer resolves the step: converged, at the trial if it is no worse
-            unresolved = (np.abs(cost - cost_t) <= tol) & (predicted <= tol)
-            take = np.isfinite(grad) & np.isfinite(curvature) & ((cost_t < cost) | (unresolved & (cost_t <= cost)))
-            # a rejected step predicted to gain less than the cost resolves (1e-14 of
-            # it, or the residual floor) only shrinks when halved: converged too
-            resolvable = predicted > np.maximum(tol, floor)
-            # a member steps on from its trial by a new plan, or from where it was by half its step
-            slope_t, used_t, planned, onward = _plan(trial, grad, curvature, cost_t, floor, flat)
-            go = ~unresolved & np.where(take, onward, resolvable)
-            at_trial = (trial, kt, c_t, cost_t, slope_t, used_t, planned)
-            c_v, k, c, cost, slope, used, step = (
-                np.where(take, new, old) for new, old in zip(at_trial, (c_v, k, c, cost, slope, used, 0.5 * step))
+    # The members still stepping (``live``) keep their state in arrays of their
+    # own, shrunk when some member stops.  All enter at round 0 and none
+    # re-enters, so a member stopping in a round took that many steps.
+    fits = [None] * m
+    live, rounds = np.arange(m), 0
+    slope, used, step, go = _plan(c_v, grad, curvature, cost, floor, flat)
+    go &= "c_v" in names  # with c_v held, every member stops in round 0
+    while live.size:
+        go &= np.abs(step) * c_v > _STEP_ULPS * np.spacing(c_v)
+        spent = rounds == _MAX_ROUNDS
+        if spent or not go.all():
+            columns = [np.ldexp(c, ky - k) if name == "c_tilde1" else c_v for name in names]
+            rms = np.ldexp(np.sqrt(cost / n), ky)
+            for j in np.flatnonzero(~go | spent).tolist():
+                stop = "max_iter" if go[j] else "converged"
+                fits[live[j]] = FitResult(np.array([v[j] for v in columns]), float(rms[j]), rounds, stop)
+            if spent or not go.any():
+                break
+            live, c_v, e_t, y, held, ky, floor, k, c, cost, slope, used, step = (
+                v[go] for v in (live, c_v, e_t, y, held, ky, floor, k, c, cost, slope, used, step)
             )
-        (c_v, k, c, cost), (held, ky) = fitted, kept
-
-    c_tilde1 = np.ldexp(c, ky - k) if project else held
-    values = {"c_tilde1": c_tilde1, "c_v": c_v}
-    params = np.column_stack([values[name] for name in names]) if names else np.empty((m, 0))
-    rms = np.ldexp(np.sqrt(cost / n), ky)
-    return [FitResult(params[i], float(rms[i]), int(iterations[i]), stop[i]) for i in range(m)]
+        rounds += 1
+        trial = c_v * np.exp(step)
+        gt, dgt, d2gt, kt = _scaled(es, e_t, trial)
+        c_t, cost_t, grad, curvature, flat = _projected(y, gt, dgt, d2gt, np.ldexp(held, kt - ky), project)
+        tol = _FTOL * cost
+        predicted = -(2.0 * slope + used * step) * step
+        # the cost no longer resolves the step: converged, at the trial if it is no worse
+        unresolved = (np.abs(cost - cost_t) <= tol) & (predicted <= tol)
+        take = np.isfinite(grad) & np.isfinite(curvature) & ((cost_t < cost) | (unresolved & (cost_t <= cost)))
+        # a rejected step predicted to gain less than the cost resolves (1e-14 of
+        # it, or the residual floor) only shrinks when halved: converged too
+        resolvable = predicted > np.maximum(tol, floor)
+        # a member steps on from its trial by a new plan, or from where it was by half its step
+        slope_t, used_t, planned, onward = _plan(trial, grad, curvature, cost_t, floor, flat)
+        go = ~unresolved & np.where(take, onward, resolvable)
+        at_trial = (trial, kt, c_t, cost_t, slope_t, used_t, planned)
+        c_v, k, c, cost, slope, used, step = (
+            np.where(take, new, old) for new, old in zip(at_trial, (c_v, k, c, cost, slope, used, 0.5 * step))
+        )
+    return fits
 
 
 def _plan(c_v, grad, curvature, cost, floor, flat):

@@ -68,14 +68,8 @@ def _cosh_times_exp(arg, expo):
     return math.exp(t)
 
 
-def _cosh_times_exp_array(arg, expo):
-    """``_cosh_times_exp`` on float arrays, element for element, with numpy's cosh/exp."""
-    with np.errstate(over="ignore"):
-        return _cosh_times_exp_of(np.abs(arg), np.cosh(arg), expo)
-
-
 def _cosh_times_exp_of(a, cosh, expo):
-    """``_cosh_times_exp_array`` from |arg| and cosh(arg), which the current laws also use, under np.errstate."""
+    """``_cosh_times_exp`` on float arrays from a = |arg| and numpy's cosh(arg), under np.errstate."""
     near = a <= _COSH_DIRECT_LIMIT
     deep = expo < _EXP_NORMAL_MIN
     if near.all() and not deep.any():

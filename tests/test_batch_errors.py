@@ -36,18 +36,20 @@ def _quadrature(kind, k):
 
 
 def _fit(kind, k):
-    # member k's targets overflow the sum of squares, or its start leaves the Jacobian's range
+    # member k's held start amplitude overflows the sum of squares, or its start leaves the Jacobian's range
     es = np.array([2.0, 3.0])
     starts = [TransportParams(c_v=v) for v in (1.0, 1.5, 2.0, 0.8)]
     targets = np.array([[1.0, 2.0]] * len(starts))
+    free = FREE_PARAM_ORDER
     if kind == "overflow":
-        targets[k] = 1e300
+        free = ("c_v",)
+        starts[k] = TransportParams(c_tilde1=1e300, c_v=starts[k].c_v)
     else:
         es = np.array([1e-6, 2e-6])
         starts = [TransportParams(c_v=1e-6)] * len(starts)
         starts[k] = TransportParams()
-    family = partial(fit_sge_family, es, targets, FREE_PARAM_ORDER, starts)
-    alone = partial(fit_sge_to_points, es, targets[k], FREE_PARAM_ORDER, starts[k])
+    family = partial(fit_sge_family, es, targets, free, starts)
+    alone = partial(fit_sge_to_points, es, targets[k], free, starts[k])
     return family, alone
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import cdwtunnel
-from cdwtunnel import cli, tunneling
+from cdwtunnel import cli, fitting, transport, tunneling
 from cdwtunnel.cli import main
 
 
@@ -244,6 +244,14 @@ def test_fit_empty_free_set_reports_an_unevaluable_start(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["huge.csv"]
 
 
+def test_unknown_free_names_read_the_same_in_the_library_and_the_cli(capsys):
+    with pytest.raises(ValueError) as library:
+        fitting.fit_sge_to_points(np.array([2.0, 3.0]), np.array([1.0, 2.0]), {"c_x", "c_v"}, transport.TransportParams())
+    assert main(["fit", "--free", "c_x,c_v"]) == 1
+    assert capsys.readouterr() == ("", f"error: {library.value}\n")
+    assert str(library.value) == "cannot free ['c_x']; allowed: ['c_tilde1', 'c_v']"
+
+
 def test_fit_stops_on_a_rank_deficient_problem(tmp_path, capsys):
     # one distinct field: c_tilde1 and c_v trade off along a flat valley whose
     # floor puts the model at the mean of the two currents
@@ -305,6 +313,21 @@ def test_config_file_that_is_not_utf8_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("{not json", "config file is not valid JSON: "), ("[1, 2]", "config file must hold a JSON object")],
+    ids=["not-json", "not-an-object"],
+)
+def test_config_file_that_is_not_a_json_object_is_usage_error(tmp_path, capsys, text, message):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(text)
+    assert main(["curve", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
 def test_fit_data_row_with_non_positive_field_is_usage_error(tmp_path, capsys):
     for n, field in enumerate(["0", "-0.0", "-2.5"]):
         data = tmp_path / f"bad{n}.csv"
@@ -315,14 +338,29 @@ def test_fit_data_row_with_non_positive_field_is_usage_error(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_fit_data_row_with_one_column_is_usage_error(tmp_path, capsys):
+    data = tmp_path / "one.csv"
+    data.write_text("e,i\n2.0,0.5\n3.0\n")
+    out = tmp_path / "report.json"
+    assert main(["fit", "--data", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: line 3: expected two comma-separated columns\n")
+    assert not out.exists()
+
+
 def test_fit_data_whose_squared_residual_overflows_is_runtime_error(tmp_path, capsys):
-    data = tmp_path / "huge.csv"
-    data.write_text("2,1e300\n3,1e300\n")
-    for free in ("c_tilde1,c_v", ""):
-        code = main(["fit", "--data", str(data), "--free", free, "--out", str(tmp_path / "report.json")])
+    # with c_tilde1 held at 1e300, the start residual's sum of squares overflows
+    data = tmp_path / "data.csv"
+    data.write_text("2,1\n3,2\n")
+    for free in ("c_v", ""):
+        args = ["fit", "--data", str(data), "--free", free, "--start-c-tilde1", "1e300"]
+        code = main(args + ["--out", str(tmp_path / "report.json")])
         assert code == 2
         assert capsys.readouterr() == ("", "error: sum of squared residuals overflows at the initial parameters\n")
-        assert [p.name for p in tmp_path.iterdir()] == ["huge.csv"]
+        assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
+    # currents of 1e300 fit on the scaled problem, whose squares do not overflow
+    data.write_text("2,1e300\n3,1e300\n")
+    assert main(["fit", "--data", str(data)]) == 0
+    assert json.loads(capsys.readouterr().out)["converged"] is True
 
 
 def test_fit_data_with_currents_near_1e154_converges(tmp_path, capsys):
@@ -985,6 +1023,13 @@ def test_verify_unknown_check_lists_names(capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "thin-wall-ft" in err and "bogomolnyi-sweep" in err
+
+
+def test_verify_tolerance_for_an_unknown_check_lists_names(capsys):
+    code = main(["verify", "--tol", "nonsense=1"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: unknown check 'nonsense' in --tol; valid names: ") and "thin-wall-ft" in err
 
 
 def test_verify_single_check(capsys):

@@ -207,6 +207,13 @@ def test_oracle_rejects_overlap_above_normal_range():
         t_if_single_mode_oracle(*transport_pair_specs(2.0), m_star=1e-320)
 
 
+def test_oracle_rejects_a_mass_that_is_not_positive():
+    pair = transport_pair_specs(2.0)
+    for m_star in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="^m_star must be positive$"):
+            t_if_single_mode_oracles([pair[0]], [pair[1]], m_star=m_star)
+
+
 def test_oracle_symmetric_under_state_swap():
     spec_i = WavefunctionalSpec.normalized(0.4, 2.5, center=0.0)
     spec_f = WavefunctionalSpec.normalized(0.4, 2.5, center=TWO_PI)

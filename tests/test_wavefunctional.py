@@ -118,6 +118,19 @@ def test_pair_validation():
         KinkPairProfile(x_a=0.0, x_b=1.0, b=0.0)
 
 
+def test_pair_ends_must_be_finite():
+    for end in (math.inf, -math.inf, math.nan):
+        for kwargs in (dict(x_a=end, x_b=1.0, b=1.0), dict(x_a=0.0, x_b=end, b=1.0), dict(x_a=0.0, x_b=1.0, b=end)):
+            with pytest.raises(ValueError, match="^kink-pair parameters must be finite$"):
+                KinkPairProfile(**kwargs)
+
+
+def test_thin_wall_ft_rejects_a_box_width_that_is_not_positive():
+    for l in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="^box width must be positive$"):
+            thin_wall_ft(1.0, l)
+
+
 def test_sample_profile_charge_and_peak():
     kp = KinkPairProfile(x_a=-5.0, x_b=5.0, b=1.0)
     prof = sample_profile(kp, half_width=20.0, n=1001)  # odd n puts a node at the midpoint
