@@ -17,6 +17,13 @@ profile; ``topological_charge`` and ``bogomolnyi_check`` give one result
 per row, and a single result for a one-row (1-D) profile.  A winding or
 energy that leaves the double range is a ValueError naming the quantity
 and, in a family, the row.
+
+A grid is uniform when every step lies within 4 ulp(max |x|) of
+h = (x_last - x_first)/(n - 1), as every ``np.linspace`` (and so every
+``sample_profile``) grid does.  The gradient then takes the scalar step h
+and each moment is h times a row sum with its ends halved, which moves the
+last bits of energies and bound reports against the xs route; any other
+grid keeps ``np.gradient(phis, xs)`` and the pair-sum trapezoid, bit for bit.
 """
 
 import functools
@@ -59,6 +66,10 @@ class FieldProfile:
     ``phis`` is one profile, shape (n,), or a family of m profiles, shape
     (m, n), on the grid ``xs`` of shape (n,); ``len`` is n.  ``xs`` and
     ``phis`` are read-only copies, so the cached energies stay those of the samples.
+    Both must be finite.  The step h = (x_last - x_first)/(n - 1) is read off
+    ``xs`` and kept where the grid is uniform to the rounding of its samples:
+    every step within 4 ulp(max |x|) of h.  A span beyond the double range
+    is never uniform.
     """
 
     def __init__(self, xs, phis):
@@ -68,14 +79,23 @@ class FieldProfile:
             raise ValueError("xs must be 1-D and phis of shape (n,) or (m, n), with n = len(xs)")
         if xs.size < 2:
             raise ValueError("profile needs at least 2 samples")
-        if not np.all(np.diff(xs) > 0.0):
-            raise ValueError("xs must be strictly increasing")
         if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(phis))):
             raise ValueError("profile values must be finite")
+        if not (xs[1:] > xs[:-1]).all():
+            raise ValueError("xs must be strictly increasing")
         xs.flags.writeable = phis.flags.writeable = False
         self.xs = xs
         self.phis = phis
         self._moments = {}
+        # on Python floats a span beyond the double range reads inf, without a
+        # warning, and is never uniform; a finite span has finite steps
+        lo, hi = float(xs[0]), float(xs[-1])
+        h = (hi - lo) / (xs.size - 1)
+        self._step = None
+        if math.isfinite(h):
+            steps, tol = np.diff(xs), 4.0 * math.ulp(max(abs(lo), abs(hi)))
+            if steps.max() - h <= tol and h - steps.min() <= tol:
+                self._step = h
         # each row's (phi(x_last) - phi(x_first)) / (2 pi), checked where it is
         # read; the step n - 1 picks the first and last sample
         ends = phis.reshape(-1, xs.size)[:, :: xs.size - 1].tolist()
@@ -88,10 +108,14 @@ class FieldProfile:
     def gradient_energy(self):
         """(d_x phi)^2 / 2 at every sample of every row, from one ``np.gradient``; computed on first use.
 
-        A slope beyond the double range reads inf (or nan), without a warning.
+        On a uniform grid the gradient takes the scalar step h, so its last
+        bits differ from ``np.gradient(phis, xs)``, which any other grid
+        keeps bit for bit.  A slope beyond the double range reads inf (or
+        nan), without a warning.
         """
+        spacing = self.xs if self._step is None else self._step
         with np.errstate(over="ignore", invalid="ignore"):
-            return 0.5 * np.gradient(self.phis, self.xs, axis=-1) ** 2
+            return 0.5 * np.gradient(self.phis, spacing, axis=-1) ** 2
 
     def _energy_moments(self, phi0):
         """One (G, M2, M4) per row for this phi0, from ``_integrate_moments`` on first use."""
@@ -102,23 +126,35 @@ class FieldProfile:
     def _integrate_moments(self, phi0):
         """Trapezoid integrals of ``gradient_energy``, d^2 and d^4, d = phi - phi0: one (G, M2, M4) per row.
 
-        Each is the float ``np.trapezoid(y, xs)`` along the last axis, with
-        one ``np.diff(xs)`` shared by the three and the halving taken out of
-        the sum, which is exact away from underflow.  A moment beyond the
-        double range reads inf.  Each integrand's pair sums are scaled in
-        place, so a family allocates few (m, n) arrays.  The moments are
-        summed on (m, n) views, so a profile is a family of one row.
+        On a uniform grid each is h (y_first/2 + sum of the inner samples +
+        y_last/2): one row reduction, and no n-long step array.  It moves
+        the last bits against the xs route; on a nearly flat profile far
+        from x = 0 it moves G by up to ~1e-10, the error of the xs route's
+        own gradient weights, which do not sum to exactly 0.  On any other
+        grid each is the float ``np.trapezoid(y, xs)`` along the last axis,
+        with one ``np.diff(xs)`` shared by the three and the halving taken
+        out of the sum, which is exact away from underflow; each integrand's
+        pair sums are scaled in place, so a family allocates few (m, n)
+        arrays.  The integrands are not negative, so a moment beyond the
+        double range reads inf (an end-corrected full sum could read
+        inf - inf).  The moments are summed on (m, n) views, so a profile is
+        a family of one row.
         """
-        dx = np.diff(self.xs)
+        h = self._step
         rows = (-1, self.xs.size)
         sums = []
         with np.errstate(over="ignore", invalid="ignore"):
+            dx = np.diff(self.xs) if h is None else None
             d2 = (self.phis.reshape(rows) - phi0) ** 2
             for y in (self.gradient_energy.reshape(rows), d2, d2 * d2):
-                pair = y[:, 1:] + y[:, :-1]
-                pair *= dx
-                sums.append(np.add.reduce(pair, axis=1).tolist())
-        return [(0.5 * g, 0.5 * m2, 0.5 * m4) for g, m2, m4 in zip(*sums)]
+                if h is None:
+                    pair = y[:, 1:] + y[:, :-1]
+                    pair *= dx
+                    total = 0.5 * np.add.reduce(pair, axis=1)
+                else:
+                    total = h * (np.add.reduce(y[:, 1:-1], axis=1) + 0.5 * (y[:, 0] + y[:, -1]))
+                sums.append(total.tolist())
+        return list(zip(*sums))
 
 
 def _finite_rows(name, profile, values):

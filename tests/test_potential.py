@@ -129,6 +129,10 @@ def test_field_profile_validation():
         FieldProfile([1.0, 0.5], [1.0, 2.0])
     with pytest.raises(ValueError):
         FieldProfile([0.0, 1.0], [1.0, math.inf])
+    # a nan or inf in xs is refused as non-finite, before the order is checked
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^profile values must be finite$"):
+            FieldProfile([0.0, bad, 2.0], [0.0, 1.0, 2.0])
 
 
 def test_field_profile_keeps_read_only_copies_of_its_samples():
@@ -311,3 +315,133 @@ def test_every_row_of_a_family_is_its_own_one_row_profile(tmp_path, monkeypatch)
                 assert repr(family_reports[row]) == repr(bogomolnyi_check(single, p, 0.0, 0.0, TWO_PI))
 
     run()
+
+
+def _xs_path(xs, phis, phi0):
+    """The non-uniform route, spelled out: ``np.gradient(phis, xs)`` and the pair-sum
+    trapezoid with the halving taken out of the sum.  (gradient energy, [(G, M2, M4) per row])."""
+    rows = (-1, xs.size)
+    gradient_energy = 0.5 * np.gradient(phis, xs, axis=-1) ** 2
+    dx = np.diff(xs)
+    d2 = (phis.reshape(rows) - phi0) ** 2
+    sums = []
+    for y in (gradient_energy.reshape(rows), d2, d2 * d2):
+        pair = y[:, 1:] + y[:, :-1]
+        pair *= dx
+        sums.append(np.add.reduce(pair, axis=1).tolist())
+    return gradient_energy, [(0.5 * g, 0.5 * m2, 0.5 * m4) for g, m2, m4 in zip(*sums)]
+
+
+def _uniform_path_slack(xs, phis, phi0):
+    """Per row, the (G, M2, M4) distance allowed between the uniform and the xs route
+    beyond 1e-13 relative.  The steps differ from h by up to tol = 4 ulp of the largest
+    |x|, which moves each slope and trapezoid weight by up to tol/h; summed by parts
+    that is at most ~tol times the integrand's total variation.  The xs route's own
+    gradient weights do not sum to exactly 0, so each of its slopes also carries
+    ~eps |phi| / h: on a nearly flat profile offset from 0 that dominates G."""
+    rows = (-1, xs.size)
+    tol = 4.0 * np.spacing(max(abs(xs[0]), abs(xs[-1])))
+    slope = np.gradient(phis, xs, axis=-1).reshape(rows)
+    d2 = (phis.reshape(rows) - phi0) ** 2
+    variation = [2.0 * tol * np.sum(np.abs(np.diff(y, axis=1)), axis=1) for y in (0.5 * slope**2, d2, d2 * d2)]
+    variation[0] += 8.0 * EPS * np.sum(np.abs(slope * phis.reshape(rows)), axis=1)
+    return list(zip(*variation))
+
+
+def test_uniform_grids_take_the_step_and_other_grids_keep_the_xs_route(tmp_path, monkeypatch):
+    """On a sample_profile window (a linspace) the profile takes the scalar step h: its
+    (G, M2, M4) are within 1e-13 relative, plus the grid's own rounding, of the xs route
+    and every family row is bit for bit its one-row profile.  A geomspace grid or a
+    linspace with one sample moved keeps the xs route bit for bit."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    # hypothesis caches source constants in a storage directory even without a database
+    monkeypatch.setenv("HYPOTHESIS_STORAGE_DIRECTORY", str(tmp_path))
+
+    def same_as_xs_route(prof, phi0):
+        gradient_energy, moments = _xs_path(prof.xs, prof.phis, phi0)
+        assert prof._step is None
+        assert prof.gradient_energy.tobytes() == gradient_energy.tobytes()
+        assert prof._energy_moments(phi0) == moments
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        bs=st.lists(st.floats(0.05, 20.0), min_size=1, max_size=4),
+        x_a=st.floats(-50.0, 50.0),
+        l=st.floats(1e-3, 50.0),
+        half_width=st.floats(0.1, 50.0),
+        n=st.integers(2, 20000),
+        phi0=st.floats(-8.0, 8.0),
+        moved=st.tuples(st.floats(0.0, 1.0), st.integers(16, 2**50), st.sampled_from((-1.0, 1.0))),
+        ratio=st.floats(2.0, 1e3),
+    )
+    def run(bs, x_a, l, half_width, n, phi0, moved, ratio):
+        kps = [KinkPairProfile(x_a=x_a, x_b=x_a + l, b=b) for b in bs]
+        family = sample_profile(kps, half_width, n)
+        assert family._step == (family.xs[-1] - family.xs[0]) / (n - 1)
+        moments = family._energy_moments(phi0)
+        _, reference = _xs_path(family.xs, family.phis, phi0)
+        slack = _uniform_path_slack(family.xs, family.phis, phi0)
+        for got, want, allowed in zip(moments, reference, slack):
+            for a, b, s in zip(got, want, allowed):
+                assert abs(a - b) <= 1e-13 * abs(b) + s + np.finfo(float).tiny
+        for row, kp in enumerate(kps):
+            single = sample_profile(kp, half_width, n)
+            assert family.gradient_energy[row].tobytes() == single.gradient_energy.tobytes()
+            assert moments[row] == single._energy_moments(phi0)[0]
+        if n < 3:
+            return  # every 2-sample grid is uniform
+        # one inner sample moved by 16 ulp of the largest |x| (its steps then miss h by
+        # more than the 4 ulp a uniform grid allows) up to 45% of a step
+        where, ulps, sign = moved
+        xs = family.xs.copy()
+        ulp = np.spacing(max(abs(xs[0]), abs(xs[-1])))
+        xs[1 + int(where * (n - 3))] += sign * min(ulps * ulp, 0.45 * family._step)
+        same_as_xs_route(FieldProfile(xs, family.phis), phi0)
+        geometric = np.geomspace(half_width, half_width * ratio, n)
+        same_as_xs_route(FieldProfile(geometric, family.phis), phi0)
+
+    run()
+
+
+def test_the_bogomolnyi_sweep_holds_on_the_uniform_route(monkeypatch):
+    """verify's sweep keeps 0 violations, and its smallest lhs - rhs is within 1e-12
+    relative of the one the xs route gives on the same profiles."""
+    from cdwtunnel import potential, verify
+
+    checked = []
+    real_check = potential.bogomolnyi_check
+
+    def recording_check(profile, p, *args, **kwargs):
+        reports = real_check(profile, p, *args, **kwargs)
+        checked.append((profile, p, reports))
+        return reports
+
+    monkeypatch.setattr(potential, "bogomolnyi_check", recording_check)
+    failures, _, _ = verify.check_bogomolnyi_sweep()
+    assert failures == 0.0 and len(checked) == 36
+    uniform, xs_route = [], []
+    for profile, p, reports in checked:
+        assert profile._step is not None
+        _, moments = _xs_path(profile.xs, profile.phis, p.phi0)
+        for (g, m2, m4), report in zip(moments, reports):
+            uniform.append(report.lhs - report.rhs)
+            xs_route.append(g + p.c1 * m2 + p.c2 * m4 - report.rhs)
+    assert abs(min(uniform) - min(xs_route)) <= 1e-12 * abs(min(xs_route))
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_span_beyond_the_double_range_takes_the_xs_route_without_a_warning():
+    # x_last - x_first overflows, and with 2 samples so does the step: no step is
+    # taken, and no warning is raised on the way to the bound's error
+    for xs, phis in (([-1e308, 1e308], [0.0, 1.0]), ([-1e308, 0.0, 1e308], [0.0, 1.0, 0.0])):
+        wide = FieldProfile(xs, phis)
+        assert wide._step is None
+        assert np.all(np.isfinite(wide.gradient_energy))
+        assert topological_charge(wide) == (phis[-1] - phis[0]) / TWO_PI
+        with pytest.raises(ValueError, match="^static energy is"):
+            bogomolnyi_check(wide, PotentialParams(), 0.0, 0.0, TWO_PI)
+    # a step out of order that overflows is refused as such, also without a warning
+    with pytest.raises(ValueError, match="^xs must be strictly increasing$"):
+        FieldProfile([0.0, 1e308, -1e308, 1.0], [0.0, 1.0, 2.0, 3.0])
