@@ -11,9 +11,12 @@ fit is variable projection (Golub and Pereyra, SIAM J. Numer. Anal. 10,
 form, and what is left is a one-dimensional problem in c_v, solved by a
 safeguarded Newton iteration on the exact first and second derivatives of
 the projected cost.  ``fit_sge_family`` fits many target rows on one field
-grid in lockstep, one ``sge_cv_derivatives_array`` call per round on the
-rows of the members still stepping, for every free set, and builds each
-member's result in the round it stops; ``fit_sge_to_points`` is that family
+grid in lockstep, one kernel call per round on the rows of the members
+still stepping, for every free set, and builds each member's result in the
+round it stops.  A round keeps its trial as the state and writes the old
+state back only for the members that reject it, and the whole fit runs
+under one ``np.errstate`` scope, so the kernel (``sge_cv_derivatives_array``
+without its own scope) opens none.  ``fit_sge_to_points`` is that family
 with one member, each member is bit for bit its own one-member fit, and a
 failing family raises by the batch-engine convention ``numerics`` states.
 No ``TransportParams`` is built per point or per trial.
@@ -30,7 +33,7 @@ from .numerics import _member_error
 # imported so that the names ``fitting.current_sge`` and
 # ``fitting.sge_model_jacobian``, which perfbench's tracer wraps to count
 # per-point model and Jacobian evaluations, keep existing.
-from .transport import _jacobian_overflow, current_sge, curve_series, sge_cv_derivatives_array
+from .transport import _jacobian_overflow, _sge_cv_derivatives, current_sge, curve_series
 from .transport import sge_jacobian as sge_model_jacobian
 
 __all__ = [
@@ -175,7 +178,11 @@ def fit_sge_family(es, targets, free, starts):
     Every free set runs one round loop (with c_v held, all stop in round
     0), each round one kernel call on the rows of the members still
     stepping; a member's ``FitResult`` is built in the round it stops, which
-    is its ``iterations``.  Every per-member reduction is a row sum, so each
+    is its ``iterations``.  The trial's arrays become the state, and only a
+    member that rejects its trial has its old state (and halved step)
+    written back, so a round where every member takes its trial copies
+    nothing.  Floating-point errors are ignored for the whole fit, in this
+    one scope.  Every per-member reduction is a row sum, so each
     member is bit for bit its own one-member fit.  Targets and g are
     scaled by powers of two to a largest magnitude below 1, so no sum of
     squares overflows; the amplitude and rms are scaled back.
@@ -264,10 +271,14 @@ def fit_sge_family(es, targets, free, starts):
         # a member steps on from its trial by a new plan, or from where it was by half its step
         slope_t, used_t, planned, onward = _plan(trial, grad, curvature, cost_t, floor, flat)
         go = ~unresolved & np.where(take, onward, resolvable)
+        # the trial's arrays are this round's own: they become the state, and a
+        # member that rejects its trial has its old state written back
         at_trial = (trial, kt, c_t, cost_t, slope_t, used_t, planned)
-        c_v, k, c, cost, slope, used, step = (
-            np.where(take, new, old) for new, old in zip(at_trial, (c_v, k, c, cost, slope, used, 0.5 * step))
-        )
+        reject = ~take
+        if reject.any():
+            for new, old in zip(at_trial, (c_v, k, c, cost, slope, used, 0.5 * step)):
+                np.copyto(new, old, where=reject)
+        c_v, k, c, cost, slope, used, step = at_trial
     return fits
 
 
@@ -288,8 +299,11 @@ def _rowdot(a, b):
 
 
 def _scaled(es, e_t, c_v):
-    """g, dg/dc_v and d2g/dc_v2 per row, each divided by 2^k with k the exponent of the row's max |g|, and k."""
-    g, dg, d2g = sge_cv_derivatives_array(es, e_t[:, None], c_v[:, None])
+    """g, dg/dc_v and d2g/dc_v2 per row, each divided by 2^k with k the exponent of the row's max |g|, and k.
+
+    The kernel body opens no ``np.errstate`` of its own; it runs inside the fit's.
+    """
+    g, dg, d2g = _sge_cv_derivatives(es, e_t[:, None], c_v[:, None])
     k = np.frexp(np.maximum.reduce(np.abs(g), axis=1))[1]
     shift = -k[:, None]
     return np.ldexp(g, shift), np.ldexp(dg, shift), np.ldexp(d2g, shift), k

@@ -22,8 +22,9 @@ A grid is uniform when every step lies within 4 ulp(max |x|) of
 h = (x_last - x_first)/(n - 1), as every ``np.linspace`` (and so every
 ``sample_profile``) grid does.  The gradient then takes the scalar step h
 and each moment is h times a row sum with its ends halved, which moves the
-last bits of energies and bound reports against the xs route; any other
-grid keeps ``np.gradient(phis, xs)`` and the pair-sum trapezoid, bit for bit.
+last bits of energies and bound reports against the xs route.  Any other
+grid takes ``np.gradient`` on xs of each row less its first sample, and the
+pair-sum trapezoid.
 """
 
 import functools
@@ -108,14 +109,18 @@ class FieldProfile:
     def gradient_energy(self):
         """(d_x phi)^2 / 2 at every sample of every row, from one ``np.gradient``; computed on first use.
 
-        On a uniform grid the gradient takes the scalar step h, so its last
-        bits differ from ``np.gradient(phis, xs)``, which any other grid
-        keeps bit for bit.  A slope beyond the double range reads inf (or
-        nan), without a warning.
+        On a uniform grid the gradient takes the scalar step h.  Any other
+        grid takes ``np.gradient(phis - phis[..., :1], xs)``: its three
+        weights per sample do not sum to exactly 0 in floating point, so each
+        slope carries ~eps |phi| / h, and subtracting each row's first sample
+        (which the gradient does not see) keeps a profile's offset from 0 out
+        of that error.  A slope beyond the double range reads inf (or nan),
+        without a warning.
         """
-        spacing = self.xs if self._step is None else self._step
         with np.errstate(over="ignore", invalid="ignore"):
-            return 0.5 * np.gradient(self.phis, spacing, axis=-1) ** 2
+            if self._step is not None:
+                return 0.5 * np.gradient(self.phis, self._step, axis=-1) ** 2
+            return 0.5 * np.gradient(self.phis - self.phis[..., :1], self.xs, axis=-1) ** 2
 
     def _energy_moments(self, phi0):
         """One (G, M2, M4) per row for this phi0, from ``_integrate_moments`` on first use."""
@@ -128,9 +133,7 @@ class FieldProfile:
 
         On a uniform grid each is h (y_first/2 + sum of the inner samples +
         y_last/2): one row reduction, and no n-long step array.  It moves
-        the last bits against the xs route; on a nearly flat profile far
-        from x = 0 it moves G by up to ~1e-10, the error of the xs route's
-        own gradient weights, which do not sum to exactly 0.  On any other
+        the last bits against the xs route.  On any other
         grid each is the float ``np.trapezoid(y, xs)`` along the last axis,
         with one ``np.diff(xs)`` shared by the three and the halving taken
         out of the sum, which is exact away from underflow; each integrand's

@@ -170,6 +170,7 @@ def _jacobian_overflow(fields):
     )
 
 
+@np.errstate(all="ignore")
 def sge_cv_derivatives_array(es, e_t, c_v):
     """(g, dg/dc_v, d2g/dc_v2) of the unit-amplitude printed pair current g = I / c_tilde1.
 
@@ -177,31 +178,37 @@ def sge_cv_derivatives_array(es, e_t, c_v):
     against parameters of shape (m, 1) give three (m, n) arrays, each row
     computed as its own one-row call computes it.  g is the overflow-safe
     current; both derivatives are nan where |arg| exceeds about 710.48, the
-    range of a bare cosh and sinh, where ``sge_jacobian`` raises.
+    range of a bare cosh and sinh, where ``sge_jacobian`` raises.  The
+    floating-point errors of the evaluation are ignored: this is
+    ``_sge_cv_derivatives`` under one ``np.errstate`` scope.
     """
-    with np.errstate(all="ignore"):
-        chi = c_v * e_t / es
-        a = np.sqrt(2.0 / chi)
-        b = np.sqrt(chi)
-        arg = a - b
-        size, cosh = np.abs(arg), np.cosh(arg)
-        g = _cosh_times_exp_of(size, cosh, -chi)
-        t = np.tanh(arg)
-        # h = ln g against chi, with d arg/d chi = -(a+b)/(2 chi) and
-        # d2 arg/d chi2 = (3a+b)/(4 chi^2):
-        # chi h' = -(t (a+b)/2 + chi), chi^2 h'' = sech^2 (a+b)^2/4 + t (3a+b)/4;
-        # then g' = g chi h' / c_v and g'' = g ((chi h')^2 + chi^2 h'') / c_v^2
-        half_sum = 0.5 * (a + b)
-        d1 = -(t * half_sum + chi)
-        u = half_sum / cosh
-        d2 = d1 * d1 + u * u + t * (0.75 * a + 0.25 * b)
-        inv = 1.0 / c_v
-        dg = g * d1 * inv
-        d2g = g * d2 * (inv * inv)
-        over = size > _COSH_ARG_MAX
-        if over.any():
-            dg[over] = math.nan
-            d2g[over] = math.nan
+    return _sge_cv_derivatives(es, e_t, c_v)
+
+
+def _sge_cv_derivatives(es, e_t, c_v):
+    """``sge_cv_derivatives_array`` without its error-state scope, for a caller that already ignores errors."""
+    chi = c_v * e_t / es
+    a = np.sqrt(2.0 / chi)
+    b = np.sqrt(chi)
+    arg = a - b
+    size, cosh = np.abs(arg), np.cosh(arg)
+    g = _cosh_times_exp_of(size, cosh, -chi)
+    t = np.tanh(arg)
+    # h = ln g against chi, with d arg/d chi = -(a+b)/(2 chi) and
+    # d2 arg/d chi2 = (3a+b)/(4 chi^2):
+    # chi h' = -(t (a+b)/2 + chi), chi^2 h'' = sech^2 (a+b)^2/4 + t (3a+b)/4;
+    # then g' = g chi h' / c_v and g'' = g ((chi h')^2 + chi^2 h'') / c_v^2
+    half_sum = 0.5 * (a + b)
+    d1 = -(t * half_sum + chi)
+    u = half_sum / cosh
+    d2 = d1 * d1 + u * u + t * (0.75 * a + 0.25 * b)
+    inv = 1.0 / c_v
+    dg = g * d1 * inv
+    d2g = g * d2 * (inv * inv)
+    over = size > _COSH_ARG_MAX
+    if over.any():
+        dg[over] = math.nan
+        d2g[over] = math.nan
     return g, dg, d2g
 
 

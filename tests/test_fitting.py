@@ -441,11 +441,100 @@ def test_family_raises_for_its_lowest_failing_member():
 
 def test_an_empty_family_takes_no_round(monkeypatch):
     calls = []
-    kernel = fitting.sge_cv_derivatives_array
-    monkeypatch.setattr(fitting, "sge_cv_derivatives_array", lambda *args: calls.append(args) or kernel(*args))
+    kernel = fitting._sge_cv_derivatives
+    monkeypatch.setattr(fitting, "_sge_cv_derivatives", lambda *args: calls.append(args) or kernel(*args))
     for free in ((), ("c_v",), FREE_PARAM_ORDER):
         assert fit_sge_family(np.array([2.0, 3.0]), np.empty((0, 2)), free, []) == []
     assert len(calls) == 3
+
+
+# Zener samples, and starting c_v values whose one-member fits reject some trials
+# (cost no lower) beside fits that take theirs: with both parameters free, 5.406
+# and 6.077 reject round 1 while 1.0 and 0.584 take it; with c_v alone, 1.676,
+# 1.885 and 2.119 reject round 1, 3.384 round 2, 6.832 round 3 and 13.793 round 4.
+# "mixed" families have a round where some members take and others reject; in
+# "all" families every member rejects one round
+_ZENER_ES = np.linspace(1.2, 5.0, 40)
+_REJECTING_FAMILIES = [
+    (FREE_PARAM_ORDER, (5.406, 1.0, 6.077, 0.584), "mixed"),
+    (("c_v",), (1.676, 3.384, 6.832, 1.0, 13.793), "mixed"),
+    (FREE_PARAM_ORDER, (5.406, 6.077), "all"),
+    (("c_v",), (1.676, 1.885, 2.119), "all"),
+]
+
+
+def _one_member_fit_and_costs(monkeypatch, es, row, free, start):
+    """The one-member fit of ``row``, with the scaled cost of its start and of each round's trial, in order."""
+    costs = []
+    projected = fitting._projected
+
+    def spy(*args):
+        out = projected(*args)
+        costs.append(float(out[1][0]))
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fitting, "_projected", spy)
+        fit = fit_sge_to_points(es, row, free, start)
+    return fit, costs
+
+
+@pytest.mark.parametrize("free, start_c_vs, rejecting", _REJECTING_FAMILIES)
+def test_members_that_reject_their_trial_keep_their_old_state(monkeypatch, free, start_c_vs, rejecting):
+    """A family where, in one round, some members take their trial and others
+    reject it, or every member rejects it: each member is bit for bit its
+    one-member fit, and ends at the lowest cost it evaluated, so a rejected
+    trial never becomes the state and a taken one always does."""
+    es = _ZENER_ES
+    targets = np.tile(current_zener_array(es, 1.0, 1.0), (len(start_c_vs), 1))
+    starts = [TransportParams(c_v=c_v) for c_v in start_c_vs]
+    ky = np.frexp(np.abs(targets[0]).max())[1]
+    family = fit_sge_family(es, targets, free, starts)
+    taken = []
+    for fit, row, start in zip(family, targets, starts):
+        alone, costs = _one_member_fit_and_costs(monkeypatch, es, row, free, start)
+        assert np.array_equal(fit.params, alone.params) and fit.residual_rms == alone.residual_rms
+        assert (fit.iterations, fit.stop) == (alone.iterations, alone.stop) == (len(costs) - 1, "converged")
+        assert fit.residual_rms == math.ldexp(math.sqrt(min(costs) / es.size), int(ky))
+        # a trial is taken where it lowers the lowest cost so far
+        taken.append([cost < min(costs[:r]) for r, cost in enumerate(costs) if r])
+    # what each member did in each round, over the members still stepping
+    rounds = [[t[r] for t in taken if r < len(t)] for r in range(max(map(len, taken)))]
+    if rejecting == "mixed":
+        assert any(any(done) and not all(done) for done in rounds)
+    else:
+        assert any(len(done) == len(taken) and not any(done) for done in rounds)
+
+
+def test_a_family_calls_the_kernel_once_per_round_of_its_longest_fit(monkeypatch):
+    """Members that stop at rounds r_j make max(r_j) + 1 kernel calls: the start,
+    then one per round on the members still stepping.  A rejected trial is not
+    evaluated again, and a one-member fit makes r + 1 calls."""
+    calls = []
+    kernel = fitting._sge_cv_derivatives
+    monkeypatch.setattr(fitting, "_sge_cv_derivatives", lambda *args: calls.append(args) or kernel(*args))
+    es = _ZENER_ES
+    zero_and_pair = np.array([np.zeros(es.size), current_sge_array(es, 1.0, 1.3, 1.0, False)])
+    families = [
+        (free, np.tile(current_zener_array(es, 1.0, 1.0), (len(c_vs), 1)), [TransportParams(c_v=c_v) for c_v in c_vs])
+        for free, c_vs, _ in _REJECTING_FAMILIES
+    ]
+    # zero targets run out their 200 steps beside a member that converges
+    families.append((("c_v",), zero_and_pair, [TransportParams(), TransportParams()]))
+    for free, targets, starts in families:
+        calls.clear()
+        family = fit_sge_family(es, targets, free, starts)
+        rounds = [fit.iterations for fit in family]
+        assert len(calls) == max(rounds) + 1
+        # the rows of each call: every member at the start, then those still stepping
+        assert [c_v.shape[0] for _, _, c_v in calls] == [len(family)] + [
+            sum(r >= t for r in rounds) for t in range(1, max(rounds) + 1)
+        ]
+        for row, start, r in zip(targets, starts, rounds):
+            calls.clear()
+            assert fit_sge_to_points(es, row, free, start).iterations == r
+            assert len(calls) == r + 1
+    assert max(rounds) == 200
 
 
 def test_fit_whose_cost_derivatives_overflow_at_the_start_raises():

@@ -13,7 +13,7 @@ from cdwtunnel.potential import (
     eval_extended_potential,
     topological_charge,
 )
-from cdwtunnel.wavefunctional import KinkPairProfile, sample_profile
+from cdwtunnel.wavefunctional import KinkPairProfile, kink_pair_profile, sample_profile
 from oracles import printed_potential_terms
 
 TWO_PI = 2.0 * math.pi
@@ -318,10 +318,11 @@ def test_every_row_of_a_family_is_its_own_one_row_profile(tmp_path, monkeypatch)
 
 
 def _xs_path(xs, phis, phi0):
-    """The non-uniform route, spelled out: ``np.gradient(phis, xs)`` and the pair-sum
-    trapezoid with the halving taken out of the sum.  (gradient energy, [(G, M2, M4) per row])."""
+    """The non-uniform route, spelled out: ``np.gradient`` on xs of each row less its first
+    sample, and the pair-sum trapezoid with the halving taken out of the sum.  (gradient
+    energy, [(G, M2, M4) per row])."""
     rows = (-1, xs.size)
-    gradient_energy = 0.5 * np.gradient(phis, xs, axis=-1) ** 2
+    gradient_energy = 0.5 * np.gradient(phis - phis[..., :1], xs, axis=-1) ** 2
     dx = np.diff(xs)
     d2 = (phis.reshape(rows) - phi0) ** 2
     sums = []
@@ -338,13 +339,14 @@ def _uniform_path_slack(xs, phis, phi0):
     |x|, which moves each slope and trapezoid weight by up to tol/h; summed by parts
     that is at most ~tol times the integrand's total variation.  The xs route's own
     gradient weights do not sum to exactly 0, so each of its slopes also carries
-    ~eps |phi| / h: on a nearly flat profile offset from 0 that dominates G."""
+    ~eps |phi - phi_first| / h."""
     rows = (-1, xs.size)
     tol = 4.0 * np.spacing(max(abs(xs[0]), abs(xs[-1])))
-    slope = np.gradient(phis, xs, axis=-1).reshape(rows)
+    shifted = (phis - phis[..., :1]).reshape(rows)
+    slope = np.gradient(shifted, xs, axis=-1)
     d2 = (phis.reshape(rows) - phi0) ** 2
     variation = [2.0 * tol * np.sum(np.abs(np.diff(y, axis=1)), axis=1) for y in (0.5 * slope**2, d2, d2 * d2)]
-    variation[0] += 8.0 * EPS * np.sum(np.abs(slope * phis.reshape(rows)), axis=1)
+    variation[0] += 8.0 * EPS * np.sum(np.abs(slope * shifted), axis=1)
     return list(zip(*variation))
 
 
@@ -429,6 +431,58 @@ def test_the_bogomolnyi_sweep_holds_on_the_uniform_route(monkeypatch):
             uniform.append(report.lhs - report.rhs)
             xs_route.append(g + p.c1 * m2 + p.c2 * m4 - report.rhs)
     assert abs(min(uniform) - min(xs_route)) <= 1e-12 * abs(min(xs_route))
+
+
+def _extended_g(xs, phi):
+    """G of the samples ``phi`` on ``xs`` in np.longdouble, from np.gradient's non-uniform
+    weights written on the differences: (h1^2 d+ + h2^2 d-) / (h1 h2 (h1 + h2)) inside and
+    one-sided differences at the ends, then the trapezoid."""
+    x, f = xs.astype(np.longdouble), phi.astype(np.longdouble)
+    dx, df = np.diff(x), np.diff(f)
+    h1, h2 = dx[:-1], dx[1:]
+    inner = (h1 * h1 * df[1:] + h2 * h2 * df[:-1]) / (h1 * h2 * (h1 + h2))
+    slope = np.concatenate([df[:1] / dx[:1], inner, df[-1:] / dx[-1:]])
+    y = slope * slope / 2
+    return float(np.sum((y[1:] + y[:-1]) * dx) / 2)
+
+
+def test_the_xs_route_keeps_a_profile_offset_out_of_its_gradient(tmp_path, monkeypatch):
+    """On a linspace window whose inner samples are moved by up to 20% of a step, G is
+    within 1e-12 relative of an extended-precision gradient and trapezoid of the same
+    samples.  np.gradient's three weights per sample do not sum to exactly 0, so on xs of
+    the raw samples each slope carried ~eps |phi| / h, and G of a nearly flat kink pair
+    offset from 0 (the example: phi ~1e-3, slopes ~1e-7) erred by up to ~1e-9."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings, strategies as st
+
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("np.longdouble is no wider than a double here")
+    # hypothesis caches source constants in a storage directory even without a database
+    monkeypatch.setenv("HYPOTHESIS_STORAGE_DIRECTORY", str(tmp_path))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(
+        x_a=st.floats(-50.0, 50.0),
+        l=st.floats(1e-3, 10.0),
+        b=st.floats(0.01, 10.0),
+        half_width=st.floats(0.05, 10.0),
+        n=st.integers(3, 20000),
+        moved=st.floats(0.01, 0.2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(x_a=-5.5118, l=0.0191, b=0.05376, half_width=0.11096, n=16662, moved=0.2, seed=0)
+    def run(x_a, l, b, half_width, n, moved, seed):
+        kp = KinkPairProfile(x_a=x_a, x_b=x_a + l, b=b)
+        xs = sample_profile(kp, half_width, n).xs.copy()
+        h = (xs[-1] - xs[0]) / (n - 1)
+        xs[1:-1] += np.random.default_rng(seed).uniform(-moved, moved, n - 2) * h
+        profile = FieldProfile(xs, kink_pair_profile(xs, kp))
+        assert profile._step is None
+        g = profile._energy_moments(0.0)[0][0]
+        want = _extended_g(profile.xs, profile.phis)
+        assert abs(g - want) <= 1e-12 * want
+
+    run()
 
 
 @pytest.mark.filterwarnings("error")
