@@ -361,8 +361,8 @@ def _cmd_matrix_element(o):
         for g in grid.tolist():
             l = transport.pair_separation(g, tp) if o.over == "e" else g
             spec_i, spec_f = wavefunctional.transport_pair_specs(l, o.eps_plus)
-            # positional, in field order: with keywords one record took 2.9-3.2 us
-            # against 2.5-2.7 us (CPython 3.11, Xeon)
+            # positional, in field order: with keywords one record took 1.2-1.5 us
+            # against 0.86-0.97 us (timeit minima; CPython 3.11, 2-CPU Xeon)
             inputs = tunneling.MatrixElementInputs(
                 o.x_bar, l, spec_i.alpha, o.n1, spec_i.norm_c, spec_f.norm_c, o.m_star
             )

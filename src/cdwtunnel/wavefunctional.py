@@ -15,8 +15,8 @@ window, with one kernel call on the column of their steepnesses.
 ``WavefunctionalSpec`` is built twice per point of an L grid (by
 ``transport_pair_specs``), so, like ``tunneling.MatrixElementInputs``, it is
 a frozen dataclass with its own ``__init__`` that stores the checked fields
-with one dict write, in place of the generated one's ``object.__setattr__``
-per field.
+with one keyword ``__dict__`` write, in place of the generated one's
+``object.__setattr__`` per field.
 """
 
 import math
@@ -69,8 +69,8 @@ class KinkPairProfile:
         return self.x_b - self.x_a
 
 
-# the measured cost of the generated frozen __init__ is beside
-# ``tunneling.MatrixElementInputs``
+# the measured costs of the generated frozen __init__ and of the keyword
+# __dict__ write are beside ``tunneling.MatrixElementInputs``
 @dataclass(frozen=True, init=False)
 class WavefunctionalSpec:
     """Gaussian collective-coordinate state: norm_c * exp(-alpha (u - center)^2).

@@ -1,5 +1,6 @@
 import dataclasses
 import decimal
+import hashlib
 import inspect
 import math
 import sys
@@ -7,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from cdwtunnel import numerics, tunneling
 from cdwtunnel.numerics import QuadratureError
 from cdwtunnel.tunneling import (
     MatrixElementInputs,
@@ -87,6 +89,41 @@ def test_far_separation_suppression():
     assert all(b < a for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 1e-200
     assert t_if_simplified(_inputs(l=240.0, alpha=1.0)) == 0.0
+
+
+def test_l_grid_points_are_pinned_bit_for_bit(monkeypatch):
+    """The (norm_c, t_if_analytic, t_if_simplified) rows of a seeded L grid,
+    built as the CLI and perfbench's l_grid build them, hashed: a change to
+    the per-point path that moves any bit fails here.  With alpha = 1/L the
+    cosh argument and exponent depend on r = L/(2 x_bar) alone, so r spans
+    all three branches of ``_cosh_times_exp``.  The digest holds for one libm:
+    another may round exp, cosh or erf differently."""
+    calls = []
+    kernel = tunneling._cosh_times_exp
+
+    def recorded(arg, expo):
+        calls.append((arg, expo))
+        return kernel(arg, expo)
+
+    monkeypatch.setattr(tunneling, "_cosh_times_exp", recorded)
+    rng = np.random.default_rng(2028)
+    rows = []
+    for n1s in (np.ones(1000), rng.uniform(0.8, 1.0, 1000)):
+        ls = 10.0 ** rng.uniform(math.log10(0.5), math.log10(50.0), n1s.size)
+        rs = 10.0 ** rng.uniform(-4.5, 3.2, n1s.size)
+        m_stars = rng.uniform(0.5, 2.0, n1s.size)
+        for l, r, n1, m_star in zip(ls.tolist(), rs.tolist(), n1s.tolist(), m_stars.tolist()):
+            spec_i, spec_f = transport_pair_specs(l)
+            x_bar = l / (2.0 * r)
+            inputs = MatrixElementInputs(x_bar, l, spec_i.alpha, n1, spec_i.norm_c, spec_f.norm_c, m_star)
+            rows.append((spec_f.norm_c, t_if_analytic(inputs), t_if_simplified(inputs)))
+    far = [abs(arg) > numerics._COSH_DIRECT_LIMIT for arg, _ in calls]
+    shifted = [not f and expo < numerics._EXP_NORMAL_MIN for f, (_, expo) in zip(far, calls)]
+    direct = len(calls) - sum(far) - sum(shifted)
+    assert len(calls) == 4000 and min(sum(far), sum(shifted), direct) > 100
+    assert hashlib.sha256(np.array(rows).tobytes()).hexdigest() == (
+        "71a36f94d4049814d0a58fe79ff5fbaf1cb14f759b9f288cf92e585af30b864f"
+    )
 
 
 def test_normalization_scaling_is_linear():
@@ -173,6 +210,23 @@ def test_inputs_are_a_frozen_value_record():
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(inputs, name)
     assert dataclasses.asdict(inputs) == GOOD_INPUTS
+
+
+def test_inputs_store_the_passed_objects_in_field_order():
+    huge = int(sys.float_info.max) + 1
+    defaults = {p.name: p.default for p in inspect.signature(MatrixElementInputs).parameters.values()}
+    required = {name: GOOD_INPUTS[name] for name in INPUT_FIELDS[:3]}
+    builds = [
+        (GOOD_INPUTS, lambda: MatrixElementInputs(*GOOD_INPUTS.values())),
+        (GOOD_INPUTS, lambda: MatrixElementInputs(**GOOD_INPUTS)),
+        ({**defaults, **required}, lambda: MatrixElementInputs(*required.values())),
+        ({**GOOD_INPUTS, "x_bar": huge}, lambda: MatrixElementInputs(**{**GOOD_INPUTS, "x_bar": huge})),
+    ]
+    for passed, build in builds:
+        inputs = build()
+        assert list(vars(inputs)) == list(INPUT_FIELDS)
+        assert all(vars(inputs)[name] is passed[name] for name in INPUT_FIELDS)
+        assert vars(inputs) == dataclasses.asdict(inputs)
 
 
 def test_oracle_vanishes_for_identical_states():
