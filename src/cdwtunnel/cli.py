@@ -77,7 +77,8 @@ def _csv_text(header, rows):
 
 
 def _json_text(payload):
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # JSON has no inf or nan: a non-finite value is a ValueError, not an "Infinity" token
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write(files):
@@ -306,11 +307,14 @@ def _cmd_fit(o):
         fit = fitting.fit_sge_to_zener(tp, es, free=names)
 
     params = dict(zip(names, fit.params))
-    # the closed-form amplitude carries the sign of the data; the model's does not
-    if "c_tilde1" in params and not params["c_tilde1"] > 0.0:
-        raise ValueError(
-            f"fitted c_tilde1 = {_fmt(params['c_tilde1'])} is not positive; the pair current needs c_tilde1 > 0"
-        )
+    # the closed-form amplitude carries the sign of the data, and overflows when
+    # scaled back from data near the top of the double range; the model's does neither
+    if "c_tilde1" in params:
+        fitted = f"fitted c_tilde1 = {_fmt(params['c_tilde1'])}"
+        if not params["c_tilde1"] > 0.0:
+            raise ValueError(f"{fitted} is not positive; the pair current needs c_tilde1 > 0")
+        if not math.isfinite(params["c_tilde1"]):
+            raise ValueError(f"{fitted} is not finite; the pair current needs a finite c_tilde1")
     report = {
         "params": {name: _quantize(v) for name, v in params.items()},
         "residual_rms": _quantize(fit.residual_rms),

@@ -11,15 +11,19 @@ fit is variable projection (Golub and Pereyra, SIAM J. Numer. Anal. 10,
 form, and what is left is a one-dimensional problem in c_v, solved by a
 safeguarded Newton iteration on the exact first and second derivatives of
 the projected cost.  ``fit_sge_family`` fits many target rows on one field
-grid in lockstep, one kernel call per round on the rows of the members
-still stepping, for every free set, and builds each member's result in the
-round it stops.  A round keeps its trial as the state and writes the old
-state back only for the members that reject it, and the whole fit runs
-under one ``np.errstate`` scope, so the kernel (``sge_cv_derivatives_array``
-without its own scope) opens none.  ``fit_sge_to_points`` is that family
-with one member, each member is bit for bit its own one-member fit, and a
-failing family raises by the batch-engine convention ``numerics`` states.
-No ``TransportParams`` is built per point or per trial.
+grid in lockstep, for every free set, and builds each member's result in
+the round it stops.  Only the grid work of a round is numpy, on the (m, n)
+rows of the members still stepping: one kernel call, the power-of-two
+scaling and the row sums.  Each member's bookkeeping (c_v, amplitude, cost,
+Newton step, stop tests) is Python floats, read from those row sums once
+per round, so it costs a few float operations per member rather than a
+numpy call per quantity.  The whole fit runs under one ``np.errstate``
+scope, so the kernel (``sge_cv_derivatives_array`` without its own scope)
+opens none, and the float helpers give numpy's value where Python's float
+arithmetic would raise.  ``fit_sge_to_points`` is that family with one
+member, each member is bit for bit its own one-member fit, and a failing
+family raises by the batch-engine convention ``numerics`` states.  No
+``TransportParams`` is built per point or per trial.
 """
 
 import dataclasses
@@ -178,11 +182,13 @@ def fit_sge_family(es, targets, free, starts):
     Every free set runs one round loop (with c_v held, all stop in round
     0), each round one kernel call on the rows of the members still
     stepping; a member's ``FitResult`` is built in the round it stops, which
-    is its ``iterations``.  The trial's arrays become the state, and only a
-    member that rejects its trial has its old state (and halved step)
-    written back, so a round where every member takes its trial copies
-    nothing.  Floating-point errors are ignored for the whole fit, in this
-    one scope.  Every per-member reduction is a row sum, so each
+    is its ``iterations``.  The (m, n) work stays in numpy; every quantity
+    of one member is a Python float (or int), one list entry per member
+    still stepping, read from the row sums once per round: a member that
+    takes its trial moves to it, and one that rejects it keeps its state
+    and halves its step.  Floating-point errors are ignored for the whole
+    fit, in this one scope, and the float helpers give numpy's value where
+    Python's would raise.  Every per-member reduction is a row sum, so each
     member is bit for bit its own one-member fit.  Targets and g are
     scaled by powers of two to a largest magnitude below 1, so no sum of
     squares overflows; the amplitude and rms are scaled back.
@@ -208,89 +214,84 @@ def fit_sge_family(es, targets, free, starts):
     m, n = targets.shape
     e_t = np.array([s.e_t for s in starts], dtype=float)
     c_v = np.array([s.c_v for s in starts], dtype=float)
-    held = np.array([s.c_tilde1 for s in starts], dtype=float)
+    held = [float(s.c_tilde1) for s in starts]
     g, dg, d2g, k = _scaled(es, e_t, c_v)
+    c_v = c_v.tolist()
     # the scaled problem: targets over 2^ky with ky the exponent of each row's max |y|
     ky = np.frexp(np.abs(targets).max(axis=1))[1]
     y = np.ldexp(targets, -ky[:, None])
-    floor = (_RESIDUAL_FLOOR * np.sqrt(_rowdot(y, y))) ** 2
+    floor = ((_RESIDUAL_FLOOR * np.sqrt(_rowdot(y, y))) ** 2).tolist()
+    ky = ky.tolist()
     project = "c_tilde1" in names
-    c, cost, grad, curvature, flat = _projected(y, g, dg, d2g, np.ldexp(held, k - ky), project)
+    c, cost, derivable, slope, used, step, go = _projected(
+        y, g, dg, d2g, held, [a - b for a, b in zip(k, ky)], project, c_v, floor
+    )
 
     # the start checks, on the scaled problem
-    unevaluable = ~np.isfinite(g).all(axis=1)
-    overflows = ~np.isfinite(np.ldexp(np.sqrt(cost / n), ky))
-    out_of_range = np.isnan(dg).any(axis=1) & bool(names)
-    underived = ~(np.isfinite(grad) & np.isfinite(curvature)) & ("c_v" in names)
-    failed = np.flatnonzero(unevaluable | overflows | out_of_range | underived)
-    if failed.size:
-        i = int(failed[0])
+    unevaluable = (~np.isfinite(g).all(axis=1)).tolist()
+    out_of_range = np.isnan(dg).any(axis=1).tolist()
+    for i in range(m):
         if unevaluable[i]:
             exc = ValueError("model is not evaluable at the initial parameters")
-        elif overflows[i]:
+        elif not math.isfinite(_ldexp(math.sqrt(cost[i] / n), ky[i])):
             exc = ValueError("sum of squared residuals overflows at the initial parameters")
-        elif out_of_range[i]:
+        elif out_of_range[i] and names:
             exc = _jacobian_overflow(es[np.isnan(dg[i])])
+        elif not derivable[i] and "c_v" in names:
+            exc = OverflowError(f"c_v derivatives of the cost are not finite at c_v = {c_v[i]!r}")
         else:
-            exc = OverflowError(f"c_v derivatives of the cost are not finite at c_v = {float(c_v[i])!r}")
+            continue
         raise _member_error(exc, i)
 
-    # The members still stepping (``live``) keep their state in arrays of their
-    # own, shrunk when some member stops.  All enter at round 0 and none
-    # re-enters, so a member stopping in a round took that many steps.
+    # The members still stepping (``live``) keep their state in lists, one
+    # entry each, and their rows of ``e_t`` and ``y``; all of them shrink when
+    # some member stops.  All enter at round 0 and none re-enters, so a
+    # member stopping in a round took that many steps.
     fits = [None] * m
-    live, rounds = np.arange(m), 0
-    slope, used, step, go = _plan(c_v, grad, curvature, cost, floor, flat)
-    go &= "c_v" in names  # with c_v held, every member stops in round 0
-    while live.size:
-        go &= np.abs(step) * c_v > _STEP_ULPS * np.spacing(c_v)
+    live, rounds = list(range(m)), 0
+    if "c_v" not in names:
+        go = [False] * m  # with c_v held, every member stops in round 0
+    while live:
         spent = rounds == _MAX_ROUNDS
-        if spent or not go.all():
-            columns = [np.ldexp(c, ky - k) if name == "c_tilde1" else c_v for name in names]
-            rms = np.ldexp(np.sqrt(cost / n), ky)
-            for j in np.flatnonzero(~go | spent).tolist():
-                stop = "max_iter" if go[j] else "converged"
-                fits[live[j]] = FitResult(np.array([v[j] for v in columns]), float(rms[j]), rounds, stop)
-            if spent or not go.any():
+        if spent or not all(go):
+            for j, on in enumerate(go):
+                if spent or not on:
+                    params = [_ldexp(c[j], ky[j] - k[j]) if name == "c_tilde1" else c_v[j] for name in names]
+                    rms = _ldexp(math.sqrt(cost[j] / n), ky[j])
+                    fits[live[j]] = FitResult(params, rms, rounds, "max_iter" if on else "converged")
+            if spent or not any(go):
                 break
-            live, c_v, e_t, y, held, ky, floor, k, c, cost, slope, used, step = (
-                v[go] for v in (live, c_v, e_t, y, held, ky, floor, k, c, cost, slope, used, step)
+            keep = [j for j, on in enumerate(go) if on]
+            e_t, y = e_t[keep], y[keep]
+            live, c_v, held, ky, floor, k, c, cost, slope, used, step = (
+                [v[j] for j in keep] for v in (live, c_v, held, ky, floor, k, c, cost, slope, used, step)
             )
         rounds += 1
-        trial = c_v * np.exp(step)
+        trial = np.multiply(c_v, np.exp(step))
         gt, dgt, d2gt, kt = _scaled(es, e_t, trial)
-        c_t, cost_t, grad, curvature, flat = _projected(y, gt, dgt, d2gt, np.ldexp(held, kt - ky), project)
-        tol = _FTOL * cost
-        predicted = -(2.0 * slope + used * step) * step
-        # the cost no longer resolves the step: converged, at the trial if it is no worse
-        unresolved = (np.abs(cost - cost_t) <= tol) & (predicted <= tol)
-        take = np.isfinite(grad) & np.isfinite(curvature) & ((cost_t < cost) | (unresolved & (cost_t <= cost)))
-        # a rejected step predicted to gain less than the cost resolves (1e-14 of
-        # it, or the residual floor) only shrinks when halved: converged too
-        resolvable = predicted > np.maximum(tol, floor)
-        # a member steps on from its trial by a new plan, or from where it was by half its step
-        slope_t, used_t, planned, onward = _plan(trial, grad, curvature, cost_t, floor, flat)
-        go = ~unresolved & np.where(take, onward, resolvable)
-        # the trial's arrays are this round's own: they become the state, and a
-        # member that rejects its trial has its old state written back
-        at_trial = (trial, kt, c_t, cost_t, slope_t, used_t, planned)
-        reject = ~take
-        if reject.any():
-            for new, old in zip(at_trial, (c_v, k, c, cost, slope, used, 0.5 * step)):
-                np.copyto(new, old, where=reject)
-        c_v, k, c, cost, slope, used, step = at_trial
+        shift = [a - b for a, b in zip(kt, ky)]
+        trial = trial.tolist()
+        c_t, cost_t, derivable, slope_t, used_t, planned, onward = _projected(
+            y, gt, dgt, d2gt, held, shift, project, trial, floor
+        )
+        go = []
+        for j, (cost_j, cost_tj, step_j) in enumerate(zip(cost, cost_t, step)):
+            tol = _FTOL * cost_j
+            predicted = -(2.0 * slope[j] + used[j] * step_j) * step_j
+            # the cost no longer resolves the step: converged, at the trial if it is no worse
+            unresolved = abs(cost_j - cost_tj) <= tol and predicted <= tol
+            if derivable[j] and (cost_tj < cost_j or unresolved and cost_tj <= cost_j):
+                # a member that takes its trial steps on from it by its new plan
+                c_v[j], k[j], c[j], cost[j] = trial[j], kt[j], c_t[j], cost_tj
+                slope[j], used[j], step[j] = slope_t[j], used_t[j], planned[j]
+                go.append(not unresolved and onward[j])
+            else:
+                # one that rejects it steps on from where it was by half its step,
+                # unless the step is predicted to gain less than the cost resolves
+                # (1e-14 of it, or the residual floor): halving only shrinks that
+                step[j] = half = 0.5 * step_j
+                go.append(not unresolved and predicted > tol and predicted > floor[j] and _moves(half, c_v[j]))
     return fits
-
-
-def _plan(c_v, grad, curvature, cost, floor, flat):
-    """Newton steps in ln c_v: the cost's slope and the curvature used in ln c_v, the bounded step, and whether
-    to take it (the cost is above its floor, its gradient is not flat and the step is finite)."""
-    slope = c_v * grad
-    used = c_v * (c_v * curvature + grad)
-    # a curvature that is not positive divides by zero: the step runs downhill to the bound
-    raw = -slope / np.where(used > 0.0, used, 0.0)
-    step = np.minimum(np.maximum(raw, -_LN2), _LN2)
-    return slope, used, step, (cost > floor) & ~flat & np.isfinite(step)
 
 
 def _rowdot(a, b):
@@ -299,40 +300,97 @@ def _rowdot(a, b):
 
 
 def _scaled(es, e_t, c_v):
-    """g, dg/dc_v and d2g/dc_v2 per row, each divided by 2^k with k the exponent of the row's max |g|, and k.
+    """g, dg/dc_v and d2g/dc_v2 per row, each divided by 2^k with k the exponent of the row's max g, and k.
 
-    The kernel body opens no ``np.errstate`` of its own; it runs inside the fit's.
+    g is at least +0 or nan, so its max is its max magnitude.  The kernel
+    body opens no ``np.errstate`` of its own; it runs inside the fit's.
     """
     g, dg, d2g = _sge_cv_derivatives(es, e_t[:, None], c_v[:, None])
-    k = np.frexp(np.maximum.reduce(np.abs(g), axis=1))[1]
+    k = np.frexp(np.maximum.reduce(g, axis=1))[1]
     shift = -k[:, None]
-    return np.ldexp(g, shift), np.ldexp(dg, shift), np.ldexp(d2g, shift), k
+    return np.ldexp(g, shift), np.ldexp(dg, shift), np.ldexp(d2g, shift), k.tolist()
 
 
-def _projected(y, g, dg, d2g, amplitude, project):
-    """Amplitude, cost, and the cost's c_v-gradient and curvature, each halved, and the gradient cosine test.
+def _projected(y, g, dg, d2g, held, shift, project, c_v, floor):
+    """Each row's amplitude, cost and Newton step in ln c_v, as lists with one entry per row.
 
-    ``amplitude`` is the held amplitude; with ``project`` it is replaced by
-    <g, y>/<g, g> wherever <g, g> > 0.  The c_v-gradient is -2 c <dg, r>,
-    from the residual r itself: it does not cancel on a zero-residual fit.
-    The curvature is exact (Golub and Pereyra's, where the amplitude is
-    projected).
+    The held amplitude of a row is its ``held`` times 2^``shift``; with
+    ``project`` it is replaced by <g, y>/<g, g> wherever <g, g> > 0.  The
+    cost's c_v-gradient is -2 c <dg, r>, from the residual r itself: it does
+    not cancel on a zero-residual fit.  Its curvature is exact (Golub and
+    Pereyra's, where the amplitude is projected).  Returned are the
+    amplitude, the cost, whether that gradient and curvature are finite,
+    the cost's slope and the curvature used in ln c_v (each halved), the
+    step bounded to ±ln 2, and whether to take it: the cost is above its
+    ``floor``, dg/dc_v is not within a cosine of 1e-12 of orthogonal to r,
+    and the step is finite and moves c_v.
     """
-    gg = _rowdot(g, g)
+    gg = _rowdot(g, g).tolist()
     if project:
-        amplitude = np.where(gg > 0.0, _rowdot(g, y) / gg, amplitude)
-    c = amplitude
-    r = y - c[:, None] * g
-    cost = _rowdot(r, r)
-    g1r, g1g1, g2r = _rowdot(dg, r), _rowdot(dg, dg), _rowdot(d2g, r)
-    grad = -c * g1r
-    curvature = c * (c * g1g1 - g2r)
-    if project:
-        # the amplitude moves with c_v at dc/dc_v = (<dg, r> - c <g, dg>)/<g, g>
-        dc = (g1r - c * _rowdot(g, dg)) / gg
-        curvature -= dc * dc * gg
-    flat = np.abs(g1r) <= _GTOL * np.sqrt(g1g1 * cost)
-    return c, cost, grad, curvature, flat
+        gy = _rowdot(g, y).tolist()
+        c = [b / a if a > 0.0 else _ldexp(h, s) for a, b, h, s in zip(gg, gy, held, shift)]
+    else:
+        c = [_ldexp(h, s) for h, s in zip(held, shift)]
+    r = y - np.array(c)[:, None] * g
+    cost, g1r, g1g1, g2r = (_rowdot(a, b).tolist() for a, b in ((r, r), (dg, r), (dg, dg), (d2g, r)))
+    gdg = _rowdot(g, dg).tolist() if project else gg  # read only with project
+    derivable, slope, used, step, go = [], [], [], [], []
+    for c_j, cost_j, g1r_j, g1g1_j, g2r_j, gdg_j, gg_j, v, f0 in zip(c, cost, g1r, g1g1, g2r, gdg, gg, c_v, floor):
+        grad = -c_j * g1r_j
+        curvature = c_j * (c_j * g1g1_j - g2r_j)
+        if project:
+            # the amplitude moves with c_v at dc/dc_v = (<dg, r> - c <g, dg>)/<g, g>
+            dc = _div(g1r_j - c_j * gdg_j, gg_j)
+            curvature -= dc * dc * gg_j
+        derivable.append(math.isfinite(grad) and math.isfinite(curvature))
+        # the Newton step in ln c_v; a curvature that is not positive divides by
+        # zero: the step runs downhill to the bound
+        slope_j, used_j = v * grad, v * (v * curvature + grad)
+        step_j = _clamp(-slope_j / used_j if used_j > 0.0 else _div(-slope_j, 0.0))
+        slope.append(slope_j)
+        used.append(used_j)
+        step.append(step_j)
+        flat = abs(g1r_j) <= _GTOL * math.sqrt(g1g1_j * cost_j)
+        go.append(cost_j > f0 and not flat and math.isfinite(step_j) and _moves(step_j, v))
+    return c, cost, derivable, slope, used, step, go
+
+
+# Float versions of the numpy operations the per-member bookkeeping needs,
+# each giving np.float64's value where Python's float arithmetic would raise
+# or differ (the sign of a nan aside).
+
+
+def _div(a, b):
+    """a / b; a division by ±0 gives ±inf, or nan for 0/0 and nan/0, instead of ZeroDivisionError."""
+    try:
+        return a / b
+    except ZeroDivisionError:
+        if a == 0.0 or a != a:
+            return math.nan
+        return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def _ldexp(x, e):
+    """x 2^e; a result past the double range is ±inf instead of OverflowError."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _clamp(x):
+    """x clamped to [-ln 2, ln 2]; a nan passes through, as np.minimum and np.maximum pass it."""
+    return -_LN2 if x < -_LN2 else _LN2 if x > _LN2 else x
+
+
+def _moves(step, c_v):
+    """Whether a step in ln c_v is longer than 4 ulp of c_v, as ``|step| c_v > 4 np.spacing(c_v)`` reads.
+
+    np.spacing(x) is the signed gap from x to the next float away from zero
+    (above ±0): inf at the largest double, where math.ulp is finite, and nan
+    at ±inf and nan.
+    """
+    return abs(step) * c_v > _STEP_ULPS * (math.nextafter(c_v, math.inf if c_v >= 0.0 else -math.inf) - c_v)
 
 
 def fit_sge_to_zener(tp_zener, e_grid, free=frozenset(FREE_PARAM_ORDER), start=None):

@@ -232,6 +232,21 @@ def test_fit_negative_amplitude_is_runtime_error(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["negative.csv"]
 
 
+def test_fit_infinite_amplitude_is_runtime_error(tmp_path, capsys):
+    # currents of 1e300 fit a closed-form c_tilde1 that overflows when scaled back
+    data = tmp_path / "huge.csv"
+    data.write_text("".join(f"{e},1e300\n" for e in ("0.02", "0.0225", "0.025", "0.0275", "0.03")))
+    code = main(["fit", "--data", str(data), "--free", "c_tilde1", "--out", str(tmp_path / "report.json")])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: fitted c_tilde1 = inf is not finite; the pair current needs a finite c_tilde1\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["huge.csv"]
+    # no command prints a JSON report with Infinity or NaN in it
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._json_text({"params": {"c_tilde1": value}})
+
+
 def test_fit_empty_free_set_reports_an_unevaluable_start(tmp_path, capsys):
     # the pair current overflows at these fields; with no free parameter the
     # report is the start's residual, which does not exist

@@ -604,6 +604,48 @@ def test_fit_with_currents_near_1e154_converges():
         assert fit.residual_rms == pytest.approx(1e154 * unit.residual_rms, rel=1e-12)
 
 
+def test_fit_of_currents_near_the_top_of_the_double_range_scales_back_to_an_infinite_amplitude():
+    # the closed-form amplitude of the scaled problem is finite; scaled back by
+    # the targets' 2^997 it leaves the double range, and the fit reports inf
+    fit = fit_sge_to_points(np.linspace(0.02, 0.03, 5), np.full(5, 1e300), ("c_tilde1",), TransportParams())
+    assert fit.params.tolist() == [math.inf]
+    assert fit.residual_rms == 8.7971118343984e299
+    assert (fit.iterations, fit.stop) == (0, "converged")
+
+
+def _same_float(got, want):
+    """``got`` is the float ``want`` reads: both nan, or equal with the same sign (so -0.0 is not 0.0)."""
+    want = float(want)
+    if math.isnan(want):
+        return math.isnan(got)
+    return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def test_float_helpers_of_the_fit_give_numpys_values():
+    """The fit's per-member float helpers against np.float64 arithmetic under
+    np.errstate(all="ignore"), at the inputs where Python's own float
+    arithmetic raises (x / 0, an ldexp past the double range) or differs
+    (math.ulp at the largest double, max and min with a nan)."""
+    inf, nan, big, tiny = math.inf, math.nan, sys.float_info.max, 5e-324
+    ln2 = fitting._LN2
+    f64 = np.float64
+    with np.errstate(all="ignore"):
+        for x in (1.0, -1.0, 0.0, -0.0, inf, -inf, nan, 3.5, big):
+            for y in (0.0, -0.0, 2.0, -tiny, nan, inf):
+                assert _same_float(fitting._div(x, y), f64(x) / f64(y)), (x, y)
+        for x in (1.0, -1.0, 0.75, big, -big, tiny, 2.2250738585072014e-308, 0.0, -0.0, inf, -inf, nan):
+            for e in (0, 1, 1023, 1024, 2098, 5000, -1, -1022, -1074, -1075, -2098, -5000):
+                assert _same_float(fitting._ldexp(x, e), np.ldexp(f64(x), e)), (x, e)
+        for x in (nan, inf, -inf, 0.0, -0.0, 0.3, -0.3, ln2, -ln2, 1.0, -1.0, big, -big):
+            assert _same_float(fitting._clamp(x), np.minimum(np.maximum(f64(x), -ln2), ln2)), x
+        for c_v in (1.0, 0.75, 0.0, -0.0, tiny, 2.2250738585072014e-308, 1e300, big, inf, nan, -1.0, -big):
+            for step in (0.0, -0.0, 1e-16, -4.5e-16, 1e-300, ln2, -ln2, inf, nan):
+                want = np.abs(f64(step)) * f64(c_v) > fitting._STEP_ULPS * np.spacing(f64(c_v))
+                assert fitting._moves(step, c_v) == bool(want), (step, c_v)
+    # the largest double is where math.ulp parts from np.spacing
+    assert fitting._moves(ln2, big) is False and ln2 * big > fitting._STEP_ULPS * math.ulp(big)
+
+
 def _pinned_fits():
     """A seeded set of fits whose every result bit the engine pin hashes.
 

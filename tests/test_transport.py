@@ -356,3 +356,34 @@ def test_cv_derivative_kernel_current_is_the_pair_current_on_every_branch():
         reached |= {name for name, hit in branches.items() if hit.any()}
         assert np.all(g[chi == np.inf] == 0.0)
     assert reached == {"direct", "deep", "far", "inf"}
+
+
+def test_cv_derivative_kernel_never_returns_a_negative_g(tmp_path, monkeypatch):
+    """g = cosh(arg) exp(-chi) is +0 or more, or nan, for chi from 1e-300 to
+    1e300: on the direct branch, where exp(-chi) underflows, on the far
+    branch (|arg| > 35) and where g itself overflows to inf.  So a row's
+    max g is its max |g| bit for bit, which the fit's scaling relies on."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings, strategies as st
+
+    from cdwtunnel.transport import _sge_cv_derivatives
+
+    # hypothesis caches source constants in a storage directory even without a database
+    monkeypatch.setenv("HYPOTHESIS_STORAGE_DIRECTORY", str(tmp_path))
+    # chi uniform in its exponent, or as hypothesis draws floats
+    chis = st.floats(-300.0, 300.0).map(lambda x: 10.0**x) | st.floats(1e-300, 1e300)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.lists(chis, min_size=1, max_size=40))
+    # chi of 1e-300 overflows g, 1e-5 takes the far branch, 1 the direct one,
+    # 800 underflows exp(-chi) and 1e300 underflows g to 0
+    @example([1e-300, 1e-5, 1.0, 800.0, 1e300])
+    def run(chis):
+        chi = np.array([chis])
+        # chi = c_v e_t / E exactly, with E = e_t = 1
+        with np.errstate(all="ignore"):
+            g, _, _ = _sge_cv_derivatives(np.ones(chi.size), 1.0, chi)
+        assert not np.signbit(g[~np.isnan(g)]).any()
+        assert np.array_equal(np.maximum.reduce(g, axis=1), np.maximum.reduce(np.abs(g), axis=1), equal_nan=True)
+
+    run()
