@@ -11,7 +11,9 @@ Every batch engine (this one, ``fitting.fit_sge_family`` and
 failing member, with that member's own message and index (``_member_error``).
 The overflow-safe cosh(arg) * exp(expo) product has a scalar form on
 ``math``, for the per-point matrix elements, and an array form on numpy's
-cosh/exp, which the current laws call with |arg| and cosh(arg) taken once.
+cosh/exp, which the current laws call with |arg| and cosh(arg) taken once;
+off its one-product fast path the array form computes every branch and
+selects among them under one error-state scope.
 The error function is ``math.erf``.  All functions are pure; there is no
 module state.
 """
@@ -69,21 +71,19 @@ def _cosh_times_exp(arg, expo):
 
 
 def _cosh_times_exp_of(a, cosh, expo):
-    """``_cosh_times_exp`` on float arrays from a = |arg| and numpy's cosh(arg), under np.errstate."""
+    """``_cosh_times_exp`` on float arrays from a = |arg| and numpy's cosh(arg), under np.errstate.
+
+    Off the one-product fast path every branch is formed on every element and selected.
+    """
     near = a <= _COSH_DIRECT_LIMIT
     deep = expo < _EXP_NORMAL_MIN
     if near.all() and not deep.any():
         return cosh * np.exp(expo)
-    out = np.empty_like(a)
-    deep &= near
-    direct = near & ~deep
-    out[direct] = cosh[direct] * np.exp(expo[direct])
-    out[deep] = cosh[deep] * np.exp(expo[deep] + _EXP_SHIFT) * _EXP_UNSHIFT
-    far = ~near
+    # the selections form inf * 0 and inf - inf on far elements; a caller need only ignore overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        out[far] = np.exp(a[far] + expo[far] - _LN2)
-    out[expo == -np.inf] = 0.0
-    return out
+        direct = cosh * np.exp(np.where(deep, expo + _EXP_SHIFT, expo)) * np.where(deep, _EXP_UNSHIFT, 1.0)
+        out = np.where(near, direct, np.exp(a + expo - _LN2))
+        return np.where(expo == -np.inf, 0.0, out)
 
 
 # QUADPACK qk21 on [-1, 1] (Piessens et al., QUADPACK, Springer 1983): the

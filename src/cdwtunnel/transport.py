@@ -141,8 +141,17 @@ def current_sge_array(es, e_t, c_v, c_tilde1, substituted):
 
 
 def current_sge_log(e, tp, convention="printed"):
-    """ln of current_sge; stable where the current itself over/underflows."""
+    """ln of current_sge; stable where the current itself over/underflows.
+
+    -inf where chi = E_T c_v / E overflows, the ln of a current below every
+    double; ValueError, naming E, where chi underflows to 0.
+    """
     _check_field(e)
+    chi = tp.e_t * tp.c_v / float(e)
+    if chi == 0.0:
+        raise ValueError(f"chi = E_T c_v / E underflows to 0 at E = {e!r}")
+    if chi == math.inf:
+        return -math.inf
     arg, expo = _sge_arg_expo(float(e), tp.e_t, tp.c_v, _substituted(convention))
     a = abs(float(arg))
     # ln cosh(a) = a + ln(1 + e^(-2a)) - ln 2
@@ -218,13 +227,9 @@ def current_zener(e, tp):
 
 
 def current_zener_array(es, e_t, g_p):
-    """Zener law over the float array of fields ``es``."""
-    out = np.zeros_like(es)
-    above = ~(es <= e_t)
-    ea = es[above]
+    """Zener law over the float array ``es``: one selection, +0.0 at and below E_T, under one error-state scope."""
     with np.errstate(all="ignore"):
-        out[above] = g_p * (ea - e_t) * np.exp(-e_t / ea)
-    return out
+        return np.where(es <= e_t, 0.0, g_p * (es - e_t) * np.exp(-e_t / es))
 
 
 def sge_from_matrix_element_form(e, tp):
@@ -236,13 +241,21 @@ def sge_from_matrix_element_form(e, tp):
     point: the exponent and second cosh term use L/(2x) := c_v E_T / E,
     while the first cosh term keeps the literal ratio L/x := c_v E_T / E.
     Agreeing with ``current_sge`` to rounding is the reconciliation check.
+    Where a term leaves the double range so that no value is left (math
+    raises, or cosh(inf) meets exp(-inf)), ValueError names E.
     """
     _check_field(e)
     chi = tp.c_v * tp.e_t / e
-    first = 2.0 * math.sqrt(1.0 / (2.0 * chi))
-    second = math.sqrt((2.0 * chi) / 2.0)
-    expo = -1.0 * ((2.0 * chi) / 2.0)
-    return tp.c_tilde1 * math.cosh(first - second) * math.exp(expo)
+    try:
+        first = 2.0 * math.sqrt(1.0 / (2.0 * chi))
+        second = math.sqrt((2.0 * chi) / 2.0)
+        expo = -1.0 * ((2.0 * chi) / 2.0)
+        value = tp.c_tilde1 * math.cosh(first - second) * math.exp(expo)
+    except (OverflowError, ZeroDivisionError):
+        value = math.nan
+    if math.isnan(value):
+        raise ValueError(f"the matrix-element form leaves the double range at E = {e!r}")
+    return value
 
 
 def curve_series(model, tp, e_grid, convention="printed"):

@@ -6,7 +6,8 @@ form feeding the transport current; at n1 = 1 the analytic form is exactly
 half the simplified one (the dropped prefactor is preserved and tested,
 not silently fixed).  The independent route is a single-mode quadrature
 oracle over the collective coordinate, which integrates a whole list of
-state pairs in one quadrature-family call; where the overlap of two
+state pairs in one quadrature-family call, under one error-state scope
+around the quadrature and the division by 2 m*; where the overlap of two
 distinct states leaves the normal double range it raises, never
 returning a silent 0 or inf; errors follow ``numerics``' batch-engine convention.
 
@@ -147,24 +148,20 @@ def t_if_single_mode_oracles(specs_i, specs_f, m_star=1.0, tol=1e-11):
         raise _member_error(ValueError("barrier point u0 lies above the integration window"), beyond[0])
     # a proportional pair integrates over the empty interval [u0, u0]
     hi = np.where(distinct, hi, u0)
-    # the Gaussians' second-derivative polynomials are 4 a^2 d^2 - 2 a, whose
-    # coefficients overflow to inf for a huge a
-    with np.errstate(over="ignore"):
-        ai_sq4, af_sq4 = 4.0 * ai * ai, 4.0 * af * af
-        ai2, af2 = 2.0 * ai, 2.0 * af
 
     def integrand(u, n):
+        a_i, a_f = ai[n], af[n]
         di = u - mi[n]
         df = u - mf[n]
-        with np.errstate(over="ignore", invalid="ignore"):
-            pi_ = ci[n] * np.exp(-ai[n] * di * di)
-            pf = cf[n] * np.exp(-af[n] * df * df)
-            ppi = pi_ * (ai_sq4[n] * di * di - ai2[n])
-            ppf = pf * (af_sq4[n] * df * df - af2[n])
-            # a Gaussian that underflowed to 0 zeroes the integrand, even where its polynomial overflowed
-            return np.where((pi_ == 0.0) | (pf == 0.0), 0.0, pi_ * ppf - pf * ppi)
+        pi_ = ci[n] * np.exp(-a_i * di * di)
+        pf = cf[n] * np.exp(-a_f * df * df)
+        # the Gaussians' second-derivative polynomials 4 a^2 d^2 - 2 a overflow to inf for a huge a
+        ppi = pi_ * (4.0 * a_i * a_i * di * di - 2.0 * a_i)
+        ppf = pf * (4.0 * a_f * a_f * df * df - 2.0 * a_f)
+        # a Gaussian that underflowed to 0 zeroes the integrand, even where its polynomial overflowed
+        return np.where((pi_ == 0.0) | (pf == 0.0), 0.0, pi_ * ppf - pf * ppi)
 
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         t = np.abs(integrate_family(integrand, u0, hi, float(tol))) / (2.0 * float(m_star))
     bad = np.flatnonzero(distinct & ~((t >= sys.float_info.min) & (t < math.inf)))
     if bad.size:

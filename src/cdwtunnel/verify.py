@@ -173,19 +173,13 @@ def oracle_shape_sweep():
     for x in xs.tolist():
         alpha = 2.0 * x / delta**2
         l = 1.0 / alpha
-        spec_i = wavefunctional.WavefunctionalSpec.normalized(alpha, l, center=0.0)
-        spec_f = wavefunctional.WavefunctionalSpec.normalized(alpha, l, center=delta)
+        # both states share (alpha, L), so one norm serves the pair, as in transport_pair_specs
+        norm_c = wavefunctional.norm_constant(alpha, l)
+        specs_i.append(wavefunctional.WavefunctionalSpec(alpha, 0.0, norm_c))
+        specs_f.append(wavefunctional.WavefunctionalSpec(alpha, delta, norm_c))
         inputs = tunneling.MatrixElementInputs(
-            x_bar=l * l / delta**2,
-            l=l,
-            alpha=alpha,
-            n1=1.0,
-            c1_norm=spec_i.norm_c,
-            c2_norm=spec_f.norm_c,
-            m_star=1.0,
+            x_bar=l * l / delta**2, l=l, alpha=alpha, n1=1.0, c1_norm=norm_c, c2_norm=norm_c, m_star=1.0
         )
-        specs_i.append(spec_i)
-        specs_f.append(spec_f)
         analytic.append(math.log(tunneling.t_if_simplified(inputs)))
     oracle = tunneling.t_if_single_mode_oracles(specs_i, specs_f, tol=1e-12)
     return xs, np.array([math.log(t) for t in oracle.tolist()]), np.array(analytic)

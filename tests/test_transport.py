@@ -5,6 +5,7 @@ import pytest
 
 from cdwtunnel import numerics
 from cdwtunnel.transport import (
+    CONVENTIONS,
     CurveSeries,
     TransportParams,
     current_sge,
@@ -387,3 +388,113 @@ def test_cv_derivative_kernel_never_returns_a_negative_g(tmp_path, monkeypatch):
         assert np.array_equal(np.maximum.reduce(g, axis=1), np.maximum.reduce(np.abs(g), axis=1), equal_nan=True)
 
     run()
+
+
+def _zener_masked(es, e_t, g_p):
+    """The Zener law as a masked scatter: zeros, then the law gathered and scattered above E_T."""
+    out = np.zeros_like(es)
+    above = ~(es <= e_t)
+    ea = es[above]
+    with np.errstate(all="ignore"):
+        out[above] = g_p * (ea - e_t) * np.exp(-e_t / ea)
+    return out
+
+
+def _cosh_times_exp_masked(a, cosh, expo):
+    """``numerics._cosh_times_exp_of`` with its rare path as four masks and three scatters."""
+    near = a <= numerics._COSH_DIRECT_LIMIT
+    deep = expo < numerics._EXP_NORMAL_MIN
+    if near.all() and not deep.any():
+        return cosh * np.exp(expo)
+    out = np.empty_like(a)
+    deep &= near
+    direct = near & ~deep
+    out[direct] = cosh[direct] * np.exp(expo[direct])
+    out[deep] = cosh[deep] * np.exp(expo[deep] + numerics._EXP_SHIFT) * numerics._EXP_UNSHIFT
+    far = ~near
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[far] = np.exp(a[far] + expo[far] - numerics._LN2)
+    out[expo == -np.inf] = 0.0
+    return out
+
+
+def _edge_mix(rng, edges, draw, n=400):
+    """n values in a seeded order: n // 2 picked from ``edges``, and the n // 2 values of ``draw(n // 4)``."""
+    return rng.permutation(np.concatenate([rng.choice(np.asarray(edges, dtype=float), n // 2), draw(n // 4)]))
+
+
+def test_selections_give_the_masked_forms_bits_on_every_branch():
+    rng = np.random.default_rng(30)
+    tiny, big = 5e-324, np.finfo(float).max
+    cut, normal_min = numerics._COSH_DIRECT_LIMIT, numerics._EXP_NORMAL_MIN
+    # |arg| near (<= 35), at and past the cut, far, infinite and nan; expo in range,
+    # deep (exp subnormal), past exp's underflow, -inf, nan, and a few positive ones
+    arg_edges = [0.0, -0.0, tiny, -tiny, 1.0, cut, -cut, np.nextafter(cut, np.inf), 40.0, 710.6, 1e300, np.inf, -np.inf, np.nan]
+    expo_edges = [0.0, -0.0, -tiny, -1.0, -700.0, normal_min, np.nextafter(normal_min, -np.inf), -720.0, -745.2, -746.0, -800.0, -1e300, -big, -np.inf, np.nan, 1.0, 800.0]
+    args = _edge_mix(rng, arg_edges, lambda n: np.concatenate([rng.uniform(-60.0, 60.0, n), 10.0 ** rng.uniform(-300.0, 300.0, n)]))
+    expos = _edge_mix(rng, expo_edges, lambda n: np.concatenate([-rng.uniform(0.0, 800.0, n), -(10.0 ** rng.uniform(-300.0, 300.0, n))]))
+    with np.errstate(all="ignore"):
+        a, cosh = np.abs(args), np.cosh(args)
+        whole = numerics._cosh_times_exp_of(a, cosh, expos)
+        assert whole.tobytes() == _cosh_times_exp_masked(a, cosh, expos).tobytes()
+        # one element at a time, which also takes the fast path
+        for k in range(a.size):
+            one = slice(k, k + 1)
+            assert numerics._cosh_times_exp_of(a[one], cosh[one], expos[one]).tobytes() == whole[one].tobytes()
+    near, deep, far = a <= cut, expos < normal_min, a > cut
+    hit = [near & ~deep, near & deep, far & np.isfinite(expos), expos == -np.inf, np.isnan(whole)]
+    assert all(h.any() for h in hit)
+
+    for e_t in (1.0, 0.3, tiny, 1e-300, 1e300):
+        es = _edge_mix(rng, [np.nan, np.inf, -np.inf, 0.0, -0.0, tiny, 1e308, big, e_t, np.nextafter(e_t, 0.0), np.nextafter(e_t, np.inf)],
+                       lambda n: np.concatenate([e_t * rng.uniform(0.0, 3.0, n), 10.0 ** rng.uniform(-320.0, 308.0, n)]))
+        for g_p in (1.0, 5.0, tiny, 1e300):
+            got = current_zener_array(es, e_t, g_p)
+            assert got.tobytes() == _zener_masked(es, e_t, g_p).tobytes()
+            assert np.isnan(got[np.isnan(es)]).all()
+            below = es <= e_t
+            assert got[below].tobytes() == np.zeros(int(below.sum())).tobytes()
+
+
+def test_sge_log_and_matrix_element_form_give_a_number_or_value_error(tmp_path, monkeypatch):
+    """Over every positive double field the log law and the matrix-element form return
+    a float that is not nan, or raise ValueError naming E; neither leaks a bare
+    OverflowError or ZeroDivisionError, and a chi that overflows gives ln I = -inf."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings, strategies as st
+
+    monkeypatch.setenv("HYPOTHESIS_STORAGE_DIRECTORY", str(tmp_path))
+    tps = {"default": TransportParams(), "c_v tiny": TransportParams(c_v=5e-324), "c_v huge": TransportParams(c_v=1e300)}
+    fields = st.floats(-323.3, 308.2).map(lambda x: 10.0**x) | st.floats(5e-324, 1.7e308, allow_subnormal=True)
+
+    def number_or_value_error(fn, e, *args):
+        try:
+            v = fn(e, *args)
+        except ValueError as exc:
+            assert repr(e) in str(exc)
+        else:
+            assert isinstance(v, float) and not math.isnan(v)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(fields, st.sampled_from(sorted(tps)))
+    # chi = inf, cosh overflow below and above threshold, chi underflowing to 0
+    @example(1e-310, "default")
+    @example(1e-7, "default")
+    @example(1e7, "default")
+    @example(3.0, "c_v tiny")
+    def run(e, name):
+        tp = tps[name]
+        for convention in CONVENTIONS:
+            number_or_value_error(current_sge_log, e, tp, convention)
+        number_or_value_error(sge_from_matrix_element_form, e, tp)
+
+    run()
+    tp = TransportParams()
+    for convention in CONVENTIONS:
+        assert current_sge_log(1e-310, tp, convention) == -math.inf
+        assert current_sge(1e-310, tp, convention) == 0.0
+        with pytest.raises(ValueError, match="at E = 3.0"):
+            current_sge_log(3.0, TransportParams(c_v=5e-324), convention)
+    for e, params in [(1e-7, tp), (1e7, tp), (3.0, TransportParams(c_v=5e-324)), (1e-310, tp)]:
+        with pytest.raises(ValueError, match=f"at E = {e!r}$"):
+            sge_from_matrix_element_form(e, params)

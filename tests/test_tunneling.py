@@ -377,3 +377,80 @@ def test_oracle_stops_on_a_non_finite_integrand():
         t_if_single_mode_oracles([good_i, spec_i], [good_f, spec_f])
     assert str(family.value) == str(alone.value)
     assert family.value.member == 1
+
+
+def _oracle_quadrature_with_precomputed_coefficients(specs_i, specs_f, m_star=1.0, tol=1e-11):
+    """The oracle's unchecked |T| per pair, with 4 a^2 and 2 a precomputed per pair
+    and an error-state scope of its own in every integrand round."""
+    ai, mi, ci = (np.array([getattr(s, name) for s in specs_i], dtype=float) for name in ("alpha", "center", "norm_c"))
+    af, mf, cf = (np.array([getattr(s, name) for s in specs_f], dtype=float) for name in ("alpha", "center", "norm_c"))
+    distinct = (ai != af) | (mi != mf)
+    u0 = 0.5 * (mi + mf)
+    hi = np.where(distinct, np.maximum(mi, mf) + 12.0 * (1.0 / np.sqrt(2.0 * np.minimum(ai, af))), u0)
+    with np.errstate(over="ignore"):
+        ai_sq4, af_sq4 = 4.0 * ai * ai, 4.0 * af * af
+        ai2, af2 = 2.0 * ai, 2.0 * af
+
+    def integrand(u, n):
+        di = u - mi[n]
+        df = u - mf[n]
+        with np.errstate(over="ignore", invalid="ignore"):
+            pi_ = ci[n] * np.exp(-ai[n] * di * di)
+            pf = cf[n] * np.exp(-af[n] * df * df)
+            ppi = pi_ * (ai_sq4[n] * di * di - ai2[n])
+            ppf = pf * (af_sq4[n] * df * df - af2[n])
+            return np.where((pi_ == 0.0) | (pf == 0.0), 0.0, pi_ * ppf - pf * ppi)
+
+    with np.errstate(over="ignore"):
+        return np.abs(numerics.integrate_family(integrand, u0, hi, float(tol))) / (2.0 * float(m_star))
+
+
+def _outcome(oracle, pairs, m_star, tol):
+    """|T| of the pairs as bytes, or the (type, message, member) of the error the oracle raises."""
+    try:
+        return oracle([p[0] for p in pairs], [p[1] for p in pairs], m_star, tol).tobytes()
+    except (QuadratureError, ValueError) as exc:
+        return type(exc), str(exc), exc.member
+
+
+def test_oracle_gives_the_precomputed_coefficient_form_bit_for_bit():
+    delta = TWO_PI
+    # the oracle-shape sweep's pairs
+    pairs = []
+    for x in np.linspace(2.0, 12.5, 15).tolist():
+        alpha = 2.0 * x / delta**2
+        pairs.append((WavefunctionalSpec.normalized(alpha, 1.0 / alpha), WavefunctionalSpec.normalized(alpha, 1.0 / alpha, delta)))
+    # a 60-pair grid of widths, width ratios and center offsets
+    for alpha in np.geomspace(0.1, 10.0, 5).tolist():
+        for ratio in (1.0, 1.5, 3.0):
+            for offset in (0.5, 2.0, delta, 7.0):
+                pairs.append((WavefunctionalSpec(alpha, -0.3, 1.3), WavefunctionalSpec(alpha * ratio, offset - 0.3, 0.8)))
+    # widths where 4 a^2 overflows (from a ~ 6.7e153 up), so the polynomials are inf;
+    # |T| grows like sqrt(a), and so does the tolerance
+    huge = []
+    for alpha in (1e150, 3e152, 6e153, 7e153, 1e155, 1e200, 1e250, 1e300):
+        width = 1.0 / math.sqrt(alpha)
+        for ratio, offset in ((1.0, 0.5), (1.0, 2.0), (2.0, 0.0), (4.0, 1.0)):
+            huge.append((WavefunctionalSpec(alpha, 0.0, 1.0), WavefunctionalSpec(alpha * ratio, offset * width, 1.0)))
+        # a wide final state: the narrow Gaussian underflows to 0 on every node, and
+        # zeroes the integrand where its polynomial is inf
+        huge.append((WavefunctionalSpec(alpha, 0.0, 1.0), WavefunctionalSpec(1e100, 0.0, 1.0)))
+    outcomes = set()
+    for m_star in (1.0, 0.37):
+        for pair in pairs + huge:
+            tol = 1e-11 * max(1.0, math.sqrt(pair[0].alpha))
+            got = _outcome(t_if_single_mode_oracles, [pair], m_star, tol)
+            want = _outcome(_oracle_quadrature_with_precomputed_coefficients, [pair], m_star, tol)
+            if got[0] is ValueError:
+                # the range check, which both forms share, rejected this |T|
+                assert not sys.float_info.min <= np.frombuffer(want)[0] < math.inf
+                outcomes.add(("out of range", pair[0].alpha > 1e100))
+            else:
+                assert got == want
+                outcomes.add(("error" if isinstance(got, tuple) else "value", pair[0].alpha > 1e100))
+        assert _outcome(t_if_single_mode_oracles, pairs, m_star, 1e-11) == _outcome(
+            _oracle_quadrature_with_precomputed_coefficients, pairs, m_star, 1e-11
+        )
+    # values at ordinary and huge widths, the quadrature errors of inf polynomials,
+    # and the |T| = 0 of Gaussians that underflow wherever their polynomials are inf
+    assert outcomes == {("value", False), ("value", True), ("error", True), ("out of range", True)}
