@@ -17,6 +17,15 @@ separations under ``--over e``.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime/numeric error
 (a grid too large to allocate among them), 3 verification failure.
+
+The ``cdwtunnel`` console script and ``python -m cdwtunnel.cli`` both go
+through ``run``: once a command has finished, it flushes stdout and stderr
+and ends the process with ``os._exit``, skipping the interpreter's teardown
+(the final collection and freeing of every object numpy and this package
+made).  So atexit hooks registered by others, such as coverage's subprocess
+hook, do not run after a finished command.  ``--help``, ``--version`` and an
+uncaught exception leave through the normal exit.  ``main`` returns the exit
+code and is unchanged for in-process callers.
 """
 
 import argparse
@@ -36,7 +45,7 @@ import numpy as np
 from . import __version__, fitting, potential, transport, tunneling, verify, wavefunctional
 from .numerics import QuadratureError
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -509,5 +518,26 @@ def main(argv=None):
         return EXIT_RUNTIME
 
 
+def run(argv=None):
+    """Run ``main`` as a command and end the process with its exit code, skipping teardown.
+
+    Every output file is closed and renamed into place before ``main``
+    returns, and the package registers no atexit hook, so once stdout and
+    stderr are flushed nothing is left for the interpreter's teardown to do
+    but free objects: ``os._exit`` ends the process there, and atexit hooks
+    registered by others do not run.  A flush that fails, or a stream that
+    is None, leaves through ``sys.exit`` instead.  ``SystemExit`` from
+    ``--help`` or ``--version`` and uncaught exceptions propagate from
+    ``main`` and take the normal exit.
+    """
+    code = main(argv)
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):  # a None stream has no flush
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -142,12 +142,6 @@ def t_if_single_mode_oracles(specs_i, specs_f, m_star=1.0, tol=1e-11):
     af, mf, cf = (np.array([getattr(s, name) for s in specs_f], dtype=float) for name in fields)
     distinct = (ai != af) | (mi != mf)
     u0 = 0.5 * (mi + mf)
-    hi = np.maximum(mi, mf) + 12.0 * (1.0 / np.sqrt(2.0 * np.minimum(ai, af)))
-    beyond = np.flatnonzero(distinct & (hi <= u0))
-    if beyond.size:
-        raise _member_error(ValueError("barrier point u0 lies above the integration window"), beyond[0])
-    # a proportional pair integrates over the empty interval [u0, u0]
-    hi = np.where(distinct, hi, u0)
 
     def integrand(u, n):
         a_i, a_f = ai[n], af[n]
@@ -162,6 +156,13 @@ def t_if_single_mode_oracles(specs_i, specs_f, m_star=1.0, tol=1e-11):
         return np.where((pi_ == 0.0) | (pf == 0.0), 0.0, pi_ * ppf - pf * ppi)
 
     with np.errstate(over="ignore", invalid="ignore"):
+        # 2 alpha overflows to inf for alpha above ~9e307, and the window shrinks to the higher center
+        hi = np.maximum(mi, mf) + 12.0 * (1.0 / np.sqrt(2.0 * np.minimum(ai, af)))
+        beyond = np.flatnonzero(distinct & (hi <= u0))
+        if beyond.size:
+            raise _member_error(ValueError("barrier point u0 lies above the integration window"), beyond[0])
+        # a proportional pair integrates over the empty interval [u0, u0]
+        hi = np.where(distinct, hi, u0)
         t = np.abs(integrate_family(integrand, u0, hi, float(tol))) / (2.0 * float(m_star))
     bad = np.flatnonzero(distinct & ~((t >= sys.float_info.min) & (t < math.inf)))
     if bad.size:

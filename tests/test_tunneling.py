@@ -379,6 +379,18 @@ def test_oracle_stops_on_a_non_finite_integrand():
     assert family.value.member == 1
 
 
+def test_oracle_window_of_a_width_near_the_double_maximum_raises_no_warning():
+    # 2 alpha overflows for alpha = 1e308; the window is formed in the oracle's
+    # error-state scope, so each pair ends in a reported error, not a RuntimeWarning
+    # (an error under this suite's filterwarnings)
+    spec_i = WavefunctionalSpec(alpha=1e308, center=0.0, norm_c=1.0)
+    with pytest.raises(QuadratureError, match=r"^integrand returned nan at x = 5\.0108") as info:
+        t_if_single_mode_oracle(spec_i, WavefunctionalSpec(alpha=1e308, center=1e-154, norm_c=1.0))
+    assert info.value.member == 0
+    with pytest.raises(ValueError, match=r"^overlap \|T\| = 0 of the states centered at 0\.0 and 1\.0 lies below"):
+        t_if_single_mode_oracle(spec_i, WavefunctionalSpec(alpha=1e308, center=1.0, norm_c=1.0))
+
+
 def _oracle_quadrature_with_precomputed_coefficients(specs_i, specs_f, m_star=1.0, tol=1e-11):
     """The oracle's unchecked |T| per pair, with 4 a^2 and 2 a precomputed per pair
     and an error-state scope of its own in every integrand round."""
