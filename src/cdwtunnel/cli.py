@@ -390,8 +390,6 @@ def _cmd_matrix_element(o):
     except (ValueError, QuadratureError) as exc:
         # named by its grid value: the oracle's failing pair (``member``) or the row being built
         row = getattr(exc, "member", len(rows))
-        if row == grid.size:
-            raise  # the oracle's error about no one pair
         raise type(exc)(f"at {o.over.upper()} = {float(grid[row])!r}: {exc}") from exc
     _write({out: _csv_text(header, [row + (t,) for row, t in zip(rows, t_oracle.tolist())])})
     return EXIT_OK

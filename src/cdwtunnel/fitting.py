@@ -19,11 +19,13 @@ Newton step, stop tests) is Python floats, read from those row sums once
 per round, so it costs a few float operations per member rather than a
 numpy call per quantity.  The whole fit runs under one ``np.errstate``
 scope, so the kernel (``sge_cv_derivatives_array`` without its own scope)
-opens none, and the float helpers give numpy's value where Python's float
-arithmetic would raise.  ``fit_sge_to_points`` is that family with one
-member, each member is bit for bit its own one-member fit, and a failing
-family raises by the batch-engine convention ``numerics`` states.  No
-``TransportParams`` is built per point or per trial.
+opens none.  Where Python's floats would raise or differ, ``_projected``
+writes out numpy's two zero divisions, ``_ldexp`` an overflow (a result)
+and ``_moves`` np.spacing (inf at the largest double, unlike math.ulp).
+``fit_sge_to_points`` is that family with one member, each member is bit
+for bit its own one-member fit, and a failing family raises by the
+batch-engine convention ``numerics`` states.  No ``TransportParams`` is
+built per point or per trial.
 """
 
 import dataclasses
@@ -187,11 +189,13 @@ def fit_sge_family(es, targets, free, starts):
     still stepping, read from the row sums once per round: a member that
     takes its trial moves to it, and one that rejects it keeps its state
     and halves its step.  Floating-point errors are ignored for the whole
-    fit, in this one scope, and the float helpers give numpy's value where
-    Python's would raise.  Every per-member reduction is a row sum, so each
-    member is bit for bit its own one-member fit.  Targets and g are
-    scaled by powers of two to a largest magnitude below 1, so no sum of
-    squares overflows; the amplitude and rms are scaled back.
+    fit, in this one scope, and numpy's value is written out where Python's
+    floats would raise or differ: ``_projected`` its two zero divisions,
+    ``_ldexp`` an overflow (a result) and ``_moves`` np.spacing (inf at the
+    largest double).  Every per-member reduction is a row sum, so each
+    member is bit for bit its own one-member fit.  Targets and g are scaled
+    by powers of two to a largest magnitude below 1, so no sum of squares
+    overflows; the amplitude and rms are scaled back.
 
     The start checks read the scaled problem: a g that is not finite, or a
     start rms that is not finite once scaled back, raises ValueError; with
@@ -339,14 +343,14 @@ def _projected(y, g, dg, d2g, held, shift, project, c_v, floor):
         grad = -c_j * g1r_j
         curvature = c_j * (c_j * g1g1_j - g2r_j)
         if project:
-            # the amplitude moves with c_v at dc/dc_v = (<dg, r> - c <g, dg>)/<g, g>
-            dc = _div(g1r_j - c_j * gdg_j, gg_j)
+            # the amplitude moves at dc/dc_v = (<dg, r> - c <g, dg>)/<g, g>; at <g, g> = 0, dc^2 <g, g> is nan
+            dc = (g1r_j - c_j * gdg_j) / gg_j if gg_j > 0.0 else math.nan
             curvature -= dc * dc * gg_j
         derivable.append(math.isfinite(grad) and math.isfinite(curvature))
-        # the Newton step in ln c_v; a curvature that is not positive divides by
-        # zero: the step runs downhill to the bound
+        # the Newton step in ln c_v, bounded to ±ln 2 (max and min pass a nan); a curvature that is
+        # not positive divides by zero as -slope inf: downhill to the bound, nan at a slope of ±0 or nan
         slope_j, used_j = v * grad, v * (v * curvature + grad)
-        step_j = _clamp(-slope_j / used_j if used_j > 0.0 else _div(-slope_j, 0.0))
+        step_j = min(max(-slope_j / used_j if used_j > 0.0 else -slope_j * math.inf, -_LN2), _LN2)
         slope.append(slope_j)
         used.append(used_j)
         step.append(step_j)
@@ -355,19 +359,9 @@ def _projected(y, g, dg, d2g, held, shift, project, c_v, floor):
     return c, cost, derivable, slope, used, step, go
 
 
-# Float versions of the numpy operations the per-member bookkeeping needs,
-# each giving np.float64's value where Python's float arithmetic would raise
-# or differ (the sign of a nan aside).
-
-
-def _div(a, b):
-    """a / b; a division by ±0 gives ±inf, or nan for 0/0 and nan/0, instead of ZeroDivisionError."""
-    try:
-        return a / b
-    except ZeroDivisionError:
-        if a == 0.0 or a != a:
-            return math.nan
-        return math.copysign(math.inf, a) * math.copysign(1.0, b)
+# The two float helpers left: ``_ldexp``, whose overflow is a result (an infinite amplitude,
+# an overflowing start rms), and ``_moves``, as np.spacing is inf at the largest double where
+# math.ulp is finite.  ``_projected`` writes out its two divisions that can meet a zero denominator.
 
 
 def _ldexp(x, e):
@@ -378,19 +372,14 @@ def _ldexp(x, e):
         return math.copysign(math.inf, x)
 
 
-def _clamp(x):
-    """x clamped to [-ln 2, ln 2]; a nan passes through, as np.minimum and np.maximum pass it."""
-    return -_LN2 if x < -_LN2 else _LN2 if x > _LN2 else x
-
-
 def _moves(step, c_v):
     """Whether a step in ln c_v is longer than 4 ulp of c_v, as ``|step| c_v > 4 np.spacing(c_v)`` reads.
 
-    np.spacing(x) is the signed gap from x to the next float away from zero
-    (above ±0): inf at the largest double, where math.ulp is finite, and nan
-    at ±inf and nan.
+    c_v is never negative (a fit starts positive, and a step multiplies it by
+    exp(step)), so np.spacing(c_v) is the gap to the next float up: inf at the
+    largest double, where math.ulp is finite, and nan at inf and nan.
     """
-    return abs(step) * c_v > _STEP_ULPS * (math.nextafter(c_v, math.inf if c_v >= 0.0 else -math.inf) - c_v)
+    return abs(step) * c_v > _STEP_ULPS * (math.nextafter(c_v, math.inf) - c_v)
 
 
 def fit_sge_to_zener(tp_zener, e_grid, free=frozenset(FREE_PARAM_ORDER), start=None):

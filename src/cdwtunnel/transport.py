@@ -132,8 +132,9 @@ def current_sge(e, tp, convention="printed"):
 def current_sge_array(es, e_t, c_v, c_tilde1, substituted):
     """Soliton-pair current over the float array of fields ``es``.
 
-    Takes the raw parameter values, so fits can pass trial values without
-    building a ``TransportParams``.
+    Takes the raw parameter values: ``current_sge`` and ``curve_series``
+    pass a ``TransportParams``'s, and ``verify.check_fit_roundtrip``
+    broadcasts (m, 1) columns of them against ``es`` for a family of curves.
     """
     with np.errstate(all="ignore"):
         arg, expo = _sge_arg_expo(es, e_t, c_v, substituted)

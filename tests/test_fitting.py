@@ -622,28 +622,108 @@ def _same_float(got, want):
 
 
 def test_float_helpers_of_the_fit_give_numpys_values():
-    """The fit's per-member float helpers against np.float64 arithmetic under
-    np.errstate(all="ignore"), at the inputs where Python's own float
-    arithmetic raises (x / 0, an ldexp past the double range) or differs
-    (math.ulp at the largest double, max and min with a nan)."""
+    """The fit's two per-member float helpers against np.float64 arithmetic
+    under np.errstate(all="ignore"), at the inputs where Python's own float
+    arithmetic raises (an ldexp past the double range) or differs (math.ulp
+    at the largest double).  The fit's c_v is never negative."""
     inf, nan, big, tiny = math.inf, math.nan, sys.float_info.max, 5e-324
     ln2 = fitting._LN2
     f64 = np.float64
     with np.errstate(all="ignore"):
-        for x in (1.0, -1.0, 0.0, -0.0, inf, -inf, nan, 3.5, big):
-            for y in (0.0, -0.0, 2.0, -tiny, nan, inf):
-                assert _same_float(fitting._div(x, y), f64(x) / f64(y)), (x, y)
         for x in (1.0, -1.0, 0.75, big, -big, tiny, 2.2250738585072014e-308, 0.0, -0.0, inf, -inf, nan):
             for e in (0, 1, 1023, 1024, 2098, 5000, -1, -1022, -1074, -1075, -2098, -5000):
                 assert _same_float(fitting._ldexp(x, e), np.ldexp(f64(x), e)), (x, e)
-        for x in (nan, inf, -inf, 0.0, -0.0, 0.3, -0.3, ln2, -ln2, 1.0, -1.0, big, -big):
-            assert _same_float(fitting._clamp(x), np.minimum(np.maximum(f64(x), -ln2), ln2)), x
-        for c_v in (1.0, 0.75, 0.0, -0.0, tiny, 2.2250738585072014e-308, 1e300, big, inf, nan, -1.0, -big):
+        for c_v in (1.0, 0.75, 0.0, -0.0, tiny, 2.2250738585072014e-308, 1e300, big, inf, nan):
             for step in (0.0, -0.0, 1e-16, -4.5e-16, 1e-300, ln2, -ln2, inf, nan):
                 want = np.abs(f64(step)) * f64(c_v) > fitting._STEP_ULPS * np.spacing(f64(c_v))
                 assert fitting._moves(step, c_v) == bool(want), (step, c_v)
     # the largest double is where math.ulp parts from np.spacing
     assert fitting._moves(ln2, big) is False and ln2 * big > fitting._STEP_ULPS * math.ulp(big)
+
+
+def _numpy_plan(y, g, dg, d2g, held, shift, project, c_v, floor):
+    """``fitting._projected``'s outputs as arrays, by the fitter's earlier numpy formulation: every row at once,
+    with np.float64 division by zero and np.minimum/np.maximum, under np.errstate(all="ignore")."""
+
+    def rowdot(a, b):
+        return np.add.reduce(a * b, axis=1)
+
+    c_v, floor, ln2 = np.array(c_v), np.array(floor), fitting._LN2
+    with np.errstate(all="ignore"):
+        gg = rowdot(g, g)
+        c = np.ldexp(np.array(held), np.array(shift))
+        if project:
+            c = np.where(gg > 0.0, rowdot(g, y) / gg, c)
+        r = y - c[:, None] * g
+        cost, g1r, g1g1, g2r = rowdot(r, r), rowdot(dg, r), rowdot(dg, dg), rowdot(d2g, r)
+        grad = -c * g1r
+        curvature = c * (c * g1g1 - g2r)
+        if project:
+            dc = (g1r - c * rowdot(g, dg)) / gg
+            curvature -= dc * dc * gg
+        slope, used = c_v * grad, c_v * (c_v * curvature + grad)
+        step = np.minimum(np.maximum(-slope / np.where(used > 0.0, used, 0.0), -ln2), ln2)
+        flat = np.abs(g1r) <= fitting._GTOL * np.sqrt(g1g1 * cost)
+        moves = np.abs(step) * c_v > fitting._STEP_ULPS * np.spacing(c_v)
+        go = (cost > floor) & ~flat & np.isfinite(step) & moves
+    return c, cost, np.isfinite(grad) & np.isfinite(curvature), slope, used, step, go
+
+
+def _float_kind(x):
+    """Which of nan, +0, -0, +inf, -inf or finite (nonzero) the float ``x`` is."""
+    if math.isnan(x):
+        return "nan"
+    if math.isinf(x):
+        return f"{x:+}"
+    if x == 0.0:
+        return "+0" if math.copysign(1.0, x) > 0.0 else "-0"
+    return "finite"
+
+
+def test_newton_plan_of_the_fit_gives_numpys_values():
+    """``fitting._projected`` (amplitude, cost, derivability, slope, curvature
+    used, bounded step and whether to take it) is bit for bit the numpy
+    formulation on hand-built two-field rows: g = 0 on every field, a
+    curvature that is not positive under a slope of ±0, nan, ±inf or a finite
+    value, raw steps beyond ±ln 2 and nan steps, with and without the
+    amplitude projected."""
+    inf, nan, big, tiny = math.inf, math.nan, sys.float_info.max, 5e-324
+    gs = ([0.0, 0.0], [0.5, 0.25], [-0.0, 1.0])
+    ys = ([1.0, -1.0], [0.5, 0.25], [0.0, 0.0])
+    dgs = ([1.0, 1.0], [1.0, -1.0], [-0.0, -0.0], [nan, 1.0], [inf, 1.0], [1e300, -1e300], [3.0, 0.5])
+    d2gs = ([0.0, 0.0], [10.0, -10.0], [-3.0, 5.0], [inf, 0.0], [0.25, 0.5])
+    rows = [
+        (y, g, dg, d2g, held, c_v)
+        for y in ys
+        for g in gs
+        for dg in dgs
+        for d2g in d2gs
+        for held in (1.0, -1.0)
+        for c_v in (1.0, 0.5, 0.0, tiny, big)
+    ]
+    y, g, dg, d2g = (np.array([row[i] for row in rows]) for i in range(4))
+    held, c_v = [row[4] for row in rows], [row[5] for row in rows]
+    shift, floor, ln2 = [0] * len(rows), [1e-30] * len(rows), fitting._LN2
+    seen = set()
+    for project in (True, False):
+        with np.errstate(all="ignore"):  # the fit's own scope, which ``_projected`` runs in
+            got = fitting._projected(y, g, dg, d2g, held, shift, project, c_v, floor)
+        want = _numpy_plan(y, g, dg, d2g, held, shift, project, c_v, floor)
+        for name, got_col, want_col in zip(("c", "cost", "derivable", "slope", "used", "step", "go"), got, want):
+            assert len(got_col) == len(rows)
+            for i, (a, b) in enumerate(zip(got_col, want_col.tolist())):
+                assert _same_float(a, b), (name, project, rows[i], a, b)
+        # what the rows reach: each kind of slope under a curvature that is not
+        # positive, raw steps past either bound, and nan steps
+        _, _, _, slope, used, step, _ = want
+        uphill = used > 0.0  # False at a nan curvature too
+        with np.errstate(all="ignore"):
+            raw = -slope[uphill] / used[uphill]
+        seen.update(_float_kind(s) for s in slope[~uphill].tolist())
+        for label, hit in (("raw > ln 2", raw > ln2), ("raw < -ln 2", raw < -ln2), ("nan step", np.isnan(step))):
+            if hit.any():
+                seen.add(label)
+    assert seen == {"+0", "-0", "nan", "+inf", "-inf", "finite", "raw > ln 2", "raw < -ln 2", "nan step"}
 
 
 def _pinned_fits():
