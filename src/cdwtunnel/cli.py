@@ -374,10 +374,9 @@ def _cmd_matrix_element(o):
         for g in grid.tolist():
             l = transport.pair_separation(g, tp) if o.over == "e" else g
             spec_i, spec_f = wavefunctional.transport_pair_specs(l, o.eps_plus)
-            # positional, in field order: with keywords one record took 1.2-1.5 us
-            # against 0.86-0.97 us (timeit minima; CPython 3.11, 2-CPU Xeon)
             inputs = tunneling.MatrixElementInputs(
-                o.x_bar, l, spec_i.alpha, o.n1, spec_i.norm_c, spec_f.norm_c, o.m_star
+                x_bar=o.x_bar, l=l, alpha=spec_i.alpha, n1=o.n1,
+                c1_norm=spec_i.norm_c, c2_norm=spec_f.norm_c, m_star=o.m_star,
             )
             values = (tunneling.t_if_analytic(inputs), tunneling.t_if_simplified(inputs))
             for column, t in zip(("t_analytic", "t_simplified"), values):

@@ -6,9 +6,9 @@ C1 (phi-phi0)^2 - 4 C2 phi phi0 (phi-phi0)^2 + C2 (phi^2-phi0^2)^2 is
 d^2 (C1 + C2 d^2) with d = phi - phi0, so a profile's static energy under
 any (C1, C2) is G + C1 M2 + C2 M4, from the trapezoid moments
 G = int (d_x phi)^2/2, M2 = int d^2 and M4 = int d^4.  A profile computes
-its gradient energy density once and the three moments once per phi0, each
-on first use, so bound checks of one profile under many potentials share
-them.
+the three moments once per phi0, on first use, and its gradient energy
+density when it does, so bound checks of one profile under many potentials
+with one vacuum share them.
 
 A ``FieldProfile`` is a family: one phi row, or m rows on one shared grid.
 The gradient is one ``np.gradient`` along the last axis and the moments are
@@ -23,11 +23,11 @@ h = (x_last - x_first)/(n - 1), as every ``np.linspace`` (and so every
 ``sample_profile``) grid does.  The gradient then takes the scalar step h
 and each moment is h times a row sum with its ends halved, which moves the
 last bits of energies and bound reports against the xs route.  Any other
-grid takes ``np.gradient`` on xs of each row less its first sample, and the
-pair-sum trapezoid.
+grid takes ``np.gradient`` on xs of each row less its first sample, and
+``np.trapezoid`` on xs.  A moment beyond the double range reads inf, and
+nan where a step of xs overflows.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -66,7 +66,7 @@ class FieldProfile:
 
     ``phis`` is one profile, shape (n,), or a family of m profiles, shape
     (m, n), on the grid ``xs`` of shape (n,); ``len`` is n.  ``xs`` and
-    ``phis`` are read-only copies, so the cached energies stay those of the samples.
+    ``phis`` are read-only copies, so the cached moments stay those of the samples.
     Both must be finite.  The step h = (x_last - x_first)/(n - 1) is read off
     ``xs`` and kept where the grid is uniform to the rounding of its samples:
     every step within 4 ulp(max |x|) of h.  A span beyond the double range
@@ -105,11 +105,12 @@ class FieldProfile:
     def __len__(self):
         return self.xs.size
 
-    @functools.cached_property
+    @property
     def gradient_energy(self):
-        """(d_x phi)^2 / 2 at every sample of every row, from one ``np.gradient``; computed on first use.
+        """(d_x phi)^2 / 2 at every sample of every row, from one ``np.gradient`` on each read.
 
-        On a uniform grid the gradient takes the scalar step h.  Any other
+        The moments read it once per phi0 and keep only their sums.  On a
+        uniform grid the gradient takes the scalar step h.  Any other
         grid takes ``np.gradient(phis - phis[..., :1], xs)``: its three
         weights per sample do not sum to exactly 0 in floating point, so each
         slope carries ~eps |phi| / h, and subtracting each row's first sample
@@ -133,27 +134,23 @@ class FieldProfile:
 
         On a uniform grid each is h (y_first/2 + sum of the inner samples +
         y_last/2): one row reduction, and no n-long step array.  It moves
-        the last bits against the xs route.  On any other
-        grid each is the float ``np.trapezoid(y, xs)`` along the last axis,
-        with one ``np.diff(xs)`` shared by the three and the halving taken
-        out of the sum, which is exact away from underflow; each integrand's
-        pair sums are scaled in place, so a family allocates few (m, n)
-        arrays.  The integrands are not negative, so a moment beyond the
-        double range reads inf (an end-corrected full sum could read
-        inf - inf).  The moments are summed on (m, n) views, so a profile is
-        a family of one row.
+        the last bits against the xs route.  On any other grid each is
+        ``np.trapezoid(y, xs)`` along the last axis.  It halves each pair
+        product before the sum, so a total stays finite up to twice as far
+        as the unhalved sum, and where pair products are subnormal the
+        halvings round (a few ulp on the moment).  The integrands are not
+        negative, so a moment beyond the double range reads inf (an
+        end-corrected full sum could read inf - inf).  The moments are
+        summed on (m, n) views, so a profile is a family of one row.
         """
         h = self._step
         rows = (-1, self.xs.size)
         sums = []
         with np.errstate(over="ignore", invalid="ignore"):
-            dx = np.diff(self.xs) if h is None else None
             d2 = (self.phis.reshape(rows) - phi0) ** 2
             for y in (self.gradient_energy.reshape(rows), d2, d2 * d2):
                 if h is None:
-                    pair = y[:, 1:] + y[:, :-1]
-                    pair *= dx
-                    total = 0.5 * np.add.reduce(pair, axis=1)
+                    total = np.trapezoid(y, self.xs, axis=1)
                 else:
                     total = h * (np.add.reduce(y[:, 1:-1], axis=1) + 0.5 * (y[:, 0] + y[:, -1]))
                 sums.append(total.tolist())

@@ -90,9 +90,12 @@ def _check_field(e):
 
 
 def pair_separation(e, tp):
-    """Pair separation (2 Delta_s / e*) / E; L is inversely proportional to E."""
+    """Pair separation L = (2 Delta_s / e*) / E, or a ValueError naming E where L is not a positive finite double."""
     _check_field(e)
-    return (2.0 * tp.delta_s / tp.e_star) * (1.0 / e)
+    l = (2.0 * tp.delta_s / tp.e_star) * (1.0 / e)
+    if not 0.0 < l < math.inf:
+        raise ValueError(f"separation L = 2 delta_s / (e_star E) is {l!r} at E = {e!r}, not a positive finite double")
+    return l
 
 
 def _substituted(convention):

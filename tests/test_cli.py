@@ -504,7 +504,12 @@ def test_any_matrix_element_magnitudes_run_or_exit_cleanly(tmp_path, monkeypatch
         ),
         (
             ["matrix-element", "--over", "e", "--delta-s", "1e308", "--grid-n", "3"],
-            "at E = 2.0: alpha must be positive and finite, got 0.0",
+            "at E = 2.0: separation L = 2 delta_s / (e_star E) is inf at E = 2.0, not a positive finite double",
+        ),
+        (
+            ["matrix-element", "--over", "e", "--grid-lo", "1e299", "--grid-hi", "1e300", "--grid-n", "2"]
+            + ["--delta-s", "1e-300"],
+            "at E = 1e+299: separation L = 2 delta_s / (e_star E) is 0.0 at E = 1e+299, not a positive",
         ),
         (["matrix-element", "--eps-plus", "1e6", "--grid-n", "3"], "at L = 2.0: overlap |T| = 0 of the states"),
         (
@@ -534,6 +539,7 @@ def test_any_matrix_element_magnitudes_run_or_exit_cleanly(tmp_path, monkeypatch
         "tiny-l",
         "tiny-delta-s",
         "huge-delta-s",
+        "underflowing-separation",
         "far-final-state",
         "subnormal-overlap",
         "sge-overflow",

@@ -807,3 +807,15 @@ def test_fits_whose_cost_has_no_finite_minimum_stop_at_max_iter():
     es, targets = np.array([15.5535, 15.5878]), np.array([0.01784, 0.7029])
     fit = fit_sge_to_points(es, targets, FREE_PARAM_ORDER, TransportParams())
     assert (fit.iterations, fit.stop, fit.converged) == (200, "max_iter", False)
+
+
+def test_a_converged_fit_carries_a_finite_non_negative_residual():
+    for residual in (math.nan, math.inf, -math.inf, -1.0, -5e-324):
+        with pytest.raises(ValueError, match="^converged fit must carry a finite non-negative residual$"):
+            fitting.FitResult([1.0], residual, 3)
+    for residual in (0.0, -0.0, 5e-324, sys.float_info.max):
+        assert fitting.FitResult([1.0], residual, 3).converged
+    # a fit that ran out of trial steps reports whatever residual it stopped at
+    for residual in (math.inf, math.nan):
+        fit = fitting.FitResult([1.0], residual, 200, stop="max_iter")
+        assert not fit.converged and not math.isfinite(fit.residual_rms)

@@ -407,6 +407,78 @@ def test_uniform_grids_take_the_step_and_other_grids_keep_the_xs_route(tmp_path,
     run()
 
 
+def test_off_grid_moments_are_the_pair_sum_trapezoid_where_pair_products_are_normal(tmp_path, monkeypatch):
+    """On sorted random grids and on linspace grids with their inner samples moved, a
+    family's (G, M2, M4) equal the spelled-out pair sum bit for bit wherever every pair
+    product is a normal double (0 aside) and no total overflows: halving a normal
+    product, or a sum of them, is exact.  Every 2-sample grid is uniform, so n >= 3."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    # hypothesis caches source constants in a storage directory even without a database
+    monkeypatch.setenv("HYPOTHESIS_STORAGE_DIRECTORY", str(tmp_path))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        m=st.integers(1, 4),
+        n=st.integers(3, 400),
+        perturbed=st.booleans(),
+        moved=st.floats(0.01, 0.45),
+        scale=st.integers(-100, 100),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def run(m, n, perturbed, moved, scale, seed):
+        rng = np.random.default_rng(seed)
+        if perturbed:
+            xs = np.linspace(-20.0, 30.0, n)
+            xs[1:-1] += rng.uniform(-moved, moved, n - 2) * (xs[1] - xs[0])
+        else:
+            xs = np.unique(rng.uniform(-50.0, 50.0, n))
+        # amplitudes on a 2^-10 lattice times 2^scale: every nonzero d is at least
+        # 2^(scale - 10), and d^4 stays far below the largest double
+        phis = rng.integers(-(2**20), 2**20, (m, xs.size)) * 2.0 ** (scale - 10)
+        phi0 = float(rng.integers(-(2**20), 2**20)) * 2.0 ** (scale - 10)
+        profile = FieldProfile(xs, phis if m > 1 else phis[0])
+        assert profile._step is None
+        gradient_energy, moments = _xs_path(profile.xs, profile.phis, phi0)
+        d2 = (phis - phi0) ** 2
+        for y in (gradient_energy.reshape(phis.shape), d2, d2 * d2):
+            products = np.diff(xs) * (y[:, 1:] + y[:, :-1])
+            assert np.all((products == 0.0) | (products >= 2.0 * np.finfo(float).tiny))
+            assert np.all(np.isfinite(products.sum(axis=1)))
+        assert profile.gradient_energy.tobytes() == gradient_energy.tobytes()
+        assert profile._energy_moments(phi0) == moments
+
+    run()
+
+
+def test_off_grid_moments_halve_each_pair_product_before_the_sum():
+    """At the ends of the double range the halving inside the sum shows.  Near overflow
+    an M4 whose unhalved pair sum reads inf is finite, and so is the static energy.  Where
+    pair products are subnormal each halving rounds to the smallest subnormal s = 2^-1074,
+    so a moment moves by at most n s / 2 against the pair sum, which rounds once."""
+    xs = [0.0, 1.0, 3.0]
+    # d^4 = c on every sample: pairs 2c and 4c, unhalved total 6c > max, moment 3c
+    c = 4e307
+    flat = FieldProfile(xs, [c**0.25] * 3)
+    with np.errstate(over="ignore"):
+        _, pair_sum = _xs_path(flat.xs, flat.phis, 0.0)
+    g, m2, m4 = flat._energy_moments(0.0)[0]
+    assert pair_sum[0][2] == math.inf and math.isfinite(m4)
+    assert abs(m4 - 3.0 * c) <= 4.0 * EPS * m4 and g == 0.0
+    report = bogomolnyi_check(flat, PotentialParams(c1=1.0, c2=1.0, phi0=0.0), 0.0, 0.0, 0.0)
+    assert report.lhs == m2 + m4 and math.isfinite(report.lhs)
+    # d^2 = s, 0, s: the pair products s and 2 s; halved, s/2 rounds to 0 (to even),
+    # so M2 = s, where the pair sum reads (3 s)/2, which rounds to 2 s
+    s = 5e-324
+    tiny = FieldProfile(xs, [2.0**-537, 0.0, 2.0**-537])
+    _, pair_sum = _xs_path(tiny.xs, tiny.phis, 0.0)
+    moments = tiny._energy_moments(0.0)[0]
+    assert (moments[1], pair_sum[0][1]) == (s, 2 * s)
+    for got, want in zip(moments, pair_sum[0]):
+        assert abs(got - want) <= len(tiny) * s / 2
+
+
 def test_the_bogomolnyi_sweep_holds_on_the_uniform_route(monkeypatch):
     """verify's sweep keeps 0 violations, and its smallest lhs - rhs is within 1e-12
     relative of the one the xs route gives on the same profiles."""

@@ -39,11 +39,24 @@ def test_pair_separation_product_invariant():
         assert pair_separation(float(e), tp) * e == pytest.approx(want, rel=1e-15)
 
 
+@pytest.mark.filterwarnings("error")
 def test_pair_separation_domain():
     with pytest.raises(ValueError):
         pair_separation(0.0, TransportParams())
     with pytest.raises(ValueError):
         pair_separation(-2.0, TransportParams())
+    # an L outside the positive doubles names E: 1 / E overflows at the smallest
+    # subnormal field, and 2 delta_s / e_star overflows
+    with pytest.raises(ValueError, match=r"^separation L = 2 delta_s / \(e_star E\) is inf at E = 5e-324, not a"):
+        pair_separation(5e-324, TransportParams())
+    with pytest.raises(ValueError, match=r" is inf at E = 2\.0, not a positive finite double$"):
+        pair_separation(2.0, TransportParams(delta_s=1e308))
+    # (2e-300) (1 / 1e300) underflows to 0
+    with pytest.raises(ValueError, match=r" is 0\.0 at E = 1e\+300, not a positive finite double$"):
+        pair_separation(1e300, TransportParams(delta_s=1e-300))
+    # just inside: a large finite L, and a subnormal one, are returned
+    assert pair_separation(1e-300, TransportParams()) == 2.0 * (1.0 / 1e-300)
+    assert pair_separation(1e300, TransportParams(delta_s=1e-20)) == 2e-20 * (1.0 / 1e300) > 0.0
 
 
 
