@@ -37,7 +37,6 @@ __all__ = [
     "BoundReport",
     "FieldProfile",
     "PotentialParams",
-    "alpha_from_separation",
     "bogomolnyi_check",
     "delta_e_gap",
     "eval_extended_potential",
@@ -198,13 +197,6 @@ def eval_extended_potential(phi, p):
 def delta_e_gap(p, phi_f, phi_t):
     """Gap energy V(phi_F) - V(phi_T) between false and true vacuum values."""
     return eval_extended_potential(phi_f, p) - eval_extended_potential(phi_t, p)
-
-
-def alpha_from_separation(l):
-    """Gaussian width coefficient 1/L from the pair separation."""
-    if not l > 0.0:
-        raise ValueError("separation L must be positive")
-    return 1.0 / l
 
 
 def _windings(profile):

@@ -126,12 +126,17 @@ def t_if_single_mode_oracles(specs_i, specs_f, m_star=1.0, tol=1e-11):
     point u0, the midpoint of the two centers, to 12 Gaussian widths above
     the higher center, where the integrand is long dead.  All pairs are the
     members of one ``integrate_family`` call, and the result is an array.
+    The quadrature meets an absolute ``tol`` by its error estimate, so each
+    |T| is good to an absolute tol / (2 m*), 5e-12 at the defaults, and a
+    smaller |T| is not resolved: at alpha = 1 and L = 2, centers 1e-16
+    apart read |T| = 1.15e-16 against 1.79e-16, and 1e-17 apart read 0.
     States with equal (alpha, center) are proportional and give exactly 0.
     For any other pair a |T| below ``sys.float_info.min`` or not finite (the
     division by a tiny 2 m* overflows) raises ValueError rather than return
     a silent 0, a subnormal or inf, naming the first such pair in input
-    order; quadrature non-convergence propagates.  Either error carries the
-    index of its pair as ``member``.
+    order, and saying so where |T| is also below that error bound;
+    quadrature non-convergence propagates.  Either error carries the index
+    of its pair as ``member``.
     """
     if not m_star > 0.0:
         raise ValueError("m_star must be positive")
@@ -172,5 +177,8 @@ def t_if_single_mode_oracles(specs_i, specs_f, m_star=1.0, tol=1e-11):
             f"overlap |T| = {t[n]:.3g} of the states centered at {float(mi[n])!r} and {float(mf[n])!r}"
             f" lies {side} the normal double range"
         )
+        bound = float(tol) / (2.0 * float(m_star))
+        if t[n] < bound:
+            message += f"; at absolute tolerance tol = {float(tol)!r} the quadrature resolves no |T| below {bound:.3g}"
         raise _member_error(ValueError(message), n)
     return t

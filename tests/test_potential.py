@@ -7,7 +7,6 @@ import pytest
 from cdwtunnel.potential import (
     FieldProfile,
     PotentialParams,
-    alpha_from_separation,
     bogomolnyi_check,
     delta_e_gap,
     eval_extended_potential,
@@ -81,17 +80,6 @@ def test_gap_energy_antisymmetry():
     for _ in range(200):
         a, b = rng.uniform(-6, 6, size=2)
         assert delta_e_gap(p, a, b) == -delta_e_gap(p, b, a)
-
-
-def test_alpha_from_separation():
-    assert alpha_from_separation(2.0) == 0.5
-    assert alpha_from_separation(1.0) == 1.0
-    for l in np.geomspace(0.1, 100, 20):
-        assert alpha_from_separation(float(l)) * l == pytest.approx(1.0, rel=1e-15)
-    with pytest.raises(ValueError):
-        alpha_from_separation(0.0)
-    with pytest.raises(ValueError):
-        alpha_from_separation(-1.0)
 
 
 def test_topological_charge_pair_is_zero():

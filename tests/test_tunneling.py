@@ -254,6 +254,18 @@ def test_oracle_rejects_overlap_below_normal_range(l, eps_plus, shown):
     assert shown in str(info.value)
 
 
+def test_oracle_says_an_overlap_below_its_tolerance_is_not_resolved():
+    # |T| ~ 1.8e-20 is a normal double, but far below the quadrature's resolution
+    spec_i = WavefunctionalSpec.normalized(1.0, 2.0, center=0.0)
+    spec_f = WavefunctionalSpec.normalized(1.0, 2.0, center=1e-20)
+    with pytest.raises(ValueError) as info:
+        t_if_single_mode_oracle(spec_i, spec_f)
+    assert str(info.value) == (
+        "overlap |T| = 0 of the states centered at 0.0 and 1e-20 lies below the normal double range;"
+        " at absolute tolerance tol = 1e-11 the quadrature resolves no |T| below 5e-12"
+    )
+
+
 @pytest.mark.filterwarnings("error")
 def test_oracle_rejects_overlap_above_normal_range():
     # 2 m* = 2e-320 is subnormal: dividing the normal overlap by it overflows to inf

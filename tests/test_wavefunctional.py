@@ -361,6 +361,60 @@ def test_transport_pair_specs():
     for eps_plus in (0.0, -1e-3, -TWO_PI, math.nan):
         with pytest.raises(ValueError, match="eps_plus must be positive"):
             transport_pair_specs(l, eps_plus)
+    # alpha = 1/L
+    assert transport_pair_specs(2.0)[0].alpha == 0.5
+    assert transport_pair_specs(1.0)[0].alpha == 1.0
+    for l in np.geomspace(0.1, 100, 20):
+        assert transport_pair_specs(float(l))[0].alpha * l == pytest.approx(1.0, rel=1e-15)
+    for l in (0.0, -1.0):
+        with pytest.raises(ValueError, match="separation L must be positive"):
+            transport_pair_specs(l)
+
+
+@pytest.mark.parametrize(
+    "l, eps_plus, message",
+    [
+        (0.0, 1e-3, "separation L must be positive"),
+        (-1.0, 1e-3, "separation L must be positive"),
+        (math.nan, 1e-3, "separation L must be positive"),
+        # 1/L overflows, and norm_constant rejects alpha
+        (5e-324, 1e-3, "alpha must be positive and finite, got inf"),
+        (math.inf, 1e-3, "alpha must be positive and finite, got 0.0"),
+        (7.0, 0.0, "eps_plus must be positive, got 0.0"),
+        (7.0, -1e-3, "eps_plus must be positive, got -0.001"),
+        (7.0, math.nan, "eps_plus must be positive, got nan"),
+        (7.0, math.inf, "center must be finite"),
+        # eps_plus, then L, then norm_constant, then the final center
+        (0.0, 0.0, "eps_plus must be positive, got 0.0"),
+        (math.nan, math.inf, "separation L must be positive"),
+        (5e-324, math.inf, "alpha must be positive and finite, got inf"),
+    ],
+)
+def test_transport_pair_specs_rejects_in_order(l, eps_plus, message):
+    assert _raised(lambda: transport_pair_specs(l, eps_plus)) == (ValueError, message)
+
+
+def test_transport_pair_states_equal_checked_construction(tmp_path, monkeypatch):
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    monkeypatch.setenv("HYPOTHESIS_STORAGE_DIRECTORY", str(tmp_path))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.floats(1e-300, 1e300), st.floats(0.0, 1e300, exclude_min=True))
+    def run(l, eps_plus):
+        alpha = 1.0 / l
+        norm_c = norm_constant(alpha, l)
+        built = (WavefunctionalSpec(alpha, 0.0, norm_c), WavefunctionalSpec(alpha, TWO_PI + eps_plus, norm_c))
+        for spec, ref in zip(transport_pair_specs(l, eps_plus), built):
+            assert spec == ref and hash(spec) == hash(ref)
+            assert vars(spec) == dataclasses.asdict(spec) == vars(ref)
+            assert [type(getattr(spec, name)) for name in GOOD_SPEC] == [float] * 3
+            for name in GOOD_SPEC:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(spec, name, 1.0)
+
+    run()
 
 
 GOOD_SPEC = dict(alpha=0.25, center=1.5, norm_c=0.875)
