@@ -9,10 +9,10 @@ its integrand on whole numpy arrays and checks the shape of what comes back.
 Every batch engine (this one, ``fitting.fit_sge_family`` and
 ``tunneling.t_if_single_mode_oracles``) raises the error of its lowest-index
 failing member, with that member's own message and index (``_member_error``).
-The overflow-safe cosh(arg) * exp(expo) product has a scalar form on
-``math``, for the per-point matrix elements, and an array form on numpy's
-cosh/exp, which the current laws call with |arg| and cosh(arg) taken once;
-off its one-product fast path the array form computes every branch and
+The overflow-safe cosh(arg) * exp(expo) product has one kernel, on numpy's
+cosh/exp, which the current laws call with |arg| and cosh(arg) taken once,
+and the per-point matrix elements with one element off their inline direct
+product; off its one-product fast path the kernel computes every branch and
 selects among them under one error-state scope.
 The error function is ``math.erf``.  All functions are pure; there is no
 module state.
@@ -29,10 +29,9 @@ __all__ = ["QuadratureError", "integrate_adaptive", "integrate_family"]
 # dropped (1 + e^(-2|arg|)) factor is below double-precision resolution.
 _COSH_DIRECT_LIMIT = 35.0
 _LN2 = math.log(2.0)
-# exp overflows above _EXP_MAX and is subnormal below _EXP_NORMAL_MIN.  Below
-# it the direct product is formed as cosh(arg) exp(expo + _EXP_SHIFT) e^-_EXP_SHIFT,
-# which keeps full precision wherever the product itself is a normal float.
-_EXP_MAX = math.log(sys.float_info.max)
+# exp is subnormal below _EXP_NORMAL_MIN.  Below it the direct product is
+# formed as cosh(arg) exp(expo + _EXP_SHIFT) e^-_EXP_SHIFT, which keeps full
+# precision wherever the product itself is a normal float.
 _EXP_NORMAL_MIN = math.log(sys.float_info.min)
 _EXP_SHIFT = 64.0
 _EXP_UNSHIFT = math.exp(-_EXP_SHIFT)
@@ -52,28 +51,10 @@ def _member_error(exc, member):
     return exc
 
 
-def _cosh_times_exp(arg, expo):
-    """cosh(arg) * exp(expo) without overflow for large |arg| or -expo.
-
-    An ``expo`` of -inf gives 0.0, also where ``arg`` is infinite.
-    """
-    a = abs(arg)
-    if a <= _COSH_DIRECT_LIMIT:
-        if expo < _EXP_NORMAL_MIN:
-            return math.cosh(arg) * math.exp(expo + _EXP_SHIFT) * _EXP_UNSHIFT
-        return math.cosh(arg) * math.exp(expo)
-    if expo == -math.inf:
-        return 0.0
-    t = a + expo - _LN2
-    if t > _EXP_MAX:
-        return math.inf
-    return math.exp(t)
-
-
 def _cosh_times_exp_of(a, cosh, expo):
-    """``_cosh_times_exp`` on float arrays from a = |arg| and numpy's cosh(arg), under np.errstate.
+    """Overflow-safe cosh(arg) exp(expo) from float arrays a = |arg| and numpy's cosh(arg), under np.errstate.
 
-    Off the one-product fast path every branch is formed on every element and selected.
+    expo = -inf gives 0.0, also at an infinite arg.  Off the one-product fast path every branch is formed and selected.
     """
     near = a <= _COSH_DIRECT_LIMIT
     deep = expo < _EXP_NORMAL_MIN
@@ -154,7 +135,8 @@ def integrate_family(f, a, b, tol, max_depth=48):
     is dropped and the others run on; then the QuadratureError of the
     lowest-index failed member is raised, with its one-member message and
     its index as ``member``.  ValueError for a > b, a non-positive
-    tolerance or bounds that are not one-dimensional.
+    tolerance, bounds that are not one-dimensional or, naming its first
+    member, a span b - a that is not finite.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     if a.ndim != 1:
@@ -164,6 +146,10 @@ def integrate_family(f, a, b, tol, max_depth=48):
         raise ValueError("integration bounds must satisfy a <= b")
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
+    with np.errstate(over="ignore", invalid="ignore"):
+        wide = np.flatnonzero(~np.isfinite(b - a))
+    if wide.size:
+        raise ValueError("integration span of member %d is not finite: [%g, %g]" % (wide[0], a[wide[0]], b[wide[0]]))
     failure = None  # the QuadratureError of the lowest-index failed member so far
     member = np.flatnonzero(a < b)
     lo, hi = a[member], b[member]

@@ -4,12 +4,14 @@ Two analytic magnitudes are provided: ``t_if_analytic`` keeps the
 occupation factor n1 everywhere and ``t_if_simplified`` is the reduced
 form feeding the transport current; at n1 = 1 the analytic form is exactly
 half the simplified one (the dropped prefactor is preserved and tested,
-not silently fixed).  The independent route is a single-mode quadrature
-oracle over the collective coordinate, which integrates a whole list of
-state pairs in one quadrature-family call, under one error-state scope
-around the quadrature and the division by 2 m*; where the overlap of two
-distinct states leaves the normal double range it raises, never
-returning a silent 0 or inf; errors follow ``numerics``' batch-engine convention.
+not silently fixed).  Both form their cosh * exp factor's direct product
+inline on ``math`` and take every other branch from ``numerics``' array
+kernel.  The independent route is a single-mode quadrature oracle over the
+collective coordinate, which integrates a whole list of state pairs in one
+quadrature-family call, under one error-state scope around the quadrature
+and the division by 2 m*; where the overlap of two distinct states leaves
+the normal double range it raises, never returning a silent 0 or inf;
+errors follow ``numerics``' batch-engine convention.
 
 ``MatrixElementInputs`` is built once per point of an L grid, so it is a
 frozen dataclass with its own ``__init__`` (one chained check, one keyword
@@ -23,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .numerics import _cosh_times_exp, _member_error, integrate_family
+from .numerics import _COSH_DIRECT_LIMIT, _EXP_NORMAL_MIN, _cosh_times_exp_of, _member_error, integrate_family
 
 __all__ = [
     "MatrixElementInputs",
@@ -94,11 +96,15 @@ _FIELDS = tuple(f.name for f in dataclasses.fields(MatrixElementInputs))
 
 
 def _cosh_exp_factor(inputs, n1sq):
-    """cosh(2 sqrt(x/2L) - sqrt(L/2x)) e^(-a L n1^2 L/(2x)), overflow-safe."""
+    """cosh(2 sqrt(x/2L) - sqrt(L/2x)) e^(-a L n1^2 L/(2x)): the direct product inline, other branches by the kernel."""
     x_bar, l = inputs.x_bar, inputs.l
     arg = 2.0 * math.sqrt(x_bar / (2.0 * l)) - math.sqrt(l / (2.0 * x_bar))
     expo = -inputs.alpha * l * (n1sq * (l / (2.0 * x_bar)))
-    return _cosh_times_exp(arg, expo)
+    if -_COSH_DIRECT_LIMIT <= arg <= _COSH_DIRECT_LIMIT and expo >= _EXP_NORMAL_MIN:
+        return math.cosh(arg) * math.exp(expo)
+    a = np.array([arg])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(_cosh_times_exp_of(np.abs(a), np.cosh(a), np.array([expo]))[0])
 
 
 def t_if_analytic(inputs):

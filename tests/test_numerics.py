@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from cdwtunnel.numerics import QuadratureError, integrate_adaptive, integrate_family
+from cdwtunnel.wavefunctional import thin_wall_ft_oracle
 from oracles import finite_diff_gradient
 
 # mpmath, 40 digits
@@ -256,6 +258,25 @@ def test_family_rejects_bad_arguments():
     with pytest.raises(ValueError, match=r"integrand returned shape \(21,\); expected \(42,\)"):
         integrate_family(lambda x, i: x[:21], [0.0, 0.0], [1.0, 1.0], 1e-10)
     assert integrate_family(lambda x, i: x, [], [], 1e-10).shape == (0,)
+
+
+def test_spans_that_are_not_finite_are_a_value_error_without_a_warning():
+    # an infinite bound, a span that overflows and inf - inf, each named by its first member;
+    # the earlier checks keep their messages
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^integration span of member 0 is not finite: \[0, inf\]$"):
+            integrate_adaptive(np.exp, 0.0, math.inf, 1e-10)
+        with pytest.raises(ValueError, match=r"^integration span of member 0 is not finite: \[-1e\+308, 1e\+308\]$"):
+            integrate_adaptive(lambda x: 0 * x, -1e308, 1e308, 1e-10)
+        with pytest.raises(ValueError, match=r"^integration span of member 1 is not finite: \[inf, inf\]$"):
+            integrate_family(lambda x, i: x, [0.0, math.inf, -math.inf], [1.0, math.inf, 0.0], 1e-10)
+        with pytest.raises(ValueError, match="^integration bounds must satisfy a <= b$"):
+            integrate_family(lambda x, i: x, [0.0, math.nan], [math.inf, 1.0], 1e-10)
+        with pytest.raises(ValueError, match="^tolerance must be positive$"):
+            integrate_adaptive(np.exp, 0.0, math.inf, 0.0)
+        with pytest.raises(ValueError, match=r"^integration span of member 0 is not finite: \[0, inf\]$"):
+            thin_wall_ft_oracle(1.0, math.inf)
 
 
 def test_cosine_family_matches_scipy_quad_vec_and_the_closed_form():

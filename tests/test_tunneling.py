@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from cdwtunnel import numerics, tunneling
+from cdwtunnel import numerics
 from cdwtunnel.numerics import QuadratureError
 from cdwtunnel.tunneling import (
     MatrixElementInputs,
@@ -91,23 +91,20 @@ def test_far_separation_suppression():
     assert t_if_simplified(_inputs(l=240.0, alpha=1.0)) == 0.0
 
 
-def test_l_grid_points_are_pinned_bit_for_bit(monkeypatch):
-    """The (norm_c, t_if_analytic, t_if_simplified) rows of a seeded L grid,
-    built as the CLI and perfbench's l_grid build them, hashed: a change to
-    the per-point path that moves any bit fails here.  With alpha = 1/L the
-    cosh argument and exponent depend on r = L/(2 x_bar) alone, so r spans
-    all three branches of ``_cosh_times_exp``.  The digest holds for one libm:
-    another may round exp, cosh or erf differently."""
-    calls = []
-    kernel = tunneling._cosh_times_exp
+def _branch(inputs, n1sq):
+    """The cosh * exp branch of a point, from its (arg, expo) as ``tunneling._cosh_exp_factor`` forms them."""
+    x_bar, l = inputs.x_bar, inputs.l
+    arg = 2.0 * math.sqrt(x_bar / (2.0 * l)) - math.sqrt(l / (2.0 * x_bar))
+    expo = -inputs.alpha * l * (n1sq * (l / (2.0 * x_bar)))
+    if abs(arg) > numerics._COSH_DIRECT_LIMIT:
+        return "far"
+    return "shifted" if expo < numerics._EXP_NORMAL_MIN else "direct"
 
-    def recorded(arg, expo):
-        calls.append((arg, expo))
-        return kernel(arg, expo)
 
-    monkeypatch.setattr(tunneling, "_cosh_times_exp", recorded)
+def _pin_grid():
+    """The seeded L grid of the bit-for-bit pin: (inputs, norm_c) per point, with r = L/(2 x_bar) over 1e-4.5..1e3.2."""
     rng = np.random.default_rng(2028)
-    rows = []
+    points = []
     for n1s in (np.ones(1000), rng.uniform(0.8, 1.0, 1000)):
         ls = 10.0 ** rng.uniform(math.log10(0.5), math.log10(50.0), n1s.size)
         rs = 10.0 ** rng.uniform(-4.5, 3.2, n1s.size)
@@ -116,14 +113,57 @@ def test_l_grid_points_are_pinned_bit_for_bit(monkeypatch):
             spec_i, spec_f = transport_pair_specs(l)
             x_bar = l / (2.0 * r)
             inputs = MatrixElementInputs(x_bar, l, spec_i.alpha, n1, spec_i.norm_c, spec_f.norm_c, m_star)
-            rows.append((spec_f.norm_c, t_if_analytic(inputs), t_if_simplified(inputs)))
-    far = [abs(arg) > numerics._COSH_DIRECT_LIMIT for arg, _ in calls]
-    shifted = [not f and expo < numerics._EXP_NORMAL_MIN for f, (_, expo) in zip(far, calls)]
-    direct = len(calls) - sum(far) - sum(shifted)
-    assert len(calls) == 4000 and min(sum(far), sum(shifted), direct) > 100
+            points.append((inputs, spec_f.norm_c))
+    return points
+
+
+def test_l_grid_points_are_pinned_bit_for_bit():
+    """The (norm_c, t_if_analytic, t_if_simplified) rows of a seeded L grid,
+    built as the CLI and perfbench's l_grid build them, hashed: a change to
+    the per-point path that moves any bit fails here.  With alpha = 1/L the
+    cosh argument and exponent depend on r = L/(2 x_bar) alone, so r spans
+    the direct, shifted and far branches of the cosh * exp factor, counted
+    on each value's (arg, expo).  The digest holds for one libm: another may
+    round exp, cosh or erf differently."""
+    rows, branches = [], []
+    for inputs, norm_c in _pin_grid():
+        rows.append((norm_c, t_if_analytic(inputs), t_if_simplified(inputs)))
+        branches += [_branch(inputs, n1sq) for n1sq in (inputs.n1 * inputs.n1, 1.0)]
+    assert len(branches) == 4000 and min(branches.count(b) for b in ("direct", "shifted", "far")) > 100
     assert hashlib.sha256(np.array(rows).tobytes()).hexdigest() == (
-        "71a36f94d4049814d0a58fe79ff5fbaf1cb14f759b9f288cf92e585af30b864f"
+        "8dff80e524265f303c5ffe2aca1ba2941a83a82ae1273ed8cd1a7b43a123420e"
     )
+
+
+def test_matrix_elements_match_mpmath_on_every_branch():
+    """t_if_analytic and t_if_simplified on the pin's grid against 40-digit
+    mpmath at the same float inputs, on the direct, shifted and far branches.
+    Where the exact value is normal, each is within 1e-13 relative plus the
+    rounding of the cosh argument and exponent carried through their
+    condition number, taken as 4 ulp of 2 sqrt(x/2L) + sqrt(L/2x) + |expo|;
+    below the normal range, each is at most the smallest normal."""
+    mpmath = pytest.importorskip("mpmath")
+    u = 2.0**-53
+    hits = dict.fromkeys(("direct", "shifted", "far"), 0)
+    with mpmath.workdps(40):
+        for inputs, _ in _pin_grid():
+            x_bar, l, n1 = (mpmath.mpf(v) for v in (inputs.x_bar, inputs.l, inputs.n1))
+            cc_m = mpmath.mpf(inputs.c1_norm) * inputs.c2_norm / inputs.m_star
+            for front, n1sq, pref in (
+                (t_if_analytic, n1 * n1, cc_m * (n1 * n1 - n1**4 / 2)),
+                (t_if_simplified, mpmath.mpf(1), cc_m),
+            ):
+                hits[_branch(inputs, float(n1sq))] += 1
+                a, b = 2 * mpmath.sqrt(x_bar / (2 * l)), mpmath.sqrt(l / (2 * x_bar))
+                mp_expo = -inputs.alpha * l * n1sq * l / (2 * x_bar)
+                ref = pref * mpmath.cosh(a - b) * mpmath.exp(mp_expo)
+                value = front(inputs)
+                if ref < sys.float_info.min:
+                    assert value <= sys.float_info.min, (inputs, value)
+                else:
+                    tol = 1e-13 + 4.0 * u * float(a + b - mp_expo)
+                    assert abs(value - float(ref)) <= tol * float(ref), (inputs, value, ref)
+    assert min(hits.values()) >= 100
 
 
 def test_normalization_scaling_is_linear():

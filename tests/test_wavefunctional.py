@@ -131,6 +131,15 @@ def test_thin_wall_ft_rejects_a_box_width_that_is_not_positive():
             thin_wall_ft(1.0, l)
 
 
+def test_thin_wall_ft_is_never_a_silent_inf_or_nan():
+    # a non-finite amplitude is named as an overflowing k L/2 is
+    for k, l, half in [(0.0, math.inf, "nan"), (math.nan, 1.0, "nan"), (1.0, math.inf, "inf"), (math.inf, 2.0, "inf")]:
+        message = f"box amplitude sin(k L/2)/k is undefined at k = {k!r}, L = {l!r}, where k L/2 = {half}"
+        with pytest.raises(ValueError) as exc:
+            thin_wall_ft(k, l)
+        assert str(exc.value) == message
+
+
 def test_sample_profile_charge_and_peak():
     kp = KinkPairProfile(x_a=-5.0, x_b=5.0, b=1.0)
     prof = sample_profile(kp, half_width=20.0, n=1001)  # odd n puts a node at the midpoint
