@@ -4,28 +4,11 @@ Each subcommand's options are declared once, in ``COMMANDS``: the flag
 ``--name-with-dashes`` is the config key ``name_with_dashes`` of a JSON
 config file (``--config``).  A flag wins over a config entry, which wins over
 the default; a config ``null`` counts as unset.  One rule (``_typed``) types
-and checks a flag word and a config entry alike, so both report a bad value
-with the same reason.  A command writes all of its data files or none, with
-floats rendered to 12 significant digits, and identical configurations
-produce byte-identical outputs.
-
-A subcommand takes only the ``TransportParams`` fields that its output reads:
-``curve`` takes e_t, c_v, c_tilde1 and g_p; ``fit`` takes e_t and g_p for the
-Zener targets and starts from ``--start-c-tilde1``/``--start-c-v``;
-``matrix-element`` takes delta_s and e_star, which map fields to pair
-separations under ``--over e``.
-
-Exit codes: 0 success, 1 usage/config error, 2 runtime/numeric error
-(a grid too large to allocate among them), 3 verification failure.
-
-The ``cdwtunnel`` console script and ``python -m cdwtunnel.cli`` both go
-through ``run``: once a command has finished, it flushes stdout and stderr
-and ends the process with ``os._exit``, skipping the interpreter's teardown
-(the final collection and freeing of every object numpy and this package
-made).  So atexit hooks registered by others, such as coverage's subprocess
-hook, do not run after a finished command.  ``--help``, ``--version`` and an
-uncaught exception leave through the normal exit.  ``main`` returns the exit
-code and is unchanged for in-process callers.
+and checks a flag word and a config entry alike.  A command writes all of
+its data files or none, with floats rendered to 12 significant digits, and
+identical configurations produce byte-identical outputs.  Exit codes: 0
+success, 1 usage/config error, 2 runtime/numeric error, 3 verification
+failure.  ``run`` is the process entry point.
 """
 
 import argparse
@@ -165,7 +148,7 @@ def _typed(opt, value, word=False):
             value = opt.kind(value)
         except OverflowError:  # a JSON integer beyond the double range, read as float() reads its text
             value = math.inf if value > 0 else -math.inf
-        if not math.isfinite(value):
+        if opt.kind is float and not math.isfinite(value):
             raise argparse.ArgumentTypeError(f"must be a finite number, got {value!r}")
     elif not isinstance(value, str):
         raise argparse.ArgumentTypeError(f"must be a string, got {value!r}")
@@ -503,6 +486,12 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one ``cdwtunnel`` command on ``argv`` (default: ``sys.argv[1:]``) and return its exit code.
+
+    A usage or config error prints one ``error:`` line and returns 1; a
+    ValueError, OverflowError, MemoryError, QuadratureError or OSError
+    prints one and returns 2.  ``--help`` and ``--version`` raise SystemExit.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -2,30 +2,10 @@
 
 E_T is shared between the two laws and never fitted: a Zener fit takes it
 from the Zener parameters alone.  Only the amplitude c_tilde1 and the
-geometry factor c_v are free.  A comparison is the relative RMS normalized
-by the second series, so it is deliberately asymmetric in its arguments.
-
-The pair current is I = c_tilde1 g(E; c_v), linear in its amplitude, so a
-fit is variable projection (Golub and Pereyra, SIAM J. Numer. Anal. 10,
-413, 1973): at each c_v the best amplitude is <g, y>/<g, g> in closed
-form, and what is left is a one-dimensional problem in c_v, solved by a
-safeguarded Newton iteration on the exact first and second derivatives of
-the projected cost.  ``fit_sge_family`` fits many target rows on one field
-grid in lockstep, for every free set, and builds each member's result in
-the round it stops.  Only the grid work of a round is numpy, on the (m, n)
-rows of the members still stepping: one kernel call, the power-of-two
-scaling and the row sums.  Each member's bookkeeping (c_v, amplitude, cost,
-Newton step, stop tests) is Python floats, read from those row sums once
-per round, so it costs a few float operations per member rather than a
-numpy call per quantity.  The whole fit runs under one ``np.errstate``
-scope, so the kernel (``sge_cv_derivatives_array`` without its own scope)
-opens none.  Where Python's floats would raise or differ, ``_projected``
-writes out numpy's two zero divisions, ``_ldexp`` an overflow (a result)
-and ``_moves`` np.spacing (inf at the largest double, unlike math.ulp).
-``fit_sge_to_points`` is that family with one member, each member is bit
-for bit its own one-member fit, and a failing family raises by the
-batch-engine convention ``numerics`` states.  No ``TransportParams`` is
-built per point or per trial.
+geometry factor c_v are free.  The pair current is I = c_tilde1 g(E; c_v),
+linear in its amplitude, so a fit is variable projection (Golub and
+Pereyra, SIAM J. Numer. Anal. 10, 413, 1973): the amplitude is projected
+out in closed form, and c_v takes safeguarded Newton steps on what is left.
 """
 
 import dataclasses
@@ -35,10 +15,8 @@ import numpy as np
 
 from .numerics import _member_error
 
-# ``current_sge`` and ``sge_model_jacobian`` are not called here: they are
-# imported so that the names ``fitting.current_sge`` and
-# ``fitting.sge_model_jacobian``, which perfbench's tracer wraps to count
-# per-point model and Jacobian evaluations, keep existing.
+# current_sge and sge_model_jacobian are not called here: perfbench's tracer
+# wraps the names fitting.current_sge and fitting.sge_model_jacobian.
 from .transport import _jacobian_overflow, _sge_cv_derivatives, current_sge, curve_series
 from .transport import sge_jacobian as sge_model_jacobian
 
@@ -101,14 +79,29 @@ def compare_series(a, b):
     """b-normalized relative RMS sqrt(mean(((a-b)/b)^2)) of series a from series b.
 
     The E grids must be identical and b nonzero on them; swapping the
-    arguments changes the normalization, so the result is not symmetric.
+    arguments changes the normalization, so the result is not symmetric.  A
+    relative deviation beyond the double range is a ValueError naming its
+    first field and the two currents there; where only the squares overflow,
+    the deviations are scaled by their largest magnitude first.
     """
     if not np.array_equal(a.es, b.es):
         raise ValueError("series grids differ")
     if np.any(b.currents == 0.0):
         raise ValueError("second series is zero on the grid")
-    rel = (a.currents - b.currents) / b.currents
-    return float(np.sqrt(np.mean(rel**2)))
+    with np.errstate(over="ignore"):
+        rel = (a.currents - b.currents) / b.currents
+        finite = np.isfinite(rel)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise ValueError(
+                f"relative deviation (a - b)/b is not finite at E = {b.es[k]:.12g}:"
+                f" a = {a.currents[k]:.12g}, b = {b.currents[k]:.12g}"
+            )
+        rms = float(np.sqrt(np.mean(rel**2)))
+        if rms == math.inf:
+            scale = float(np.max(np.abs(rel)))
+            rms = scale * float(np.sqrt(np.mean((rel / scale) ** 2)))
+    return rms
 
 
 def _free_names(free):
@@ -141,11 +134,7 @@ _LN2 = float(np.log(2.0))
 
 
 def fit_sge_to_points(es, targets, free, start):
-    """Fit the printed pair current to (E, I) samples, freeing only ``free``.
-
-    ``fit_sge_family`` with one member: its result and errors are that
-    member's, ``member`` 0 included.
-    """
+    """Fit the printed pair current to (E, I) samples, freeing only ``free``: ``fit_sge_family`` with one member."""
     targets = np.asarray(targets, dtype=float)
     if targets.ndim != 1:
         raise ValueError("targets must be one-dimensional")
@@ -184,25 +173,18 @@ def fit_sge_family(es, targets, free, starts):
     Every free set runs one round loop (with c_v held, all stop in round
     0), each round one kernel call on the rows of the members still
     stepping; a member's ``FitResult`` is built in the round it stops, which
-    is its ``iterations``.  The (m, n) work stays in numpy; every quantity
-    of one member is a Python float (or int), one list entry per member
-    still stepping, read from the row sums once per round: a member that
-    takes its trial moves to it, and one that rejects it keeps its state
-    and halves its step.  Floating-point errors are ignored for the whole
-    fit, in this one scope, and numpy's value is written out where Python's
-    floats would raise or differ: ``_projected`` its two zero divisions,
-    ``_ldexp`` an overflow (a result) and ``_moves`` np.spacing (inf at the
-    largest double).  Every per-member reduction is a row sum, so each
-    member is bit for bit its own one-member fit.  Targets and g are scaled
-    by powers of two to a largest magnitude below 1, so no sum of squares
-    overflows; the amplitude and rms are scaled back.
+    is its ``iterations``.  The (m, n) work stays in numpy; each member's
+    bookkeeping is Python floats read from the row sums once per round,
+    under the fit's one ``np.errstate`` scope.  Every per-member reduction
+    is a row sum, so each member is bit for bit its own one-member fit.
+    Targets and g are scaled by powers of two to a largest magnitude below
+    1, so no sum of squares overflows; the amplitude and rms are scaled back.
 
     The start checks read the scaled problem: a g that is not finite, or a
     start rms that is not finite once scaled back, raises ValueError; with
     a parameter free, a cosh argument past the range of the Jacobian raises
     OverflowError naming the fields, as does a derivative of the cost that
-    is not finite.  The error of the lowest-index failing member is
-    raised, with its index as ``member``.
+    is not finite.  Errors follow the batch-engine rule of ``numerics``.
     """
     es = np.asarray(es, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -357,11 +339,6 @@ def _projected(y, g, dg, d2g, held, shift, project, c_v, floor):
         flat = abs(g1r_j) <= _GTOL * math.sqrt(g1g1_j * cost_j)
         go.append(cost_j > f0 and not flat and math.isfinite(step_j) and _moves(step_j, v))
     return c, cost, derivable, slope, used, step, go
-
-
-# The two float helpers left: ``_ldexp``, whose overflow is a result (an infinite amplitude,
-# an overflowing start rms), and ``_moves``, as np.spacing is inf at the largest double where
-# math.ulp is finite.  ``_projected`` writes out its two divisions that can meet a zero denominator.
 
 
 def _ldexp(x, e):

@@ -1,21 +1,14 @@
-"""Self-contained numerics: adaptive quadrature and cosh * exp.
+"""Adaptive quadrature over families of integrals, and the cosh * exp kernel.
 
-Everything downstream (potentials, wavefunctionals, transport and the
-verification oracles) builds on these operations.  ``integrate_family``
-is an interval-batched adaptive Gauss-Kronrod (G10K21, QUADPACK's qk21) rule
-over m integrals at once, one integrand call per round for every member,
-and ``integrate_adaptive`` is that family with one member.  The engine calls
-its integrand on whole numpy arrays and checks the shape of what comes back.
+``integrate_family`` applies QUADPACK's G10K21 rule to m integrals at once,
+with one integrand call per round on numpy arrays; ``integrate_adaptive`` is
+its one-member form.  ``_cosh_times_exp_of`` is the one overflow-safe
+cosh(arg) exp(expo) kernel, which the current laws and matrix elements call.
+
 Every batch engine (this one, ``fitting.fit_sge_family`` and
 ``tunneling.t_if_single_mode_oracles``) raises the error of its lowest-index
-failing member, with that member's own message and index (``_member_error``).
-The overflow-safe cosh(arg) * exp(expo) product has one kernel, on numpy's
-cosh/exp, which the current laws call with |arg| and cosh(arg) taken once,
-and the per-point matrix elements with one element off their inline direct
-product; off its one-product fast path the kernel computes every branch and
-selects among them under one error-state scope.
-The error function is ``math.erf``.  All functions are pure; there is no
-module state.
+failing member, with the message that member's one-member call gives and
+its index as ``member`` (``_member_error``), 0 for a one-member call.
 """
 
 import math
@@ -38,11 +31,7 @@ _EXP_UNSHIFT = math.exp(-_EXP_SHIFT)
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature stopped before converging: a depth or interval limit, or a non-finite integrand.
-
-    ``member`` is the index of the failed member of its ``integrate_family``
-    call, 0 for ``integrate_adaptive``.
-    """
+    """Adaptive quadrature stopped before converging: a depth or interval limit, or a non-finite integrand."""
 
 
 def _member_error(exc, member):
@@ -104,11 +93,9 @@ _MAX_ACTIVE = 1 << 14
 
 
 def integrate_adaptive(f, a, b, tol, max_depth=48):
-    """Integral of ``f`` over [a, b] with absolute error <= ``tol``.
+    """Integral of ``f`` over [a, b] with absolute error <= ``tol``: ``integrate_family`` with one member.
 
-    ``integrate_family`` with the one member [a, b]: ``f`` maps the float
-    node array to a float array of the same shape (``np.exp``-style), and
-    the result and every error are that member's, ``member`` 0 included.
+    ``f`` maps the float node array to a float array of the same shape (``np.exp``-style).
     """
     return float(integrate_family(lambda x, i: f(x), [a], [b], tol, max_depth)[0])
 
@@ -128,15 +115,13 @@ def integrate_family(f, a, b, tol, max_depth=48):
     and a == b gives 0.0.  Each interval's K21 and G10 sums are per-row
     reductions, so every member is bit for bit its own one-member call.
 
-    A member fails, as its one-member call would, when an interval still
-    misses its share after ``max_depth`` bisections, when more than
-    ``_MAX_ACTIVE`` of its intervals stay unconverged at once, or when
-    ``f`` returns a non-finite value on one of its nodes.  A failed member
-    is dropped and the others run on; then the QuadratureError of the
-    lowest-index failed member is raised, with its one-member message and
-    its index as ``member``.  ValueError for a > b, a non-positive
-    tolerance, bounds that are not one-dimensional or, naming its first
-    member, a span b - a that is not finite.
+    A member fails with QuadratureError when an interval still misses its
+    share after ``max_depth`` bisections, when more than ``_MAX_ACTIVE`` of
+    its intervals stay unconverged at once, or when ``f`` returns a
+    non-finite value on one of its nodes; failures follow the module's
+    batch-engine rule.  ValueError for a > b, a non-positive tolerance,
+    bounds that are not one-dimensional or, naming its first member, a span
+    b - a that is not finite.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     if a.ndim != 1:

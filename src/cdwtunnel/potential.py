@@ -5,27 +5,11 @@ caller-supplied data.  The printed potential
 C1 (phi-phi0)^2 - 4 C2 phi phi0 (phi-phi0)^2 + C2 (phi^2-phi0^2)^2 is
 d^2 (C1 + C2 d^2) with d = phi - phi0, so a profile's static energy under
 any (C1, C2) is G + C1 M2 + C2 M4, from the trapezoid moments
-G = int (d_x phi)^2/2, M2 = int d^2 and M4 = int d^4.  A profile computes
-the three moments once per phi0, on first use, and its gradient energy
-density when it does, so bound checks of one profile under many potentials
-with one vacuum share them.
-
-A ``FieldProfile`` is a family: one phi row, or m rows on one shared grid.
-The gradient is one ``np.gradient`` along the last axis and the moments are
-per-row reductions, so every row of a family is bit for bit its own one-row
-profile; ``topological_charge`` and ``bogomolnyi_check`` give one result
-per row, and a single result for a one-row (1-D) profile.  A winding or
-energy that leaves the double range is a ValueError naming the quantity
-and, in a family, the row.
-
-A grid is uniform when every step lies within 4 ulp(max |x|) of
-h = (x_last - x_first)/(n - 1), as every ``np.linspace`` (and so every
-``sample_profile``) grid does.  The gradient then takes the scalar step h
-and each moment is h times a row sum with its ends halved, which moves the
-last bits of energies and bound reports against the xs route.  Any other
-grid takes ``np.gradient`` on xs of each row less its first sample, and
-``np.trapezoid`` on xs.  A moment beyond the double range reads inf, and
-nan where a step of xs overflows.
+G = int (d_x phi)^2/2, M2 = int d^2 and M4 = int d^4, which a
+``FieldProfile`` computes once per phi0.  A function of a profile gives one
+result per row of a family and a single one for a one-row (1-D) profile; a
+winding or energy outside the double range is a ValueError naming the
+quantity and, in a family, the row.
 """
 
 import math
@@ -65,11 +49,15 @@ class FieldProfile:
 
     ``phis`` is one profile, shape (n,), or a family of m profiles, shape
     (m, n), on the grid ``xs`` of shape (n,); ``len`` is n.  ``xs`` and
-    ``phis`` are read-only copies, so the cached moments stay those of the samples.
-    Both must be finite.  The step h = (x_last - x_first)/(n - 1) is read off
-    ``xs`` and kept where the grid is uniform to the rounding of its samples:
-    every step within 4 ulp(max |x|) of h.  A span beyond the double range
-    is never uniform.
+    ``phis`` are read-only copies, so the cached moments stay those of the
+    samples.  Both must be finite.  Every row of a family is bit for bit its
+    own one-row profile.
+
+    The grid is uniform when every step lies within 4 ulp(max |x|) of
+    h = (x_last - x_first)/(n - 1), as every ``np.linspace`` grid does; a span
+    beyond the double range is never uniform.  On a uniform grid the gradient
+    and the moments take the scalar step h, which moves their last bits
+    against the xs route that every other grid takes.
     """
 
     def __init__(self, xs, phis):
@@ -108,14 +96,12 @@ class FieldProfile:
     def gradient_energy(self):
         """(d_x phi)^2 / 2 at every sample of every row, from one ``np.gradient`` on each read.
 
-        The moments read it once per phi0 and keep only their sums.  On a
-        uniform grid the gradient takes the scalar step h.  Any other
-        grid takes ``np.gradient(phis - phis[..., :1], xs)``: its three
-        weights per sample do not sum to exactly 0 in floating point, so each
-        slope carries ~eps |phi| / h, and subtracting each row's first sample
-        (which the gradient does not see) keeps a profile's offset from 0 out
-        of that error.  A slope beyond the double range reads inf (or nan),
-        without a warning.
+        Off a uniform grid it is ``np.gradient(phis - phis[..., :1], xs)``:
+        its three weights per sample do not sum to exactly 0 in floating
+        point, so each slope carries ~eps |phi| / h, and subtracting each
+        row's first sample keeps a profile's offset from 0 out of that
+        error.  A slope beyond the double range reads inf (or nan), without
+        a warning.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             if self._step is not None:
@@ -132,15 +118,13 @@ class FieldProfile:
         """Trapezoid integrals of ``gradient_energy``, d^2 and d^4, d = phi - phi0: one (G, M2, M4) per row.
 
         On a uniform grid each is h (y_first/2 + sum of the inner samples +
-        y_last/2): one row reduction, and no n-long step array.  It moves
-        the last bits against the xs route.  On any other grid each is
-        ``np.trapezoid(y, xs)`` along the last axis.  It halves each pair
-        product before the sum, so a total stays finite up to twice as far
-        as the unhalved sum, and where pair products are subnormal the
-        halvings round (a few ulp on the moment).  The integrands are not
+        y_last/2), one row reduction; on any other grid it is
+        ``np.trapezoid(y, xs)``, which halves each pair product before the
+        sum, so a total stays finite up to twice as far (and rounds by a few
+        ulp where those products are subnormal).  The integrands are not
         negative, so a moment beyond the double range reads inf (an
-        end-corrected full sum could read inf - inf).  The moments are
-        summed on (m, n) views, so a profile is a family of one row.
+        end-corrected full sum could read inf - inf), and nan where a step of
+        xs overflows.
         """
         h = self._step
         rows = (-1, self.xs.size)
@@ -184,11 +168,7 @@ class BoundReport:
 
 
 def eval_extended_potential(phi, p):
-    """C1 (phi-phi0)^2 - 4 C2 phi phi0 (phi-phi0)^2 + C2 (phi^2-phi0^2)^2, phi a float or array.
-
-    Evaluated in the factored form d^2 (C1 + C2 d^2), d = phi - phi0, which
-    the printed three terms cancel down to.
-    """
+    """The printed potential at a float or array phi, in the factored form d^2 (C1 + C2 d^2), d = phi - phi0."""
     d = phi - p.phi0
     d2 = d * d
     return d2 * (p.c1 + p.c2 * d2)
@@ -205,10 +185,7 @@ def _windings(profile):
 
 
 def topological_charge(profile):
-    """Winding (phi(x_last) - phi(x_first)) / (2 pi): a float, or an array of one per row of a family.
-
-    A winding outside the double range is a ValueError.
-    """
+    """Winding (phi(x_last) - phi(x_first)) / (2 pi) per row: a float, or an array for a family."""
     q = _windings(profile)
     return q[0] if profile.phis.ndim == 1 else np.array(q)
 
@@ -219,9 +196,7 @@ def bogomolnyi_check(profile, p, phi_c, phi_f, phi_t):
     The left side is the trapezoid integral of the profile's
     ``gradient_energy`` plus V(phi) over the supplied grid, read from the
     profile's cached moments as G + C1 M2 + C2 M4; satisfied allows a 1e-9
-    relative slack on the right side.  One ``BoundReport`` for a profile, a
-    list of one per row for a family; a winding, static energy or bound
-    outside the double range is a ValueError.
+    relative slack on the right side.  One ``BoundReport`` per row.
     """
     q_abs = [abs(q) for q in _windings(profile)]
     braces = 2.0 * delta_e_gap(p, phi_f, phi_t)

@@ -133,11 +133,9 @@ def current_sge(e, tp, convention="printed"):
 
 
 def current_sge_array(es, e_t, c_v, c_tilde1, substituted):
-    """Soliton-pair current over the float array of fields ``es``.
+    """Soliton-pair current over the float array of fields ``es``, from raw parameter values.
 
-    Takes the raw parameter values: ``current_sge`` and ``curve_series``
-    pass a ``TransportParams``'s, and ``verify.check_fit_roundtrip``
-    broadcasts (m, 1) columns of them against ``es`` for a family of curves.
+    The parameters may be (m, 1) columns that broadcast against ``es`` for a family of curves.
     """
     with np.errstate(all="ignore"):
         arg, expo = _sge_arg_expo(es, e_t, c_v, substituted)
@@ -263,11 +261,9 @@ def sge_from_matrix_element_form(e, tp):
 
 
 def curve_series(model, tp, e_grid, convention="printed"):
-    """Evaluate the selected current law on a strictly increasing grid.
+    """Evaluate the selected current law on a strictly increasing grid, through one array kernel.
 
-    The whole grid goes through one array kernel; every value equals the
-    scalar ``current_sge``/``current_zener`` at that field.  ``CurveSeries``
-    checks the grid.
+    ``CurveSeries`` checks the grid.
     """
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}")

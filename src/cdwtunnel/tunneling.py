@@ -1,22 +1,11 @@
 """Tunneling matrix elements and their quadrature oracle.
 
-Two analytic magnitudes are provided: ``t_if_analytic`` keeps the
-occupation factor n1 everywhere and ``t_if_simplified`` is the reduced
-form feeding the transport current; at n1 = 1 the analytic form is exactly
-half the simplified one (the dropped prefactor is preserved and tested,
-not silently fixed).  Both form their cosh * exp factor's direct product
-inline on ``math`` and take every other branch from ``numerics``' array
-kernel.  The independent route is a single-mode quadrature oracle over the
-collective coordinate, which integrates a whole list of state pairs in one
-quadrature-family call, under one error-state scope around the quadrature
-and the division by 2 m*; where the overlap of two distinct states leaves
-the normal double range it raises, never returning a silent 0 or inf;
-errors follow ``numerics``' batch-engine convention.
-
-``MatrixElementInputs`` is built once per point of an L grid, so it is a
-frozen dataclass with its own ``__init__`` (one chained check, one keyword
-``__dict__`` write) in place of the generated one's ``object.__setattr__``
-per field.
+``t_if_analytic`` keeps the occupation factor n1 everywhere and
+``t_if_simplified`` is the reduced form that feeds the transport current;
+at n1 = 1 the analytic form is exactly half the simplified one (the dropped
+prefactor is preserved and tested, not silently fixed).  The independent
+route is a single-mode quadrature oracle over the collective coordinate,
+a batch engine in the sense of ``numerics``.
 """
 
 import dataclasses
@@ -37,16 +26,8 @@ __all__ = [
 
 _MAX = sys.float_info.max
 
-# One record is built per point of an L grid; on perfbench's grid_eval the
-# l_grid ops are ~93% of the timed work.  A frozen dataclass's generated
-# __init__ stores each field with its own object.__setattr__ call: built with
-# keywords, a 7-field frozen record took 1.3-1.6 us against 0.43-0.47 us for
-# the same class unfrozen, and 1.8-2.2 us with the checks below in a
-# __post_init__.  So this __init__ checks all fields in one chained
-# comparison, runs the per-field loop only to name a bad field, and stores
-# the fields with one keyword write to __dict__, which builds no tuple, zip or
-# dict of its own: 1.2-1.5 us with keywords and 0.86-0.97 us positional
-# (timeit minima; CPython 3.11, 2-CPU Xeon).
+# One record is built per point of an L grid, so __init__ is written out: one
+# chained check and one __dict__ write instead of an object.__setattr__ per field.
 @dataclasses.dataclass(frozen=True, init=False)
 class MatrixElementInputs:
     """Geometry, width and normalization inputs of the analytic magnitudes.
@@ -85,8 +66,6 @@ class MatrixElementInputs:
                     raise ValueError(f"{name} must be positive and finite")
             if n1 > 1.0:
                 raise ValueError("n1 must lie in (0, 1]")
-        # keywords arrive as a dict; updated from (name, value) pairs instead,
-        # the __dict__ took 2.3x as long for seven attribute reads (CPython 3.11)
         self.__dict__.update(
             x_bar=x_bar, l=l, alpha=alpha, n1=n1, c1_norm=c1_norm, c2_norm=c2_norm, m_star=m_star
         )
@@ -139,10 +118,8 @@ def t_if_single_mode_oracles(specs_i, specs_f, m_star=1.0, tol=1e-11):
     States with equal (alpha, center) are proportional and give exactly 0.
     For any other pair a |T| below ``sys.float_info.min`` or not finite (the
     division by a tiny 2 m* overflows) raises ValueError rather than return
-    a silent 0, a subnormal or inf, naming the first such pair in input
-    order, and saying so where |T| is also below that error bound;
-    quadrature non-convergence propagates.  Either error carries the index
-    of its pair as ``member``.
+    a silent 0, a subnormal or inf, and says so where |T| is also below that
+    error bound.  Errors follow the batch-engine rule of ``numerics``.
     """
     if not m_star > 0.0:
         raise ValueError("m_star must be positive")

@@ -25,6 +25,8 @@ __all__ = ["CHECKS", "CheckResult", "run_check", "run_checks"]
 
 @dataclass(frozen=True)
 class CheckResult:
+    """Outcome of the check ``name``: ``passed`` is ``measured <= tolerance``, and ``detail`` describes it."""
+
     name: str
     passed: bool
     measured: float

@@ -4,19 +4,6 @@ The functional integral over field configurations is reduced to one
 retained momentum-mode amplitude u, so a wavefunctional here is a
 normalized Gaussian in a single collective coordinate.  The thin-wall box
 and its momentum-space amplitude use the unit-height convention.
-A state's width and normalization are positive and finite, so a separation
-where alpha = 1/L or the normalization integral leaves the double range is a
-ValueError, never a division by zero or a zero norm.  The box transform's
-quadrature oracle takes whole (k, L) grids and integrates them in one
-quadrature-family call, over the half box [0, L/2] of its even integrand.
-``sample_profile`` samples one kink pair, or a family of pairs on one
-window, with one kernel call on the column of their steepnesses.
-
-``WavefunctionalSpec`` is built twice per point of an L grid (by
-``transport_pair_specs``), so, like ``tunneling.MatrixElementInputs``, it is
-a frozen dataclass with its own checked ``__init__``.  It stores each field
-with one item write into the instance ``__dict__``, in place of the
-generated ``__init__``'s ``object.__setattr__`` per field.
 """
 
 import math
@@ -69,12 +56,8 @@ class KinkPairProfile:
         return self.x_b - self.x_a
 
 
-# The generated frozen __init__ is measured beside
-# ``tunneling.MatrixElementInputs``.  Item writes into __dict__ built a spec
-# in 358-378 ns, against 477-493 ns for the keyword ``__dict__.update``,
-# which first builds a dict of the keywords (timeit minima and medians;
-# CPython 3.11, 2-CPU Xeon).  A build that skips the three checks gains
-# nothing: calling ``object.__new__`` from Python costs as much as they do.
+# Two specs are built per point of an L grid, so __init__ is written out, as in
+# tunneling.MatrixElementInputs, with one item write into __dict__ per field.
 @dataclass(frozen=True, init=False)
 class WavefunctionalSpec:
     """Gaussian collective-coordinate state: norm_c * exp(-alpha (u - center)^2).
@@ -120,9 +103,7 @@ def _kink_pair(x, x_a, x_b, b):
     """``kink_pair_profile`` with the steepness ``b`` a float or an array that broadcasts against ``x``.
 
     The three (m, n) arrays u, v and the result are updated in place, so a
-    family allocates no other array of its size: with a fresh array per
-    operation, ``bogomolnyi-sweep``'s 4-row families sampled slower than
-    their rows one at a time.
+    family allocates no other array of its size.
     """
     with np.errstate(over="ignore"):
         u = np.asarray(b * (x - x_a), dtype=float)
@@ -203,12 +184,10 @@ def thin_wall_ft(k, l):
 def thin_wall_ft_oracle(k, l):
     """Direct cosine-transform quadrature of the unit box (independent route).
 
-    (1/sqrt(2 pi)) * integral of cos(k x) over [-l/2, l/2], by adaptive
-    Gauss-Kronrod quadrature on node arrays to an absolute 1e-12: the
-    integrand is even, so twice the integral over [0, l/2] to 5e-13, with
-    half the nodes of the whole box.  ``k`` and ``l`` are floats or arrays
-    that broadcast together; every (k, l) pair is one member of a single
-    ``integrate_family`` call, and floats in give a float out.
+    (1/sqrt(2 pi)) * integral of cos(k x) over [-l/2, l/2] to an absolute
+    1e-12.  ``k`` and ``l`` are floats or arrays that broadcast together;
+    every (k, l) pair is one member of a single ``integrate_family`` call,
+    and floats in give a float out.
     """
     k, l = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(l, dtype=float))
     if not np.all(l > 0.0):

@@ -830,6 +830,30 @@ def test_grid_too_large_to_allocate_is_runtime_error(tmp_path, capsys, args):
         assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "args, flag, message",
+    [
+        (["curve", "--grid-kind", "linear"], "--grid-n", "Maximum allowed size exceeded"),
+        (["fit"], "--grid-n", "Maximum allowed size exceeded"),
+        (["matrix-element"], "--grid-n", "Maximum allowed size exceeded"),
+        (["profile"], "--n", f"cannot allocate {10**400} profile samples"),
+        (["profile"], "--k-n", "Maximum allowed size exceeded"),
+    ],
+    ids=["curve-grid-n", "fit-grid-n", "matrix-element-grid-n", "profile-n", "profile-k-n"],
+)
+def test_count_beyond_the_double_range_fails_like_any_oversized_count(tmp_path, capsys, args, flag, message):
+    # an int option is never checked for finiteness, so a count past the
+    # double range reaches numpy's size checks, as a flag and as a config entry
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({flag[2:].replace("-", "_"): 10**400}))
+    out = ["--out", str(tmp_path / "out.csv")]
+    for given in ([flag, str(10**400)], ["--config", str(cfg)]):
+        code = main([*args, *given, *out])
+        stdout, err = capsys.readouterr()
+        assert (code, stdout, err) == (2, "", f"error: {message}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
 @pytest.mark.parametrize("config", [{"check": [["x"]]}, {"check": {"a": 1}}, {"tol": 5}])
 def test_wrong_typed_verify_config_is_usage_error(tmp_path, capsys, config):
     cfg = tmp_path / "run.json"

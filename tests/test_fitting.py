@@ -65,6 +65,7 @@ def test_compare_is_b_normalized_not_symmetric():
     assert ba == pytest.approx(0.5)
 
 
+@pytest.mark.filterwarnings("error")
 def test_compare_is_the_b_normalized_relative_rms():
     rng = np.random.default_rng(23)
     es = np.linspace(1.0, 4.0, 31)
@@ -89,6 +90,25 @@ def test_compare_rejects_zero_denominator():
     b = CurveSeries(es, np.array([0.0, 1.0, 1.0, 1.0, 1.0]))
     with pytest.raises(ValueError, match="zero"):
         compare_series(a, b)
+
+
+@pytest.mark.filterwarnings("error")
+def test_compare_names_a_relative_deviation_beyond_the_double_range():
+    a = CurveSeries([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+    b = CurveSeries([1.0, 2.0, 3.0], [2.0, 1e-320, 1e-320])
+    with pytest.raises(ValueError, match=r"not finite at E = 2: a = 2, b = 9\.99988867183e-321$"):
+        compare_series(a, b)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tiny", [1e-160, 1e-300])
+def test_compare_scales_deviations_whose_squares_overflow(tiny):
+    es = [1.0, 2.0, 3.0]
+    a = CurveSeries(es, [1.0, 2.0, 0.5])
+    b = CurveSeries(es, [tiny, 2.0, 3.0 * tiny])
+    rel = [(x - y) / y for x, y in zip(a.currents.tolist(), b.currents.tolist())]
+    assert max(rel) > math.sqrt(sys.float_info.max)
+    assert compare_series(a, b) == pytest.approx(math.hypot(*rel) / math.sqrt(3.0), rel=4e-16)
 
 
 def test_sge_jacobian_matches_finite_differences():
