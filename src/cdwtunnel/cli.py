@@ -191,7 +191,10 @@ def _grid(lo, hi, n, kind, name):
         raise CliUsageError(f"{name} span hi - lo overflows")
     if kind == "log" and not lo > 0.0:
         raise CliUsageError(f"log {name} needs lo > 0")
-    return (np.geomspace if kind == "log" else np.linspace)(lo, hi, n)
+    try:
+        return (np.geomspace if kind == "log" else np.linspace)(lo, hi, n)
+    except IndexError as exc:  # near 2**63 numpy builds an empty array and fails to index it
+        raise MemoryError(f"cannot allocate {n} {name} points") from exc
 
 
 def _option_grid(o, lo, hi):

@@ -174,8 +174,10 @@ def fit_sge_family(es, targets, free, starts):
     0), each round one kernel call on the rows of the members still
     stepping; a member's ``FitResult`` is built in the round it stops, which
     is its ``iterations``.  The (m, n) work stays in numpy; each member's
-    bookkeeping is Python floats read from the row sums once per round,
-    under the fit's one ``np.errstate`` scope.  Every per-member reduction
+    state is its last accepted record (``_projected``'s), Python floats
+    read from the row sums once per round under the fit's one
+    ``np.errstate`` scope.  A taken trial's record replaces it; a rejected
+    trial keeps it with its step halved.  Every per-member reduction
     is a row sum, so each member is bit for bit its own one-member fit.
     Targets and g are scaled by powers of two to a largest magnitude below
     1, so no sum of squares overflows; the amplitude and rms are scaled back.
@@ -202,81 +204,72 @@ def fit_sge_family(es, targets, free, starts):
     c_v = np.array([s.c_v for s in starts], dtype=float)
     held = [float(s.c_tilde1) for s in starts]
     g, dg, d2g, k = _scaled(es, e_t, c_v)
-    c_v = c_v.tolist()
     # the scaled problem: targets over 2^ky with ky the exponent of each row's max |y|
     ky = np.frexp(np.abs(targets).max(axis=1))[1]
     y = np.ldexp(targets, -ky[:, None])
     floor = ((_RESIDUAL_FLOOR * np.sqrt(_rowdot(y, y))) ** 2).tolist()
     ky = ky.tolist()
     project = "c_tilde1" in names
-    c, cost, derivable, slope, used, step, go = _projected(
-        y, g, dg, d2g, held, [a - b for a, b in zip(k, ky)], project, c_v, floor
-    )
+    now = _projected(y, g, dg, d2g, held, [a - b for a, b in zip(k, ky)], project, c_v.tolist(), floor)
 
     # the start checks, on the scaled problem
     unevaluable = (~np.isfinite(g).all(axis=1)).tolist()
     out_of_range = np.isnan(dg).any(axis=1).tolist()
-    for i in range(m):
+    for i, (c_v_i, _, _, cost, derivable, *_) in enumerate(now):
         if unevaluable[i]:
             exc = ValueError("model is not evaluable at the initial parameters")
-        elif not math.isfinite(_ldexp(math.sqrt(cost[i] / n), ky[i])):
+        elif not math.isfinite(_ldexp(math.sqrt(cost / n), ky[i])):
             exc = ValueError("sum of squared residuals overflows at the initial parameters")
         elif out_of_range[i] and names:
             exc = _jacobian_overflow(es[np.isnan(dg[i])])
-        elif not derivable[i] and "c_v" in names:
-            exc = OverflowError(f"c_v derivatives of the cost are not finite at c_v = {c_v[i]!r}")
+        elif not derivable and "c_v" in names:
+            exc = OverflowError(f"c_v derivatives of the cost are not finite at c_v = {c_v_i!r}")
         else:
             continue
         raise _member_error(exc, i)
 
-    # The members still stepping (``live``) keep their state in lists, one
-    # entry each, and their rows of ``e_t`` and ``y``; all of them shrink when
-    # some member stops.  All enter at round 0 and none re-enters, so a
-    # member stopping in a round took that many steps.
-    fits = [None] * m
-    live, rounds = list(range(m)), 0
-    if "c_v" not in names:
-        go = [False] * m  # with c_v held, every member stops in round 0
-    while live:
+    # ``now`` holds the record of each member still stepping (``live``); it,
+    # their ``held``, ``ky`` and ``floor`` and their rows of ``e_t`` and ``y``
+    # shrink when some member stops.  All enter at round 0 and none
+    # re-enters, so a member stopping in a round took that many steps.
+    fits, live = [None] * m, list(range(m))
+    # with c_v held, every member stops in round 0
+    go = [record[-1] for record in now] if "c_v" in names else [False] * m
+    for rounds in range(_MAX_ROUNDS + 1):
         spent = rounds == _MAX_ROUNDS
-        if spent or not all(go):
+        if spent or not go or not all(go):  # an empty family ends at once
             for j, on in enumerate(go):
                 if spent or not on:
-                    params = [_ldexp(c[j], ky[j] - k[j]) if name == "c_tilde1" else c_v[j] for name in names]
-                    rms = _ldexp(math.sqrt(cost[j] / n), ky[j])
+                    c_v_j, shift, c, cost, *_ = now[j]
+                    params = [_ldexp(c, -shift) if name == "c_tilde1" else c_v_j for name in names]
+                    rms = _ldexp(math.sqrt(cost / n), ky[j])
                     fits[live[j]] = FitResult(params, rms, rounds, "max_iter" if on else "converged")
             if spent or not any(go):
                 break
             keep = [j for j, on in enumerate(go) if on]
             e_t, y = e_t[keep], y[keep]
-            live, c_v, held, ky, floor, k, c, cost, slope, used, step = (
-                [v[j] for j in keep] for v in (live, c_v, held, ky, floor, k, c, cost, slope, used, step)
-            )
-        rounds += 1
-        trial = np.multiply(c_v, np.exp(step))
+            live, now, held, ky, floor = ([v[j] for j in keep] for v in (live, now, held, ky, floor))
+        trial = np.multiply([record[0] for record in now], np.exp([record[7] for record in now]))
         gt, dgt, d2gt, kt = _scaled(es, e_t, trial)
-        shift = [a - b for a, b in zip(kt, ky)]
-        trial = trial.tolist()
-        c_t, cost_t, derivable, slope_t, used_t, planned, onward = _projected(
-            y, gt, dgt, d2gt, held, shift, project, trial, floor
-        )
+        tried = _projected(y, gt, dgt, d2gt, held, [a - b for a, b in zip(kt, ky)], project, trial.tolist(), floor)
         go = []
-        for j, (cost_j, cost_tj, step_j) in enumerate(zip(cost, cost_t, step)):
-            tol = _FTOL * cost_j
-            predicted = -(2.0 * slope[j] + used[j] * step_j) * step_j
+        for j, (old, new) in enumerate(zip(now, tried)):
+            c_v_j, shift, c, cost, derivable, slope, used, step, onward = old
+            _, _, _, cost_t, derivable_t, _, _, _, onward_t = new
+            tol = _FTOL * cost
+            predicted = -(2.0 * slope + used * step) * step
             # the cost no longer resolves the step: converged, at the trial if it is no worse
-            unresolved = abs(cost_j - cost_tj) <= tol and predicted <= tol
-            if derivable[j] and (cost_tj < cost_j or unresolved and cost_tj <= cost_j):
+            unresolved = abs(cost - cost_t) <= tol and predicted <= tol
+            if derivable_t and (cost_t < cost or unresolved and cost_t <= cost):
                 # a member that takes its trial steps on from it by its new plan
-                c_v[j], k[j], c[j], cost[j] = trial[j], kt[j], c_t[j], cost_tj
-                slope[j], used[j], step[j] = slope_t[j], used_t[j], planned[j]
-                go.append(not unresolved and onward[j])
+                now[j] = new
+                go.append(not unresolved and onward_t)
             else:
                 # one that rejects it steps on from where it was by half its step,
                 # unless the step is predicted to gain less than the cost resolves
                 # (1e-14 of it, or the residual floor): halving only shrinks that
-                step[j] = half = 0.5 * step_j
-                go.append(not unresolved and predicted > tol and predicted > floor[j] and _moves(half, c_v[j]))
+                now[j] = (c_v_j, shift, c, cost, derivable, slope, used, 0.5 * step, onward)
+                go.append(not unresolved and predicted > tol and predicted > floor[j] and _moves(0.5 * step, c_v_j))
     return fits
 
 
@@ -298,18 +291,19 @@ def _scaled(es, e_t, c_v):
 
 
 def _projected(y, g, dg, d2g, held, shift, project, c_v, floor):
-    """Each row's amplitude, cost and Newton step in ln c_v, as lists with one entry per row.
+    """One record per row: (c_v, shift, amplitude, cost, derivable, slope, used, step, go).
 
-    The held amplitude of a row is its ``held`` times 2^``shift``; with
-    ``project`` it is replaced by <g, y>/<g, g> wherever <g, g> > 0.  The
-    cost's c_v-gradient is -2 c <dg, r>, from the residual r itself: it does
-    not cancel on a zero-residual fit.  Its curvature is exact (Golub and
-    Pereyra's, where the amplitude is projected).  Returned are the
-    amplitude, the cost, whether that gradient and curvature are finite,
-    the cost's slope and the curvature used in ln c_v (each halved), the
-    step bounded to ±ln 2, and whether to take it: the cost is above its
-    ``floor``, dg/dc_v is not within a cosine of 1e-12 of orthogonal to r,
-    and the step is finite and moves c_v.
+    ``c_v`` and ``shift`` are the row's own.  The held amplitude of a row is
+    its ``held`` times 2^``shift``; with ``project`` it is replaced by
+    <g, y>/<g, g> wherever <g, g> > 0.  The cost's c_v-gradient is
+    -2 c <dg, r>, from the residual r itself: it does not cancel on a
+    zero-residual fit.  Its curvature is exact (Golub and Pereyra's, where
+    the amplitude is projected).  ``derivable`` says whether that gradient
+    and curvature are finite; ``slope`` and ``used`` are the cost's slope
+    and the curvature used in ln c_v (each halved), ``step`` the Newton step
+    in ln c_v bounded to ±ln 2, and ``go`` whether to take it: the cost is
+    above its ``floor``, dg/dc_v is not within a cosine of 1e-12 of
+    orthogonal to r, and the step is finite and moves c_v.
     """
     gg = _rowdot(g, g).tolist()
     if project:
@@ -320,25 +314,26 @@ def _projected(y, g, dg, d2g, held, shift, project, c_v, floor):
     r = y - np.array(c)[:, None] * g
     cost, g1r, g1g1, g2r = (_rowdot(a, b).tolist() for a, b in ((r, r), (dg, r), (dg, dg), (d2g, r)))
     gdg = _rowdot(g, dg).tolist() if project else gg  # read only with project
-    derivable, slope, used, step, go = [], [], [], [], []
-    for c_j, cost_j, g1r_j, g1g1_j, g2r_j, gdg_j, gg_j, v, f0 in zip(c, cost, g1r, g1g1, g2r, gdg, gg, c_v, floor):
+    records = []
+    for v, s, c_j, cost_j, g1r_j, g1g1_j, g2r_j, gdg_j, gg_j, f0 in zip(
+        c_v, shift, c, cost, g1r, g1g1, g2r, gdg, gg, floor
+    ):
         grad = -c_j * g1r_j
         curvature = c_j * (c_j * g1g1_j - g2r_j)
         if project:
             # the amplitude moves at dc/dc_v = (<dg, r> - c <g, dg>)/<g, g>; at <g, g> = 0, dc^2 <g, g> is nan
             dc = (g1r_j - c_j * gdg_j) / gg_j if gg_j > 0.0 else math.nan
             curvature -= dc * dc * gg_j
-        derivable.append(math.isfinite(grad) and math.isfinite(curvature))
-        # the Newton step in ln c_v, bounded to ±ln 2 (max and min pass a nan); a curvature that is
+        derivable = math.isfinite(grad) and math.isfinite(curvature)
+        # the Newton step in ln c_v, bounded to ±ln 2 (a nan passes both tests); a curvature that is
         # not positive divides by zero as -slope inf: downhill to the bound, nan at a slope of ±0 or nan
         slope_j, used_j = v * grad, v * (v * curvature + grad)
-        step_j = min(max(-slope_j / used_j if used_j > 0.0 else -slope_j * math.inf, -_LN2), _LN2)
-        slope.append(slope_j)
-        used.append(used_j)
-        step.append(step_j)
+        raw = -slope_j / used_j if used_j > 0.0 else -slope_j * math.inf
+        step_j = -_LN2 if raw < -_LN2 else _LN2 if raw > _LN2 else raw
         flat = abs(g1r_j) <= _GTOL * math.sqrt(g1g1_j * cost_j)
-        go.append(cost_j > f0 and not flat and math.isfinite(step_j) and _moves(step_j, v))
-    return c, cost, derivable, slope, used, step, go
+        go = cost_j > f0 and not flat and math.isfinite(step_j) and _moves(step_j, v)
+        records.append((v, s, c_j, cost_j, derivable, slope_j, used_j, step_j, go))
+    return records
 
 
 def _ldexp(x, e):

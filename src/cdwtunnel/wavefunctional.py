@@ -151,7 +151,7 @@ def sample_profile(kp, half_width, n):
     n = int(n)
     try:
         xs = np.linspace(lo, hi, n)
-    except ValueError as exc:  # "array is too big" or "Maximum allowed size exceeded"
+    except (ValueError, IndexError) as exc:  # numpy's size errors, or near 2**63 an empty array it fails to index
         raise MemoryError(f"cannot allocate {n} profile samples") from exc
     # a family's steepnesses are a column, so the kernel gives one row per pair
     b = np.array([[k.b] for k in kps]) if family else kp.b

@@ -822,7 +822,7 @@ def test_grid_too_large_to_allocate_is_runtime_error(tmp_path, capsys, args):
     # 1e17 doubles are 711 PiB, more than any address space: numpy refuses the
     # size at once, without allocating anything (a MemoryError); 2**62 and
     # 1e30 fail its size checks with a ValueError instead
-    for count in (10**17, 2**62, 10**30):
+    for count in (10**17, 2**62, 10**30, 2**63 - 1):
         code = main([*args, str(count), "--out", str(tmp_path / "out.csv")])
         stdout, err = capsys.readouterr()
         assert code == 2 and stdout == "", count

@@ -490,7 +490,7 @@ def _one_member_fit_and_costs(monkeypatch, es, row, free, start):
 
     def spy(*args):
         out = projected(*args)
-        costs.append(float(out[1][0]))
+        costs.append(float(out[0][3]))
         return out
 
     with monkeypatch.context() as patch:
@@ -539,6 +539,11 @@ def test_a_family_calls_the_kernel_once_per_round_of_its_longest_fit(monkeypatch
         (free, np.tile(current_zener_array(es, 1.0, 1.0), (len(c_vs), 1)), [TransportParams(c_v=c_v) for c_v in c_vs])
         for free, c_vs, _ in _REJECTING_FAMILIES
     ]
+    # a self-fit that stops in round 0 beside Zener fits that step on (4 and 6 rounds, or 6 and 6 with c_v alone)
+    zener = current_zener_array(es, 1.0, 1.0)
+    targets = np.array([current_sge_array(es, 1.0, 1.3, 2.0, False), zener, zener])
+    starts = [TransportParams(c_tilde1=2.0, c_v=1.3), TransportParams(c_v=1.0), TransportParams(c_v=5.406)]
+    families += [(free, targets, starts) for free in (FREE_PARAM_ORDER, ("c_v",))]
     # zero targets run out their 200 steps beside a member that converges
     families.append((("c_v",), zero_and_pair, [TransportParams(), TransportParams()]))
     for free, targets, starts in families:
@@ -727,7 +732,7 @@ def test_newton_plan_of_the_fit_gives_numpys_values():
     seen = set()
     for project in (True, False):
         with np.errstate(all="ignore"):  # the fit's own scope, which ``_projected`` runs in
-            got = fitting._projected(y, g, dg, d2g, held, shift, project, c_v, floor)
+            got = list(zip(*fitting._projected(y, g, dg, d2g, held, shift, project, c_v, floor)))[2:]
         want = _numpy_plan(y, g, dg, d2g, held, shift, project, c_v, floor)
         for name, got_col, want_col in zip(("c", "cost", "derivable", "slope", "used", "step", "go"), got, want):
             assert len(got_col) == len(rows)

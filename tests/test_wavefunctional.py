@@ -160,7 +160,7 @@ def test_sample_profile_rejects_degenerate_grid():
         sample_profile(kp, half_width=2.0, n=1)
     # numpy refuses 1e17 doubles with a MemoryError and 2**62 or 1e30 with a
     # ValueError; a count too large to allocate is a MemoryError either way
-    for n in (10**17, 2**62, 10**30):
+    for n in (10**17, 2**62, 10**30, 2**63 - 1):
         with pytest.raises(MemoryError):
             sample_profile(kp, half_width=2.0, n=n)
 
